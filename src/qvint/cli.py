@@ -20,19 +20,18 @@ import argparse
 import sys
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .diagnostics import TrajectoryRecord, energy_error, momentum_errors, net_pitch, summarize
-from .integrators import SingularJacobianError, SolverConfig, integrate
+from .integrators import _METHODS, SolverConfig, integrate
 from .model import BodyState, constant_schedule, preset_free_body, preset_morphing
 
 Array = np.ndarray
 
 _SCENARIOS = ("free_body", "morphing", "custom")
-_METHODS = ("left", "mid", "rk")
 
 _TRAJ_HEADER = (
     "t,qw,qx,qy,qz,xe_x,xe_y,xe_z,xdotb_x,xdotb_y,xdotb_z,"
@@ -53,31 +52,7 @@ class ConfigError(ValueError):
         return f"line {self.line}: {msg}" if self.line is not None else msg
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    scenario: str = "free_body"
-    method: str = "mid"
-    h: float = 0.01
-    t_end: float = 50.0
-    q0: Array = None
-    x0: Array = None
-    xdot0: Array = None
-    omega0: Array = None
-    tol: float = 1e-12
-    max_iter: int = 50
-    out_dir: str = "."
-
-    def __post_init__(self):
-        def fix(name, value, default):
-            arr = np.array(default if value is None else value, dtype=float)
-            object.__setattr__(self, name, arr)
-
-        fix("q0", self.q0, (1.0, 0.0, 0.0, 0.0))
-        fix("x0", self.x0, (0.0, 0.0, 0.0))
-        fix("xdot0", self.xdot0, (0.0, 0.0, 0.0))
-        fix("omega0", self.omega0, (1.0, 1.0, 1.0))
-
-
+#: config keys and their defaults; each vector is split into one key per component
 _DEFAULTS: dict[str, object] = {
     "scenario": "free_body",
     "method": "mid",
@@ -100,6 +75,34 @@ _DEFAULTS: dict[str, object] = {
     "max_iter": 50,
     "out_dir": ".",
 }
+
+_VECTORS = {"q0": "wxyz", "x0": "xyz", "xdot0": "xyz", "omega0": "xyz"}
+
+
+def _vector(vals: dict[str, object], name: str) -> Array:
+    return np.array([vals[f"{name}_{c}"] for c in _VECTORS[name]], dtype=float)
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    scenario: str = _DEFAULTS["scenario"]
+    method: str = _DEFAULTS["method"]
+    h: float = _DEFAULTS["h"]
+    t_end: float = _DEFAULTS["t_end"]
+    q0: Array = None
+    x0: Array = None
+    xdot0: Array = None
+    omega0: Array = None
+    tol: float = _DEFAULTS["tol"]
+    max_iter: int = _DEFAULTS["max_iter"]
+    out_dir: str = _DEFAULTS["out_dir"]
+
+    def __post_init__(self):
+        for name in _VECTORS:
+            value = getattr(self, name)
+            arr = _vector(_DEFAULTS, name) if value is None else np.array(value, dtype=float)
+            object.__setattr__(self, name, arr)
+
 
 _POSITIVE_KEYS = ("h", "t_end", "tol")
 
@@ -155,28 +158,17 @@ def parse_config(text: str) -> RunConfig:
         vals[key] = parsed
         lines[key] = ln
 
-    q0 = np.array([vals["q0_w"], vals["q0_x"], vals["q0_y"], vals["q0_z"]], dtype=float)
+    q0 = _vector(vals, "q0")
     norm = float(np.linalg.norm(q0))
     if norm == 0.0:
-        where = max((lines.get(k) for k in ("q0_w", "q0_x", "q0_y", "q0_z") if k in lines), default=None)
+        where = max((lines[k] for k in lines if k.startswith("q0_")), default=None)
         raise ConfigError("q0 must be nonzero", where)
     if abs(norm - 1.0) > 1e-6:
         warnings.warn(f"q0 is off unit norm by {abs(norm - 1.0):.3g}; normalizing", stacklevel=2)
-    q0 = q0 / norm
-
-    return RunConfig(
-        scenario=vals["scenario"],
-        method=vals["method"],
-        h=vals["h"],
-        t_end=vals["t_end"],
-        q0=q0,
-        x0=np.array([vals["x0_x"], vals["x0_y"], vals["x0_z"]], dtype=float),
-        xdot0=np.array([vals["xdot0_x"], vals["xdot0_y"], vals["xdot0_z"]], dtype=float),
-        omega0=np.array([vals["omega0_x"], vals["omega0_y"], vals["omega0_z"]], dtype=float),
-        tol=vals["tol"],
-        max_iter=vals["max_iter"],
-        out_dir=vals["out_dir"],
-    )
+    vectors = {name: _vector(vals, name) for name in _VECTORS}
+    vectors["q0"] = q0 / norm
+    scalars = {f.name: vals[f.name] for f in fields(RunConfig) if f.name not in _VECTORS}
+    return RunConfig(**scalars, **vectors)
 
 
 def build_scenario(cfg: RunConfig):
@@ -249,11 +241,7 @@ def _execute(cfg: RunConfig, tag: str = ""):
     """Run one config, write its CSVs, return (record, report, wall, label, code)."""
     initial, sched, scfg, rp = build_scenario(cfg)
     start = time.perf_counter()
-    try:
-        rec = integrate(initial, sched, scfg, cfg.method, cfg.t_end, rigid_params=rp, scenario=cfg.scenario)
-    except SingularJacobianError as exc:
-        print(f"integration failed: {exc}", file=sys.stderr)
-        return None, None, 0.0, "", 3
+    rec = integrate(initial, sched, scfg, cfg.method, cfg.t_end, rigid_params=rp, scenario=cfg.scenario)
     wall = time.perf_counter() - start
     stem = f"{cfg.scenario}_{cfg.method}" + (f"_{tag}" if tag else "")
     try:
@@ -271,7 +259,7 @@ def _execute(cfg: RunConfig, tag: str = ""):
     if rec.truncated:
         print(
             f"WARNING: integration stopped early at t={rec.t[-1]:g} "
-            "(Newton did not converge); partial output written",
+            f"({rec.stop_reason}); partial output written",
             file=sys.stderr,
         )
         return rec, report, wall, stem, 3

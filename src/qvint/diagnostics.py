@@ -26,6 +26,7 @@ class TrajectoryRecord:
     conserved-quantity columns (energy, p_x, p_w, P_x, P_w) are evaluated at
     the scheme's midpoint quadrature states, where its discrete conservation
     law lives; velocity columns are the averaged step-point reconstruction.
+    A truncated record names the step failure that ended it in stop_reason.
     """
 
     t: Array
@@ -44,6 +45,7 @@ class TrajectoryRecord:
     scenario: str = ""
     truncated: bool = False
     force_free: bool = True
+    stop_reason: str = ""
 
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=float)
@@ -121,17 +123,12 @@ def momentum_errors(rec: TrajectoryRecord, running: bool = True) -> tuple[Array,
 
 
 def energy_error(rec: TrajectoryRecord, running: bool = True) -> Array:
-    """Kinetic-energy error series |T_k - T_1| / T_1 (running max by default).
+    """Kinetic-energy error series |T_k - T_1| / |T_1| (running max by default).
 
-    Rejects an empty record or a zero first-sample energy; summarize applies
-    the absolute-deviation fallback instead of raising.
+    A zero first-sample energy (a start at rest) degrades the series to
+    absolute deviations, as summarize flags.
     """
-    if len(rec) < 1:
-        raise ValueError("energy_error: empty record")
-    t1 = float(rec.energy[0])
-    if t1 == 0.0:
-        raise ValueError("energy_error: first-sample energy is zero")
-    e = np.abs(rec.energy - t1) / abs(t1)
+    e, _ = _deviation_series(rec.energy)
     return running_max(e) if running else e
 
 

@@ -30,10 +30,12 @@ from .model import (
     CoefficientSet,
     MorphingSchedule,
     RigidParams,
+    _canonical_momenta_v,
     _cross,
     _energy_v,
     _grad_omega_v,
     _grad_xdot_v,
+    _physical_momenta_v,
 )
 from .quat import _rotate, conj, exp_map, normalize, quat_mul
 
@@ -95,12 +97,22 @@ class MidpointCache:
 
 @dataclass(frozen=True)
 class StepResult:
-    """Outcome of one implicit step; cache is set by the midpoint scheme only."""
+    """Outcome of one step of any scheme.
+
+    point (orientation, linear and angular velocity) is where the record
+    evaluates the step's conserved quantities and coeffs is the coefficient
+    set at its time: the new step point for left and rk, the new midpoint for
+    mid. carried is the outgoing momentum plus step impulse that the Newton
+    solve balanced (None for rk); cache continues the midpoint chain (mid).
+    """
 
     state: BodyState
     iterations: int
     residual_norm: float
     converged: bool
+    point: tuple[Array, Array, Array]
+    coeffs: CoefficientSet
+    carried: Array | None
     cache: MidpointCache | None = None
 
 
@@ -182,15 +194,6 @@ def _forcing(f_earth: Array, tau_body: Array, h: float) -> Array:
 # left-rectangle scheme
 
 
-def _left_current(q_k: Array, xdot: Array, omega: Array, c: CoefficientSet, h: float) -> Array:
-    """Incoming-momentum side of the left-rectangle balance at step k."""
-    g1 = _grad_xdot_v(xdot, omega, c)
-    g2 = _grad_omega_v(xdot, omega, c)
-    top = _rotate(q_k, g1)
-    bot = g2 + (0.5 * h) * _cross(omega, g2) + h * _cross(xdot, g1)
-    return np.concatenate((top, bot))
-
-
 def _left_history(q: Array, xdot: Array, omega: Array, c: CoefficientSet, h: float) -> Array:
     """Outgoing-momentum side carried over from step k-1."""
     g1 = _grad_xdot_v(xdot, omega, c)
@@ -201,35 +204,30 @@ def _left_history(q: Array, xdot: Array, omega: Array, c: CoefficientSet, h: flo
 
 
 def residual_left(
-    prev: BodyState,
-    q_k: Array,
-    xdot_k: Array,
-    omega_k: Array,
-    c_prev: CoefficientSet,
-    c_k: CoefficientSet,
-    f_earth: Array,
-    tau_body: Array,
-    h: float,
+    q_k: Array, xdot: Array, omega: Array, c_k: CoefficientSet, h: float, carried: Array
 ) -> Array:
-    """Left-rectangle inter-step momentum defect, stacked (translational, rotational).
+    """Left-rectangle momentum balance at step k, stacked (translational, rotational).
 
-    prev holds the converged step k-1 state; q_k is the already-advanced
-    orientation at step k; (xdot_k, omega_k) is the trial velocity pair the
-    Newton solve varies. Forces are held fixed during the solve.
+    The incoming momentum of the trial velocities (xdot, omega) at the
+    already-advanced orientation q_k, minus carried: the outgoing momentum of
+    step k-1 (_left_history) plus the step impulse of the external load.
+    step_left solves this residual for zero.
     """
-    xdot_k = np.asarray(xdot_k, dtype=float)
-    omega_k = np.asarray(omega_k, dtype=float)
-    return (
-        _left_current(q_k, xdot_k, omega_k, c_k, h)
-        - _left_history(prev.q, prev.xdot_b, prev.omega_b, c_prev, h)
-        - _forcing(f_earth, tau_body, h)
-    )
+    g1 = _grad_xdot_v(xdot, omega, c_k)
+    g2 = _grad_omega_v(xdot, omega, c_k)
+    top = _rotate(q_k, g1)
+    bot = g2 + (0.5 * h) * _cross(omega, g2) + h * _cross(xdot, g1)
+    return np.concatenate((top, bot)) - carried
 
 
 def step_left(
-    prev: BodyState, sched: MorphingSchedule, cfg: SolverConfig, scale: float = 1.0
+    prev: BodyState,
+    c_prev: CoefficientSet,
+    sched: MorphingSchedule,
+    cfg: SolverConfig,
+    scale: float = 1.0,
 ) -> StepResult:
-    """Advance one left-rectangle step.
+    """Advance one left-rectangle step; c_prev is the coefficient set at prev.t.
 
     Kinematics first (exponential orientation update and position quadrature
     with step k-1 values), then the implicit velocity solve at step k.
@@ -241,21 +239,23 @@ def step_left(
     q_k = normalize(q_k)
     x_k = prev.x_e + h * _rotate(prev.q, prev.xdot_b)
     t_k = prev.t + h
-    c_prev = sched.coefficients(prev.t)
     c_k = sched.coefficients(t_k)
-    history = _left_history(prev.q, prev.xdot_b, prev.omega_b, c_prev, h)
+    carried = _left_history(prev.q, prev.xdot_b, prev.omega_b, c_prev, h)
     if not sched.force_free:
         probe = BodyState(t_k, q_k, x_k, prev.xdot_b, prev.omega_b)
         f_earth, tau_body = sched.force(probe, t_k)
-        history = history + _forcing(f_earth, tau_body, h)
-
-    def fres(v: Array) -> Array:
-        return _left_current(q_k, v[:3], v[3:], c_k, h) - history
+        carried = carried + _forcing(f_earth, tau_body, h)
 
     guess = np.concatenate((prev.xdot_b, prev.omega_b))
-    sol = newton_solve(fres, guess, cfg, tol_abs=cfg.residual_tol * scale)
+    sol = newton_solve(
+        lambda v: residual_left(q_k, v[:3], v[3:], c_k, h, carried),
+        guess,
+        cfg,
+        tol_abs=cfg.residual_tol * scale,
+    )
     state = BodyState(t_k, q_k, x_k, sol.x[:3], sol.x[3:])
-    return StepResult(state, sol.iterations, sol.residual_norm, sol.converged)
+    point = (state.q, state.xdot_b, state.omega_b)
+    return StepResult(state, sol.iterations, sol.residual_norm, sol.converged, point, c_k, carried)
 
 
 # midpoint scheme
@@ -281,47 +281,17 @@ def _mid_terms(
     return lhs, rhs, q_t
 
 
-def _mid_outgoing(q_mid: Array, xdot: Array, omega: Array, c: CoefficientSet, h: float) -> Array:
-    """Outgoing balance terms of a midpoint given its orientation directly."""
-    g1 = _grad_xdot_v(xdot, omega, c)
-    g2 = _grad_omega_v(xdot, omega, c)
-    e1 = _rotate(q_mid, g1)
-    e2 = _rotate(q_mid, g2)
-    xc = (0.5 * h) * _rotate(q_mid, _cross(xdot, g1))
-    return np.concatenate((e1, e2 - xc))
-
-
 def residual_mid(
-    prev_q_mid: Array,
-    prev_xdot_mid: Array,
-    prev_omega_mid: Array,
-    c_prev_mid: CoefficientSet,
-    q_k: Array,
-    xdot_mid: Array,
-    omega_mid: Array,
-    c_mid: CoefficientSet,
-    f_earth: Array,
-    tau_body: Array,
-    h: float,
+    q_k: Array, xdot: Array, omega: Array, c_mid: CoefficientSet, h: float, carried: Array
 ) -> Array:
-    """Midpoint inter-step momentum defect, stacked (translational, rotational).
+    """Midpoint momentum balance across step point k, stacked (translational, rotational).
 
-    The previous midpoint is given explicitly (orientation, velocities and
-    the coefficients at its time); q_k is the step-point orientation between
-    the two midpoints. (xdot_mid, omega_mid) is the trial pair for the
-    current midpoint.
+    The incoming terms (_mid_terms lhs) of the trial midpoint velocities
+    (xdot, omega) after the step-point orientation q_k, minus carried: the
+    outgoing terms of the previous midpoint (MidpointCache.history) plus the
+    step impulse. step_mid solves this residual for zero.
     """
-    xdot_mid = np.asarray(xdot_mid, dtype=float)
-    omega_mid = np.asarray(omega_mid, dtype=float)
-    lhs, _, _ = _mid_terms(q_k, xdot_mid, omega_mid, c_mid, h)
-    rhs = _mid_outgoing(
-        np.asarray(prev_q_mid, dtype=float),
-        np.asarray(prev_xdot_mid, dtype=float),
-        np.asarray(prev_omega_mid, dtype=float),
-        c_prev_mid,
-        h,
-    )
-    return lhs - rhs - _forcing(f_earth, tau_body, h)
+    return _mid_terms(q_k, xdot, omega, c_mid, h)[0] - carried
 
 
 def initial_midpoint_cache(state: BodyState, c0: CoefficientSet, h: float) -> MidpointCache:
@@ -380,20 +350,21 @@ def step_mid(
     t_mid = prev.t + 0.5 * h
     c_mid = sched.coefficients(t_mid)
     q_k = prev.q
-    history = cache.history
+    carried = cache.history
     if not sched.force_free:
         q_pred = normalize(quat_mul(q_k, exp_map((0.25 * h) * cache.omega_mid)))
         x_pred = prev.x_e + (0.5 * h) * _rotate(q_pred, cache.xdot_mid)
         probe = BodyState(t_mid, q_pred, x_pred, cache.xdot_mid, cache.omega_mid)
         f_earth, tau_body = sched.force(probe, t_mid)
-        history = history + _forcing(f_earth, tau_body, h)
-
-    def fres(v: Array) -> Array:
-        lhs, _, _ = _mid_terms(q_k, v[:3], v[3:], c_mid, h)
-        return lhs - history
+        carried = carried + _forcing(f_earth, tau_body, h)
 
     guess = np.concatenate((cache.xdot_mid, cache.omega_mid))
-    sol = newton_solve(fres, guess, cfg, tol_abs=cfg.residual_tol * scale)
+    sol = newton_solve(
+        lambda v: residual_mid(q_k, v[:3], v[3:], c_mid, h, carried),
+        guess,
+        cfg,
+        tol_abs=cfg.residual_tol * scale,
+    )
     xd, om = sol.x[:3], sol.x[3:]
     _, rhs, q_t = _mid_terms(q_k, xd, om, c_mid, h)
     q_next = quat_mul(q_k, exp_map((0.5 * h) * om))
@@ -403,7 +374,9 @@ def step_mid(
     x_next = prev.x_e + h * _rotate(q_t, xd)
     state = BodyState(prev.t + h, q_next, x_next, xd, om)
     new_cache = MidpointCache(t_mid=t_mid, q_mid=q_t, xdot_mid=xd, omega_mid=om, history=rhs)
-    return StepResult(state, sol.iterations, sol.residual_norm, sol.converged, new_cache)
+    return StepResult(
+        state, sol.iterations, sol.residual_norm, sol.converged, (q_t, xd, om), c_mid, carried, new_cache
+    )
 
 
 # explicit RK4 baseline on the momentum form
@@ -415,16 +388,19 @@ def velocities_from_momenta(c: CoefficientSet, g1: Array, g2: Array) -> tuple[Ar
     return v[:3], v[3:]
 
 
-def step_rk_baseline(prev: BodyState, sched: MorphingSchedule, h: float) -> BodyState:
+def step_rk_baseline(
+    prev: BodyState, c_prev: CoefficientSet, sched: MorphingSchedule, h: float
+) -> StepResult:
     """One classical RK4 step on the body-frame momentum equations.
 
     d/dt D1 = -omega x D1 + f on body axes, d/dt D2 = -omega x D2
     - xdot x D1 + tau; velocities are recovered from the momenta through the
     (time-dependent) mass matrix at every stage, and the orientation advances
-    by a first-order exponential update per stage.
+    by a first-order exponential update per stage. c_prev is the coefficient
+    set at prev.t.
     """
     t = prev.t
-    c1 = sched.coefficients(t)
+    c1 = c_prev
     c2 = sched.coefficients(t + 0.5 * h)
     c4 = sched.coefficients(t + h)
     g1 = _grad_xdot_v(prev.xdot_b, prev.omega_b, c1)
@@ -468,7 +444,8 @@ def step_rk_baseline(prev: BodyState, sched: MorphingSchedule, h: float) -> Body
     om_avg = (om1 + 2.0 * om2 + 2.0 * om3 + om4) / 6.0
     q_new = normalize(quat_mul(prev.q, exp_map((0.5 * h) * om_avg)))
     xd_new, om_new = velocities_from_momenta(c4, d1_new, d2_new)
-    return BodyState(t + h, q_new, x_new, xd_new, om_new)
+    state = BodyState(t + h, q_new, x_new, xd_new, om_new)
+    return StepResult(state, 0, 0.0, True, (state.q, state.xdot_b, state.omega_b), c4, None)
 
 
 # run driver
@@ -482,16 +459,19 @@ def momentum_scale(state: BodyState, c: CoefficientSet, h: float) -> float:
     return max(1.0, float(np.sqrt(g1 @ g1 + p_w @ p_w)))
 
 
-def _canonical_raw(q, xd, om, c, h):
-    g1 = _grad_xdot_v(xd, om, c)
-    g2 = _grad_omega_v(xd, om, c)
-    return _rotate(q, g1), g2 + (0.5 * h) * _cross(om, g2)
+def _midpoint_step_velocities(v: Array) -> Array:
+    """Second-order step-point velocities from rows [v_0, m_1, ..., m_n] (m_k: midpoints).
 
-
-def _physical_raw(q, xd, om, rp: RigidParams, i_com: Array):
-    p_x = rp.m * _rotate(q, xd + _cross(om, rp.c))
-    p_w = _rotate(q, i_com @ om)
-    return p_x, p_w
+    Entry 0 keeps the exact initial data, inner entries average adjacent
+    midpoints, and the final entry extrapolates linearly (the nearest-midpoint
+    value would be off by O(h/2) there).
+    """
+    out = v.copy()
+    mids = v[1:]
+    out[1:-1] = 0.5 * (mids[:-1] + mids[1:])
+    if len(mids) >= 2:
+        out[-1] = 1.5 * mids[-1] - 0.5 * mids[-2]
+    return out
 
 
 def integrate(
@@ -506,14 +486,15 @@ def integrate(
     """Fixed-step run from initial.t to (approximately) t_end.
 
     method is one of left, mid, rk. The step count is round((t_end - t)/h),
-    at least 1. Every accepted state is recorded; a failed implicit solve
-    truncates the record and flags it. Physical momentum columns are filled
-    when rigid_params is given (single-rigid-body models only).
+    at least 1. Every accepted state is recorded. A step that fails (Newton
+    does not converge, the Jacobian is singular, or the state goes
+    non-finite) truncates the record, flags it and names the cause in
+    stop_reason. Physical momentum columns are filled when rigid_params is
+    given (single-rigid-body models only).
 
     For the midpoint method the conserved-quantity columns are evaluated at
-    the midpoint quadrature states; the velocity columns hold second-order
-    step-point reconstructions (adjacent-midpoint averages inside, exact
-    initial data and linear extrapolation at the ends).
+    the midpoint quadrature states (row 0 repeats the first midpoint); the
+    velocity columns hold second-order step-point reconstructions.
     """
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
@@ -523,118 +504,61 @@ def integrate(
     n_steps = max(1, int(round((t_end - initial.t) / h)))
     c0 = sched.coefficients(initial.t)
     scale = momentum_scale(initial, c0, h)
-    rp = rigid_params
-    i_com = rp.com_inertia() if rp is not None else None
-    label = sched.name if scenario is None else scenario
+    take_step = {
+        "left": lambda r: step_left(r.state, r.coeffs, sched, cfg, scale),
+        "mid": lambda r: step_mid(r.state, r.cache, sched, cfg, scale),
+        "rk": lambda r: step_rk_baseline(r.state, r.coeffs, sched, h),
+    }[method]
 
-    truncated = False
-    states: list[BodyState] = [initial]
-    iters: list[int] = [0]
-
-    if method == "mid":
-        cache = initial_midpoint_cache(initial, c0, h)
-        mids: list[MidpointCache] = []
-        state = initial
+    # the initial state enters as a zero-iteration step
+    point0 = (initial.q, initial.xdot_b, initial.omega_b)
+    cache0 = initial_midpoint_cache(initial, c0, h)
+    steps = [StepResult(initial, 0, 0.0, True, point0, c0, None, cache0)]
+    stop_reason = ""
+    # a diverging run surfaces as a non-finite state, reported as its stop reason
+    with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n_steps):
-            res = step_mid(state, cache, sched, cfg, scale)
-            if not res.converged:
-                truncated = True
+            try:
+                res = take_step(steps[-1])
+            except (SingularJacobianError, ValueError) as exc:
+                stop_reason = str(exc)
                 break
-            state = res.state
-            cache = res.cache
-            states.append(state)
-            iters.append(res.iterations)
-            mids.append(cache)
-        n = len(states)
-        t_arr = np.array([s.t for s in states])
-        q_arr = np.array([s.q for s in states])
-        x_arr = np.array([s.x_e for s in states])
-        if mids:
-            xd_mid = np.array([m.xdot_mid for m in mids])
-            om_mid = np.array([m.omega_mid for m in mids])
-            xd_arr = np.empty((n, 3))
-            om_arr = np.empty((n, 3))
-            # step-point velocities: exact initial data at entry 0, midpoint
-            # averages inside, linear extrapolation at the final entry (the
-            # nearest-midpoint value would be off by O(h/2) there)
-            xd_arr[0], om_arr[0] = initial.xdot_b, initial.omega_b
-            if len(mids) >= 2:
-                xd_arr[n - 1] = 1.5 * xd_mid[-1] - 0.5 * xd_mid[-2]
-                om_arr[n - 1] = 1.5 * om_mid[-1] - 0.5 * om_mid[-2]
-            else:
-                xd_arr[n - 1], om_arr[n - 1] = xd_mid[-1], om_mid[-1]
-            for k in range(1, n - 1):
-                xd_arr[k] = 0.5 * (xd_mid[k - 1] + xd_mid[k])
-                om_arr[k] = 0.5 * (om_mid[k - 1] + om_mid[k])
-            diag_of = [mids[0]] + mids
-        else:
-            xd_arr = np.array([initial.xdot_b])
-            om_arr = np.array([initial.omega_b])
-            diag_of = None
-        energy = np.empty(n)
-        p_x = np.empty((n, 3))
-        p_w = np.empty((n, 3))
-        bp_x = np.empty((n, 3)) if rp is not None else None
-        bp_w = np.empty((n, 3)) if rp is not None else None
-        for k in range(n):
-            if diag_of is None:
-                cq, cxd, com_, ct = initial.q, initial.xdot_b, initial.omega_b, initial.t
-            else:
-                m = diag_of[k]
-                cq, cxd, com_, ct = m.q_mid, m.xdot_mid, m.omega_mid, m.t_mid
-            c_here = sched.coefficients(ct)
-            energy[k] = _energy_v(cxd, com_, c_here)
-            p_x[k], p_w[k] = _canonical_raw(cq, cxd, com_, c_here, h)
-            if rp is not None:
-                bp_x[k], bp_w[k] = _physical_raw(cq, cxd, com_, rp, i_com)
-    else:
-        state = initial
-        for _ in range(n_steps):
-            if method == "left":
-                res = step_left(state, sched, cfg, scale)
-                if not res.converged:
-                    truncated = True
-                    break
-                state = res.state
-                states.append(state)
-                iters.append(res.iterations)
-            else:
-                state = step_rk_baseline(state, sched, h)
-                states.append(state)
-                iters.append(0)
-        n = len(states)
-        t_arr = np.array([s.t for s in states])
-        q_arr = np.array([s.q for s in states])
-        x_arr = np.array([s.x_e for s in states])
-        xd_arr = np.array([s.xdot_b for s in states])
-        om_arr = np.array([s.omega_b for s in states])
-        energy = np.empty(n)
-        p_x = np.empty((n, 3))
-        p_w = np.empty((n, 3))
-        bp_x = np.empty((n, 3)) if rp is not None else None
-        bp_w = np.empty((n, 3)) if rp is not None else None
-        for k, s in enumerate(states):
-            c_here = sched.coefficients(s.t)
-            energy[k] = _energy_v(s.xdot_b, s.omega_b, c_here)
-            p_x[k], p_w[k] = _canonical_raw(s.q, s.xdot_b, s.omega_b, c_here, h)
-            if rp is not None:
-                bp_x[k], bp_w[k] = _physical_raw(s.q, s.xdot_b, s.omega_b, rp, i_com)
+            if not res.converged:
+                stop_reason = "Newton did not converge"
+                break
+            steps.append(res)
 
+    states = [r.state for r in steps]
+    xd_arr = np.array([s.xdot_b for s in states])
+    om_arr = np.array([s.omega_b for s in states])
+    diag = steps
+    if method == "mid" and len(steps) > 1:
+        xd_arr = _midpoint_step_velocities(xd_arr)
+        om_arr = _midpoint_step_velocities(om_arr)
+        diag = [steps[1]] + steps[1:]
+
+    energy = [_energy_v(r.point[1], r.point[2], r.coeffs) for r in diag]
+    p_can = np.array([_canonical_momenta_v(*r.point, r.coeffs, h) for r in diag])
+    p_phys = None
+    if rigid_params is not None:
+        i_com = rigid_params.com_inertia()
+        p_phys = np.array([_physical_momenta_v(*r.point, rigid_params, i_com) for r in diag])
     return TrajectoryRecord(
-        t=t_arr,
-        q=q_arr,
-        x_e=x_arr,
+        t=np.array([s.t for s in states]),
+        q=np.array([s.q for s in states]),
+        x_e=np.array([s.x_e for s in states]),
         xdot_b=xd_arr,
         omega_b=om_arr,
-        energy=energy,
-        p_x=p_x,
-        p_w=p_w,
-        P_x=bp_x,
-        P_w=bp_w,
-        newton_iters=np.array(iters, dtype=int),
+        energy=np.array(energy),
+        p_x=p_can[:, 0],
+        p_w=p_can[:, 1],
+        P_x=None if p_phys is None else p_phys[:, 0],
+        P_w=None if p_phys is None else p_phys[:, 1],
+        newton_iters=np.array([r.iterations for r in steps], dtype=int),
         method=method,
         h=h,
-        scenario=label,
-        truncated=truncated,
+        scenario=sched.name if scenario is None else scenario,
+        truncated=bool(stop_reason),
+        stop_reason=stop_reason,
         force_free=sched.force_free,
     )

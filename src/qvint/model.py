@@ -194,15 +194,21 @@ def energy_grad_omega(s: BodyState, c: CoefficientSet) -> Array:
     return _grad_omega_v(s.xdot_b, s.omega_b, c)
 
 
+def _canonical_momenta_v(
+    q: Array, xdot: Array, omega: Array, c: CoefficientSet, h: float
+) -> tuple[Array, Array]:
+    g1 = _grad_xdot_v(xdot, omega, c)
+    g2 = _grad_omega_v(xdot, omega, c)
+    return _rotate(q, g1), g2 + (0.5 * h) * _cross(omega, g2)
+
+
 def canonical_momenta(s: BodyState, c: CoefficientSet, h: float) -> tuple[Array, Array]:
     """Discrete canonical momenta (p_x on earth axes, p_w on body axes).
 
     p_x = q (x) D1 (x) q* and p_w = D2 + (h/2) omega x D2; the h term is the
     discrete left-rectangle correction, so p_w depends on the step size.
     """
-    g1 = _grad_xdot_v(s.xdot_b, s.omega_b, c)
-    g2 = _grad_omega_v(s.xdot_b, s.omega_b, c)
-    return _rotate(s.q, g1), g2 + (0.5 * h) * _cross(s.omega_b, g2)
+    return _canonical_momenta_v(s.q, s.xdot_b, s.omega_b, c, h)
 
 
 @dataclass(frozen=True)
@@ -231,14 +237,19 @@ class RigidParams:
         return self.I_ref - self.m * (float(c @ c) * np.eye(3) - np.outer(c, c))
 
 
+def _physical_momenta_v(
+    q: Array, xdot: Array, omega: Array, rp: RigidParams, i_com: Array
+) -> tuple[Array, Array]:
+    return rp.m * _rotate(q, xdot + _cross(omega, rp.c)), _rotate(q, i_com @ omega)
+
+
 def physical_momenta(s: BodyState, rp: RigidParams) -> tuple[Array, Array]:
     """Physical momenta of a rigid body: (P_x earth axes, P_w earth axes).
 
     P_x = m v_com on earth axes; P_w is the angular momentum about the center
     of mass, excluding the orbital contribution of the reference point.
     """
-    v_com = s.xdot_b + _cross(s.omega_b, rp.c)
-    return rp.m * _rotate(s.q, v_com), _rotate(s.q, rp.com_inertia() @ s.omega_b)
+    return _physical_momenta_v(s.q, s.xdot_b, s.omega_b, rp, rp.com_inertia())
 
 
 def rigid_coefficients(rp: RigidParams) -> CoefficientSet:
@@ -304,17 +315,15 @@ ForceFn = Callable[[BodyState, float], tuple[Array, Array]]
 
 @dataclass(frozen=True)
 class MorphingSchedule:
-    """Time-dependent model: coefficients, shape parameters and applied forces.
+    """Time-dependent model: coefficients and applied forces.
 
-    coefficients(t) returns the CoefficientSet at time t; morph_params(t)
-    returns the shape parameter vector (empty for rigid models); force(s, t)
-    returns (F earth axes, torque body axes). force_free marks schedules whose
-    force callback is identically zero, which lets integrators skip it.
+    coefficients(t) returns the CoefficientSet at time t; force(s, t) returns
+    (F earth axes, torque body axes). force_free marks schedules whose force
+    callback is identically zero, which lets integrators skip it.
     """
 
     name: str
     coefficients: Callable[[float], CoefficientSet]
-    morph_params: Callable[[float], Array]
     force: ForceFn
     force_free: bool = True
 
@@ -330,7 +339,6 @@ def constant_schedule(
     return MorphingSchedule(
         name=name,
         coefficients=lambda t: c,
-        morph_params=lambda t: np.zeros(0),
         force=force if force is not None else _zero_force,
         force_free=force is None,
     )
@@ -393,16 +401,12 @@ def preset_morphing(damping: bool = False, beta: float = DAMPING_BETA) -> Morphi
             + point_mass_coefficients(WING_MASS, r_m, rdot_m)
         )
 
-    def morph_params(t: float) -> Array:
-        return np.array([np.sin(t), -0.5 * np.cos(t)])
-
     def damped(s: BodyState, t: float) -> tuple[Array, Array]:
         return np.zeros(3), -beta * s.omega_b
 
     return MorphingSchedule(
         name="morphing",
         coefficients=coefficients,
-        morph_params=morph_params,
         force=damped if damping else _zero_force,
         force_free=not damping,
     )

@@ -17,10 +17,10 @@ import numpy as np
 
 Array = np.ndarray
 
-#: below this rotation-vector norm the exp/log series expansions are used
+#: below this rotation-vector norm exp_map uses its series expansion
 SMALL_ANGLE = 1e-8
 
-#: unit-norm precondition tolerance for log_map and the frame rotations
+#: unit-norm precondition tolerance for rotate_to_earth
 UNIT_TOL = 1e-9
 
 
@@ -79,32 +79,6 @@ def exp_map(theta: Array) -> Array:
     return np.array([w, s * theta[0], s * theta[1], s * theta[2]])
 
 
-def log_map(q: Array) -> Array:
-    """Inverse of exp_map on the principal branch, |result| <= pi.
-
-    Requires unit q within UNIT_TOL. Returns the zero vector for a vanishing
-    vector part.
-    """
-    _check_unit(q, "log_map")
-    w = float(q[0])
-    v = q[1:]
-    s = float(np.sqrt(v @ v))
-    if s < SMALL_ANGLE:
-        if s == 0.0:
-            return np.zeros(3)
-        if w > 0.0:
-            # atan2(s, w)/s -> 1/w as s -> 0
-            return v / w
-    return v * (np.arctan2(s, w) / s)
-
-
-def cayley_map(theta: Array) -> Array:
-    """Cayley map (1, theta)/sqrt(1 + |theta|^2), agrees with exp_map to O(|theta|^3)."""
-    t2 = float(theta @ theta)
-    r = 1.0 / np.sqrt(1.0 + t2)
-    return np.array([r, r * theta[0], r * theta[1], r * theta[2]])
-
-
 def _rotate(q: Array, v: Array) -> Array:
     """Unchecked q (x) v (x) q* for unit q, expanded to avoid two full products."""
     w, x, y, z = q
@@ -127,41 +101,3 @@ def rotate_to_earth(q: Array, v_body: Array) -> Array:
     """Coordinates of a body-frame vector on earth axes, q (x) v (x) q*."""
     _check_unit(q, "rotate_to_earth")
     return _rotate(q, v_body)
-
-
-def rotate_to_body(q: Array, v_earth: Array) -> Array:
-    """Coordinates of an earth-frame vector on body axes, q* (x) v (x) q."""
-    _check_unit(q, "rotate_to_body")
-    return _rotate(conj(q), v_earth)
-
-
-def slerp_mid(qa: Array, qb: Array) -> Array:
-    """Geodesic midpoint of two unit quaternions.
-
-    The shorter arc is taken (qb is negated when the 4-vector dot is negative).
-    Antipodal inputs have no preferred midpoint and are rejected.
-    """
-    if float(np.sqrt((qa + qb) @ (qa + qb))) < 1e-9:
-        raise ValueError("slerp_mid: antipodal quaternions have no unique midpoint")
-    if float(qa @ qb) < 0.0:
-        qb = -qb
-    rel = quat_mul(conj(qa), qb)
-    return quat_mul(qa, exp_map(0.5 * log_map(normalize(rel))))
-
-
-def nlerp_mid(qa: Array, qb: Array) -> Array:
-    """Normalized linear midpoint (qa + qb)/|qa + qb|, short arc enforced."""
-    if float(np.sqrt((qa + qb) @ (qa + qb))) < 1e-9:
-        raise ValueError("nlerp_mid: antipodal quaternions have no unique midpoint")
-    if float(qa @ qb) < 0.0:
-        qb = -qb
-    return normalize(qa + qb)
-
-
-def cg_step(q: Array, omega_body: Array, h: float) -> Array:
-    """One first-order Crouch-Grossman update q (x) exp_map((h/2) omega).
-
-    The half factor converts the angular rate into the quaternion half-angle
-    rate; norm is preserved exactly up to roundoff.
-    """
-    return quat_mul(q, exp_map((0.5 * h) * np.asarray(omega_body)))

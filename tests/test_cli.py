@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qvint import SolverConfig, constant_schedule, integrate, preset_free_body
+from qvint import SingularJacobianError, integrate, integrators, preset_free_body
 from qvint.cli import (
     ConfigError,
     build_scenario,
@@ -186,6 +186,45 @@ def test_run_truncation_exit_code_and_partial_output(tmp_path, capsys):
     assert "(truncated)" in captured.out
     lines = (tmp_path / "free_body_mid_trajectory.csv").read_text().splitlines()
     assert len(lines) >= 2  # header plus at least the initial sample
+
+
+def test_start_at_rest_exits_zero_with_absolute_errors(tmp_path, capsys):
+    cfg = parse_config(f"omega0_x = 0\nomega0_y = 0\nomega0_z = 0\nt_end = 0.1\nout_dir = {tmp_path}")
+    assert run(cfg) == 0
+    assert "e_T=0.000e+00 (abs)" in capsys.readouterr().out
+    for name in ("free_body_mid_trajectory.csv", "free_body_mid_errors.csv"):
+        assert len((tmp_path / name).read_text().splitlines()) == 12
+
+
+def test_rk_blow_up_truncates_with_partial_output(tmp_path, capsys):
+    cfg = parse_config(f"method = rk\nh = 3\nt_end = 300\nout_dir = {tmp_path}")
+    assert run(cfg) == 3
+    captured = capsys.readouterr()
+    assert "WARNING: integration stopped early" in captured.err
+    assert "non-finite" in captured.err
+    assert "(truncated)" in captured.out
+    rows = [len((tmp_path / f"free_body_rk_{kind}.csv").read_text().splitlines()) for kind in ("trajectory", "errors")]
+    assert rows[0] == rows[1] and 2 <= rows[0] < 101
+
+
+def test_singular_jacobian_truncates_with_partial_output(tmp_path, capsys, monkeypatch):
+    solve = integrators.newton_solve
+    calls = []
+
+    def failing_solve(*args, **kwargs):
+        calls.append(1)
+        if len(calls) > 5:
+            raise SingularJacobianError("singular Jacobian: injected")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(integrators, "newton_solve", failing_solve)
+    cfg = parse_config(f"method = left\nt_end = 1\nout_dir = {tmp_path}")
+    assert run(cfg) == 3
+    captured = capsys.readouterr()
+    assert "(singular Jacobian: injected)" in captured.err
+    assert "steps accepted: 5 (truncated)" in captured.out
+    for name in ("free_body_left_trajectory.csv", "free_body_left_errors.csv"):
+        assert len((tmp_path / name).read_text().splitlines()) == 7
 
 
 def test_run_output_failure_exit_code(tmp_path, capsys):

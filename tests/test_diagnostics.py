@@ -113,11 +113,12 @@ def test_energy_error_levels_and_zero_baseline():
     assert e[-1] == pytest.approx(1.0, rel=1e-15)
     assert e[0] == 0.0
     rec0 = make_record(n=3, energy=np.array([0.0, 1.0, 2.0]))
-    with pytest.raises(ValueError):
-        energy_error(rec0)
-    rep = summarize(rec0)  # falls back to absolute deviations
+    # a zero baseline falls back to absolute deviations, as summarize does
+    assert np.array_equal(energy_error(rec0, running=False), [0.0, 1.0, 2.0])
+    rep = summarize(rec0)
     assert rep.e_T_absolute
     assert rep.final_e_T == pytest.approx(2.0)
+    assert np.array_equal(energy_error(rec0), rep.e_T)
 
 
 def test_zero_baseline_momentum_goes_absolute():

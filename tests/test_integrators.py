@@ -1,5 +1,7 @@
 """Variational steppers: Newton solver, balance residuals, conservation, reversal."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,7 +11,6 @@ from qvint import (
     CoefficientSet,
     SingularJacobianError,
     SolverConfig,
-    cg_step,
     conj,
     constant_schedule,
     energy_grad_omega,
@@ -32,6 +33,8 @@ from qvint import (
     summarize,
     velocities_from_momenta,
 )
+from qvint import integrators
+from qvint.integrators import _left_history, _mid_terms
 
 RNG = np.random.default_rng(61103)
 
@@ -45,6 +48,11 @@ SPIN = BodyState(0.0, identity_quat(), np.zeros(3), np.zeros(3), np.array([1.0, 
 def random_unit_quat(rng):
     q = rng.standard_normal(4)
     return q / np.linalg.norm(q)
+
+
+def cg_step(q, omega, h):
+    """The left scheme's orientation update q (x) exp((h/2) omega)."""
+    return quat_mul(q, exp_map((0.5 * h) * omega))
 
 
 def test_solver_config_validation():
@@ -89,9 +97,8 @@ def test_residual_left_equilibrium_is_exact_zero():
     h = 0.05
     omega = np.array([0.0, 0.0, 2.0])
     q = random_unit_quat(RNG)
-    prev = BodyState(0.0, q, np.zeros(3), np.zeros(3), omega)
-    q_k = cg_step(q, omega, h)
-    r = residual_left(prev, q_k, np.zeros(3), omega, c, c, np.zeros(3), np.zeros(3), h)
+    carried = _left_history(q, np.zeros(3), omega, c, h)
+    r = residual_left(cg_step(q, omega, h), np.zeros(3), omega, c, h, carried)
     assert np.all(r == 0.0)
 
 
@@ -99,15 +106,16 @@ def test_residual_left_zero_step_vanishes():
     for _ in range(20):
         q = random_unit_quat(RNG)
         xd, om = RNG.standard_normal(3), RNG.standard_normal(3)
-        prev = BodyState(0.0, q, np.zeros(3), xd, om)
-        r = residual_left(prev, q, xd, om, CSET, CSET, np.zeros(3), np.zeros(3), 0.0)
+        carried = _left_history(q, xd, om, CSET, 0.0)
+        r = residual_left(q, xd, om, CSET, 0.0, carried)
         assert np.all(r == 0.0)
 
 
 def test_residual_left_nonzero_off_solution():
     prev = SPIN
     q_k = cg_step(prev.q, prev.omega_b, CFG.h)
-    r = residual_left(prev, q_k, prev.xdot_b, prev.omega_b + 0.5, CSET, CSET, np.zeros(3), np.zeros(3), CFG.h)
+    carried = _left_history(prev.q, prev.xdot_b, prev.omega_b, CSET, CFG.h)
+    r = residual_left(q_k, prev.xdot_b, prev.omega_b + 0.5, CSET, CFG.h, carried)
     assert np.linalg.norm(r) > 1e-3
 
 
@@ -115,14 +123,15 @@ def test_residual_mid_equilibrium_and_zero_step():
     c = CoefficientSet(a_xx=2.0, A_xw=0.0, A_ww=np.diag([1.0, 2.0, 3.0]))
     h = 0.05
     omega = np.array([0.0, 0.0, 2.0])
-    q1 = exp_map(np.array([0.0, 0.0, 0.3]))  # rotation about the spin axis
-    q_k = quat_mul(q1, exp_map((0.25 * h) * omega))
-    r = residual_mid(q1, np.zeros(3), omega, c, q_k, np.zeros(3), omega, c, np.zeros(3), np.zeros(3), h)
+    q0 = exp_map(np.array([0.0, 0.0, 0.3]))  # rotation about the spin axis
+    carried = _mid_terms(q0, np.zeros(3), omega, c, h)[1]
+    r = residual_mid(cg_step(q0, omega, h), np.zeros(3), omega, c, h, carried)
     assert np.all(r == 0.0)
     for _ in range(20):
         q = random_unit_quat(RNG)
         xd, om = RNG.standard_normal(3), RNG.standard_normal(3)
-        r = residual_mid(q, xd, om, CSET, q, xd, om, CSET, np.zeros(3), np.zeros(3), 0.0)
+        carried = _mid_terms(q, xd, om, CSET, 0.0)[1]
+        r = residual_mid(q, xd, om, CSET, 0.0, carried)
         assert np.all(r == 0.0)
 
 
@@ -134,10 +143,7 @@ def test_residual_mid_local_linearity():
     sol = res.cache
 
     def defect(v):
-        return residual_mid(
-            cache.q_mid, cache.xdot_mid, cache.omega_mid, CSET,
-            SPIN.q, v[:3], v[3:], CSET, np.zeros(3), np.zeros(3), CFG.h,
-        )
+        return residual_mid(SPIN.q, v[:3], v[3:], CSET, CFG.h, res.carried)
 
     v_star = np.concatenate((sol.xdot_mid, sol.omega_mid))
     r0 = defect(v_star)
@@ -148,9 +154,55 @@ def test_residual_mid_local_linearity():
     assert abs(r2 / r1 - 2.0) <= 0.01
 
 
+@pytest.mark.parametrize("sched", [SCHED, preset_morphing(damping=True)], ids=["free_body", "morphing"])
+def test_steppers_solve_the_public_residuals(sched):
+    # the norm Newton reports is the norm of residual_* at the accepted
+    # velocities with the carried term the step balanced, bit for bit
+    c0 = sched.coefficients(0.0)
+    scale = momentum_scale(SPIN, c0, CFG.h)
+    state, c_prev = SPIN, c0
+    for _ in range(5):
+        prev, res = state, step_left(state, c_prev, sched, CFG, scale)
+        state, c_prev = res.state, res.coeffs
+        r = residual_left(state.q, state.xdot_b, state.omega_b, res.coeffs, CFG.h, res.carried)
+        assert res.converged and res.iterations > 0
+        assert np.linalg.norm(r) == res.residual_norm
+        if sched.force_free:
+            assert np.array_equal(res.carried, _left_history(prev.q, prev.xdot_b, prev.omega_b, c0, CFG.h))
+    state, cache = SPIN, initial_midpoint_cache(SPIN, c0, CFG.h)
+    for _ in range(5):
+        prev, res = state, step_mid(state, cache, sched, CFG, scale)
+        state, cache = res.state, res.cache
+        r = residual_mid(prev.q, cache.xdot_mid, cache.omega_mid, res.coeffs, CFG.h, res.carried)
+        assert res.converged and res.iterations > 0
+        assert np.linalg.norm(r) == res.residual_norm
+
+
+def counting(sched):
+    """Copy of a schedule that logs the time of every coefficients call."""
+    calls = []
+
+    def coefficients(t):
+        calls.append(t)
+        return sched.coefficients(t)
+
+    return dataclasses.replace(sched, coefficients=coefficients), calls
+
+
+@pytest.mark.parametrize("method,per_step", [("left", 1), ("mid", 1), ("rk", 2)])
+def test_coefficients_evaluated_once_per_new_time(method, per_step):
+    # each step evaluates the coefficients only at times no earlier step or
+    # the record evaluated: one set at t=0, then per_step sets per step
+    sched, calls = counting(preset_morphing(damping=True))
+    rec = integrate(SPIN, sched, SolverConfig(h=0.01), method, 1.0)
+    assert len(rec) == 101 and not rec.truncated
+    assert len(calls) == 1 + per_step * 100
+    assert len(set(calls)) == len(calls)
+
+
 def test_rest_state_is_fixed_point():
     rest = BodyState(0.0, identity_quat(), np.array([1.0, -2.0, 3.0]), np.zeros(3), np.zeros(3))
-    res = step_left(rest, SCHED, CFG)
+    res = step_left(rest, CSET, SCHED, CFG)
     assert res.converged
     assert res.iterations == 0
     assert np.all(res.state.xdot_b == 0.0) and np.all(res.state.omega_b == 0.0)
@@ -162,7 +214,7 @@ def test_rest_state_is_fixed_point():
     assert np.all(res.state.xdot_b == 0.0) and np.all(res.state.omega_b == 0.0)
     assert np.all(res.state.x_e == rest.x_e)
     assert np.all(res.state.q == rest.q)
-    rk = step_rk_baseline(rest, SCHED, CFG.h)
+    rk = step_rk_baseline(rest, CSET, SCHED, CFG.h).state
     assert np.all(rk.xdot_b == 0.0) and np.all(rk.omega_b == 0.0)
     assert np.all(rk.x_e == rest.x_e)
 
@@ -174,14 +226,13 @@ def test_left_interstep_balance_holds_at_reported_tolerance():
     tol_abs = CFG.residual_tol * scale
     states = [SPIN]
     for _ in range(50):
-        res = step_left(states[-1], SCHED, CFG, scale)
+        res = step_left(states[-1], CSET, SCHED, CFG, scale)
         assert res.converged
         assert res.residual_norm <= tol_abs
         states.append(res.state)
     for prev, cur in zip(states[:-1], states[1:]):
-        r = residual_left(
-            prev, cur.q, cur.xdot_b, cur.omega_b, CSET, CSET, np.zeros(3), np.zeros(3), CFG.h
-        )
+        carried = _left_history(prev.q, prev.xdot_b, prev.omega_b, CSET, CFG.h)
+        r = residual_left(cur.q, cur.xdot_b, cur.omega_b, CSET, CFG.h, carried)
         assert np.linalg.norm(r) <= tol_abs
 
 
@@ -194,14 +245,13 @@ def test_mid_interstep_balance_holds_at_reported_tolerance():
         res = step_mid(state, cache, SCHED, CFG, scale)
         assert res.converged
         assert res.residual_norm <= tol_abs
-        chain.append((state.q, cache, res.cache))
+        chain.append((state.q, res.cache))
         state, cache = res.state, res.cache
-    for q_k, prev_c, cur_c in chain[1:]:
-        r = residual_mid(
-            prev_c.q_mid, prev_c.xdot_mid, prev_c.omega_mid, CSET,
-            q_k, cur_c.xdot_mid, cur_c.omega_mid, CSET,
-            np.zeros(3), np.zeros(3), CFG.h,
-        )
+    # the outgoing terms of midpoint k-1 are recomputed from its own step
+    # point, not read back from the cache
+    for (q_prev, prev_c), (q_k, cur_c) in zip(chain[:-1], chain[1:]):
+        carried = _mid_terms(q_prev, prev_c.xdot_mid, prev_c.omega_mid, CSET, CFG.h)[1]
+        r = residual_mid(q_k, cur_c.xdot_mid, cur_c.omega_mid, CSET, CFG.h, carried)
         assert np.linalg.norm(r) <= tol_abs
 
 
@@ -301,7 +351,7 @@ def test_rk_spherical_body_is_exact():
     state = BodyState(0.0, identity_quat(), np.zeros(3), np.zeros(3), np.array([0.4, -0.3, 0.8]))
     omega0 = state.omega_b.copy()
     for _ in range(100):
-        state = step_rk_baseline(state, sched, 0.01)
+        state = step_rk_baseline(state, c, sched, 0.01).state
         assert np.abs(state.omega_b - omega0).max() <= 1e-12
         assert np.abs(state.xdot_b).max() <= 1e-12
 
@@ -349,4 +399,31 @@ def test_integrate_truncates_on_starved_newton():
     for method in ("left", "mid"):
         rec = integrate(SPIN, SCHED, cfg, method, 1.0)
         assert rec.truncated
+        assert rec.stop_reason == "Newton did not converge"
         assert len(rec.t) < 101
+    rec = integrate(SPIN, SCHED, CFG, "mid", 0.1)
+    assert not rec.truncated and rec.stop_reason == ""
+
+
+@pytest.mark.parametrize("case", ["rk_blow_up", "singular_jacobian"])
+def test_integrate_keeps_accepted_steps_when_a_step_raises(case, monkeypatch):
+    if case == "rk_blow_up":
+        method, cfg, t_end, cause = "rk", SolverConfig(h=3.0), 300.0, "non-finite"
+    else:
+        solve = integrators.newton_solve
+        calls = []
+
+        def failing_solve(*args, **kwargs):
+            calls.append(1)
+            if len(calls) > 3:
+                raise SingularJacobianError("singular Jacobian: injected")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(integrators, "newton_solve", failing_solve)
+        method, cfg, t_end, cause = "mid", CFG, 1.0, "singular Jacobian: injected"
+    rec = integrate(SPIN, SCHED, cfg, method, t_end, rigid_params=RP)
+    assert rec.truncated
+    assert cause in rec.stop_reason
+    assert 2 <= len(rec) < round(t_end / cfg.h) + 1
+    for col in (rec.q, rec.x_e, rec.xdot_b, rec.omega_b, rec.energy, rec.P_x, rec.P_w):
+        assert np.all(np.isfinite(col))

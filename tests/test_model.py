@@ -343,4 +343,4 @@ def test_morphing_damping_flag_and_force():
 def test_morphing_schedule_metadata():
     sched = preset_morphing()
     assert sched.name == "morphing"
-    assert_allclose(sched.morph_params(0.0), [0.0, -0.5], atol=1e-15)
+    assert sched.force_free

@@ -4,20 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qvint import (
-    cayley_map,
-    cg_step,
-    conj,
-    exp_map,
-    identity_quat,
-    log_map,
-    nlerp_mid,
-    normalize,
-    quat_mul,
-    rotate_to_body,
-    rotate_to_earth,
-    slerp_mid,
-)
+from qvint import conj, exp_map, identity_quat, normalize, quat_mul, rotate_to_earth
 
 RNG = np.random.default_rng(20240817)
 
@@ -56,46 +43,6 @@ def test_exp_map_unit_norm_and_small_angle():
     assert np.linalg.norm(exp_map(t_hi) - exp_map(t_lo)) < 1e-8
 
 
-def test_log_map_closed_forms_and_round_trips():
-    assert_allclose(log_map(identity_quat()), np.zeros(3), atol=0.0)
-    assert_allclose(log_map(np.array([0.0, 1.0, 0.0, 0.0])), [np.pi / 2, 0, 0], atol=1e-15)
-    for _ in range(300):
-        q = random_unit_quat(RNG)
-        if q[0] <= 0.0:
-            q = -q
-        assert_allclose(exp_map(log_map(q)), q, atol=1e-12)
-    for _ in range(300):
-        theta = RNG.standard_normal(3)
-        n = np.linalg.norm(theta)
-        if n >= np.pi:
-            theta *= RNG.uniform(0.0, 0.99) * np.pi / n
-        assert_allclose(log_map(exp_map(theta)), theta, atol=1e-12)
-
-
-def test_log_map_rejects_non_unit():
-    with pytest.raises(ValueError):
-        log_map(np.array([1.0, 1.0, 0.0, 0.0]))
-
-
-def test_cayley_map_values():
-    assert_allclose(cayley_map(np.zeros(3)), identity_quat(), atol=0.0)
-    r = 1.0 / np.sqrt(2.0)
-    assert_allclose(cayley_map(np.array([1.0, 0, 0])), [r, r, 0, 0], atol=1e-15)
-    for _ in range(100):
-        q = cayley_map(RNG.standard_normal(3) * 3.0)
-        assert abs(np.linalg.norm(q) - 1.0) <= 1e-12
-
-
-def test_exp_cayley_third_order_agreement():
-    # halving sweep: ||exp - cayley|| must shrink like ||theta||^3
-    direction = normalize(np.array([0.0, 0.3, -0.4, 0.5]))[1:]
-    direction /= np.linalg.norm(direction)
-    sizes = [0.1 * 0.5**k for k in range(6)]
-    devs = [np.linalg.norm(exp_map(s * direction) - cayley_map(s * direction)) for s in sizes]
-    slopes = [np.log2(devs[k] / devs[k + 1]) for k in range(len(devs) - 1)]
-    assert min(slopes) >= 2.9
-
-
 def test_rotations_closed_forms():
     x = np.array([0.4, -1.2, 2.0])
     assert_allclose(rotate_to_earth(identity_quat(), x), x, atol=0.0)
@@ -104,15 +51,13 @@ def test_rotations_closed_forms():
     assert_allclose(rotate_to_earth(q, np.array([0.0, 1.0, 0.0])), [0, 0, 1], atol=1e-15)
     with pytest.raises(ValueError):
         rotate_to_earth(np.array([1.0, 1.0, 0.0, 0.0]), x)
-    with pytest.raises(ValueError):
-        rotate_to_body(np.array([0.0, 0.0, 0.0, 0.9]), x)
 
 
 def test_rotation_inverse_pair_sweep():
     for _ in range(10_000):
         q = random_unit_quat(RNG)
         x = RNG.standard_normal(3) * 10.0 ** RNG.uniform(-3, 3)
-        back = rotate_to_body(q, rotate_to_earth(q, x))
+        back = rotate_to_earth(conj(q), rotate_to_earth(q, x))
         assert np.linalg.norm(back - x) <= 1e-12 * max(np.linalg.norm(x), 1e-300)
 
 
@@ -135,54 +80,9 @@ def test_earth_body_perturbation_equivalence():
         assert np.linalg.norm(lhs - rhs) <= 1e-12
 
 
-def test_slerp_nlerp_midpoints():
-    q = random_unit_quat(RNG)
-    assert_allclose(slerp_mid(q, q), q, atol=1e-15)
-    assert_allclose(nlerp_mid(q, q), q, atol=1e-15)
-    qa = identity_quat()
-    qb = exp_map(np.array([np.pi / 2, 0, 0]))
-    expect = exp_map(np.array([np.pi / 4, 0, 0]))
-    assert_allclose(slerp_mid(qa, qb), expect, atol=1e-12)
-
-
-def test_slerp_is_geodesic():
-    for _ in range(200):
-        qa = random_unit_quat(RNG)
-        qb = random_unit_quat(RNG)
-        if float(qa @ qb) < 0.0:
-            qb = -qb
-        mid = slerp_mid(qa, qb)
-        half = log_map(normalize(quat_mul(conj(qa), mid)))
-        full = log_map(normalize(quat_mul(conj(qa), qb)))
-        assert np.linalg.norm(half - 0.5 * full) <= 1e-12
-
-
-def test_slerp_handles_long_arc_input():
-    qa = identity_quat()
-    qb = -exp_map(np.array([0.3, 0.0, 0.0]))  # same rotation, far hemisphere
-    mid = slerp_mid(qa, qb)
-    assert_allclose(np.abs(mid), exp_map(np.array([0.15, 0, 0])), atol=1e-12)
-
-
-def test_slerp_nlerp_agree_at_half():
-    # at the 50% parameter the normalized chord midpoint IS the geodesic
-    # midpoint (normalize(1 + exp(phi)) = exp(phi/2)), so the two midpoints
-    # agree to roundoff at every separation angle, not merely to O(angle^3)
-    for _ in range(200):
-        qa = random_unit_quat(RNG)
-        qb = random_unit_quat(RNG)
-        if float(qa @ qb) < 0.0:
-            qb = -qb
-        assert np.linalg.norm(slerp_mid(qa, qb) - nlerp_mid(qa, qb)) <= 1e-12
-
-
-def test_antipodal_midpoints_rejected():
-    qa = identity_quat()
-    qb = -identity_quat()
-    with pytest.raises(ValueError):
-        slerp_mid(qa, qb)
-    with pytest.raises(ValueError):
-        nlerp_mid(qa, qb)
+def cg_step(q, omega, h):
+    """The steppers' Crouch-Grossman orientation update q (x) exp((h/2) omega)."""
+    return quat_mul(q, exp_map((0.5 * h) * omega))
 
 
 def test_cg_step():
