@@ -98,11 +98,21 @@ def _deviation_series(values: Array, /) -> tuple[Array, bool]:
     v = np.asarray(values, dtype=float)
     if v.ndim == 1:
         v = v[:, None]
-    dev = np.linalg.norm(v - v[0], axis=1)
-    base = float(np.linalg.norm(v[0]))
+    dev = _row_norms(v - v[0])
+    base = float(_row_norms(v[:1])[0])
     if base == 0.0:
         return dev, True
     return dev / base, False
+
+
+def _row_norms(v: Array) -> Array:
+    """Euclidean norms of the rows of v, finite for every finite row.
+
+    Each row is scaled by an exact power of two before squaring, so a huge
+    row cannot overflow and a tiny one cannot underflow.
+    """
+    exp2 = np.frexp(np.abs(v).max(axis=1))[1]
+    return np.ldexp(np.linalg.norm(np.ldexp(v, -exp2[:, None]), axis=1), exp2)
 
 
 def momentum_errors(rec: TrajectoryRecord, running: bool = True) -> tuple[Array, Array]:

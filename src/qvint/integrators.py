@@ -11,8 +11,10 @@ the quadrature of the underlying action sum:
   the scheme self-adjoint.
 
 Each step solves a 6-dimensional nonlinear momentum balance for the new
-velocities with a damped Newton iteration (forward-difference Jacobian,
-halving line search, warm start from the previous velocities). A classical
+velocities with a damped Newton iteration (the balance's closed-form
+Jacobian, halving line search, warm start from the previous velocities).
+Each scheme's residual (residual_left, residual_mid) has its exact
+derivative beside it (jacobian_left, jacobian_mid). A classical
 RK4 baseline on the momentum form of the equations of motion is included for
 accuracy comparisons; it is not structure preserving.
 """
@@ -36,8 +38,9 @@ from .model import (
     _grad_omega_v,
     _grad_xdot_v,
     _physical_momenta_v,
+    skew,
 )
-from .quat import _rotate, conj, exp_map, normalize, quat_mul
+from .quat import SMALL_ANGLE, _rotate, _rotation_matrix, conj, exp_map, normalize, quat_mul
 
 Array = np.ndarray
 
@@ -59,7 +62,6 @@ class SolverConfig:
     h: float
     residual_tol: float = 1e-12
     max_iter: int = 50
-    fd_eps: float = 1e-7
 
     def __post_init__(self):
         if not self.h > 0.0:
@@ -68,8 +70,6 @@ class SolverConfig:
             raise ValueError("SolverConfig.max_iter must be at least 1")
         if not self.residual_tol > 0.0:
             raise ValueError("SolverConfig.residual_tol must be positive")
-        if not self.fd_eps > 0.0:
-            raise ValueError("SolverConfig.fd_eps must be positive")
 
 
 class NewtonResult(NamedTuple):
@@ -116,30 +116,22 @@ class StepResult:
     cache: MidpointCache | None = None
 
 
-def _fd_jacobian(residual: Callable[[Array], Array], x: Array, r0: Array, eps: float) -> Array:
-    n = x.size
-    jac = np.empty((n, n))
-    for j in range(n):
-        dj = eps * max(1.0, abs(float(x[j])))
-        xj = x.copy()
-        xj[j] += dj
-        jac[:, j] = (residual(xj) - r0) / dj
-    return jac
-
-
 def newton_solve(
     residual: Callable[[Array], Array],
+    jacobian: Callable[[Array], Array],
     guess: Array,
     cfg: SolverConfig,
     tol_abs: float | None = None,
 ) -> NewtonResult:
     """Damped Newton iteration on a square residual.
 
-    Forward-difference Jacobian with per-component scaled steps, halving line
-    search on the residual norm (at most 8 halvings). After the tolerance is
-    first met one extra polish iteration runs, kept only when it improves the
-    residual; this drives the leftover balance defect to the roundoff floor so
-    momentum sums telescoped over many steps stay at machine precision.
+    jacobian(x) returns the derivative of residual at x (the steppers pass
+    jacobian_left or jacobian_mid); it is evaluated once per iteration.
+    Halving line search on the residual norm (at most 8 halvings). After the
+    tolerance is first met one extra polish iteration runs, kept only when it
+    improves the residual; this drives the leftover balance defect to the
+    roundoff floor so momentum sums telescoped over many steps stay at
+    machine precision.
     Raises SingularJacobianError for an unusable Jacobian; a stalled line
     search returns converged=False.
     """
@@ -156,7 +148,7 @@ def newton_solve(
             polish_left -= 1
         if not np.all(np.isfinite(r)):
             raise SingularJacobianError("residual is non-finite")
-        jac = _fd_jacobian(residual, x, r, cfg.fd_eps)
+        jac = np.asarray(jacobian(x), dtype=float)
         if not np.all(np.isfinite(jac)):
             raise SingularJacobianError("Jacobian has non-finite entries")
         try:
@@ -220,6 +212,24 @@ def residual_left(
     return np.concatenate((top, bot)) - carried
 
 
+def jacobian_left(
+    q_k: Array, xdot: Array, omega: Array, c_k: CoefficientSet, h: float, carried: Array
+) -> Array:
+    """Exact 6x6 derivative of residual_left in v = (xdot, omega); carried drops out.
+
+    With g = (g1, g2) = M v + a, M the mass matrix (rows Mt over Mb) and
+    x^ = skew(x): [R(q_k) Mt ; Mb + (h/2)(omega^ Mb - [0 | g2^]) + h (xdot^ Mt - [g1^ | 0])].
+    """
+    m = c_k.mass_matrix()
+    mt, mb = m[:3], m[3:]
+    g1 = _grad_xdot_v(xdot, omega, c_k)
+    g2 = _grad_omega_v(xdot, omega, c_k)
+    bot = mb + (0.5 * h) * (skew(omega) @ mb) + h * (skew(xdot) @ mt)
+    bot[:, :3] -= h * skew(g1)
+    bot[:, 3:] -= (0.5 * h) * skew(g2)
+    return np.concatenate((_rotation_matrix(q_k) @ mt, bot))
+
+
 def step_left(
     prev: BodyState,
     c_prev: CoefficientSet,
@@ -249,6 +259,7 @@ def step_left(
     guess = np.concatenate((prev.xdot_b, prev.omega_b))
     sol = newton_solve(
         lambda v: residual_left(q_k, v[:3], v[3:], c_k, h, carried),
+        lambda v: jacobian_left(q_k, v[:3], v[3:], c_k, h, carried),
         guess,
         cfg,
         tol_abs=cfg.residual_tol * scale,
@@ -292,6 +303,45 @@ def residual_mid(
     step impulse. step_mid solves this residual for zero.
     """
     return _mid_terms(q_k, xdot, omega, c_mid, h)[0] - carried
+
+
+def _right_jacobian(phi: Array) -> Array:
+    """SO(3) right Jacobian J_r: Exp(phi + d) = Exp(phi) Exp(J_r(phi) d) to first order in d."""
+    t2 = float(phi @ phi)
+    t = np.sqrt(t2)
+    if t < SMALL_ANGLE:
+        a, b = 0.5, 1.0 / 6.0
+    else:
+        s = np.sin(0.5 * t) / t
+        a = 2.0 * s * s  # (1 - cos t) / t^2 without cancellation
+        b = (t - np.sin(t)) / (t2 * t)  # its cancellation is O(eps) in b t^2
+    k = skew(phi)
+    return np.eye(3) - a * k + b * (k @ k)
+
+
+def jacobian_mid(
+    q_k: Array, xdot: Array, omega: Array, c_mid: CoefficientSet, h: float, carried: Array
+) -> Array:
+    """Exact 6x6 derivative of residual_mid in v = (xdot, omega); carried drops out.
+
+    The midpoint rotation R_t = R(q_k (x) exp((h/4) omega)) is R(q_k) Exp(phi)
+    with rotation vector phi = (h/2) omega, whose derivative brings in the
+    SO(3) right Jacobian J_r(phi). With g = M v + a and w2 = g2 + (h/2) xdot x g1:
+    [R_t (Mt - [0 | (h/2) g1^ J_r]) ;
+     R_t (Mb + (h/2)(xdot^ Mt - [g1^ | 0]) - [0 | (h/2) w2^ J_r])].
+    """
+    hh = 0.5 * h
+    m = c_mid.mass_matrix()
+    g1 = _grad_xdot_v(xdot, omega, c_mid)
+    g2 = _grad_omega_v(xdot, omega, c_mid)
+    w2 = g2 + hh * _cross(xdot, g1)
+    s1 = skew(g1)
+    d = m.copy()
+    d[3:] += hh * (skew(xdot) @ m[:3])
+    d[3:, :3] -= hh * s1
+    d[:, 3:] -= hh * (np.concatenate((s1, skew(w2))) @ _right_jacobian(hh * omega))
+    r_t = _rotation_matrix(quat_mul(q_k, exp_map((0.25 * h) * omega)))
+    return (r_t @ d.reshape(2, 3, 6)).reshape(6, 6)
 
 
 def initial_midpoint_cache(state: BodyState, c0: CoefficientSet, h: float) -> MidpointCache:
@@ -361,6 +411,7 @@ def step_mid(
     guess = np.concatenate((cache.xdot_mid, cache.omega_mid))
     sol = newton_solve(
         lambda v: residual_mid(q_k, v[:3], v[3:], c_mid, h, carried),
+        lambda v: jacobian_mid(q_k, v[:3], v[3:], c_mid, h, carried),
         guess,
         cfg,
         tol_abs=cfg.residual_tol * scale,
@@ -510,13 +561,24 @@ def integrate(
         "rk": lambda r: step_rk_baseline(r.state, r.coeffs, sched, h),
     }[method]
 
+    i_com = None if rigid_params is None else rigid_params.com_inertia()
+
+    def conserved(r: StepResult) -> Array:
+        """Row [T, p_x, p_w] (then P_x, P_w with rigid_params) at the step's diagnostics point."""
+        parts = [(_energy_v(r.point[1], r.point[2], r.coeffs),), *_canonical_momenta_v(*r.point, r.coeffs, h)]
+        if rigid_params is not None:
+            parts += _physical_momenta_v(*r.point, rigid_params, i_com)
+        return np.concatenate(parts)
+
     # the initial state enters as a zero-iteration step
     point0 = (initial.q, initial.xdot_b, initial.omega_b)
     cache0 = initial_midpoint_cache(initial, c0, h)
     steps = [StepResult(initial, 0, 0.0, True, point0, c0, None, cache0)]
     stop_reason = ""
-    # a diverging run surfaces as a non-finite state, reported as its stop reason
+    # a diverging run surfaces as a non-finite state or conserved-quantity row,
+    # reported once as its stop reason
     with np.errstate(over="ignore", invalid="ignore"):
+        rows = [conserved(steps[0])]
         for _ in range(n_steps):
             try:
                 res = take_step(steps[-1])
@@ -526,34 +588,33 @@ def integrate(
             if not res.converged:
                 stop_reason = "Newton did not converge"
                 break
+            row = conserved(res)
+            if not np.isfinite(row).all():
+                stop_reason = "diverged: non-finite energy or momentum"
+                break
             steps.append(res)
+            rows.append(row)
 
     states = [r.state for r in steps]
     xd_arr = np.array([s.xdot_b for s in states])
     om_arr = np.array([s.omega_b for s in states])
-    diag = steps
+    diag = np.array(rows)
     if method == "mid" and len(steps) > 1:
         xd_arr = _midpoint_step_velocities(xd_arr)
         om_arr = _midpoint_step_velocities(om_arr)
-        diag = [steps[1]] + steps[1:]
+        diag[0] = diag[1]
 
-    energy = [_energy_v(r.point[1], r.point[2], r.coeffs) for r in diag]
-    p_can = np.array([_canonical_momenta_v(*r.point, r.coeffs, h) for r in diag])
-    p_phys = None
-    if rigid_params is not None:
-        i_com = rigid_params.com_inertia()
-        p_phys = np.array([_physical_momenta_v(*r.point, rigid_params, i_com) for r in diag])
     return TrajectoryRecord(
         t=np.array([s.t for s in states]),
         q=np.array([s.q for s in states]),
         x_e=np.array([s.x_e for s in states]),
         xdot_b=xd_arr,
         omega_b=om_arr,
-        energy=np.array(energy),
-        p_x=p_can[:, 0],
-        p_w=p_can[:, 1],
-        P_x=None if p_phys is None else p_phys[:, 0],
-        P_w=None if p_phys is None else p_phys[:, 1],
+        energy=diag[:, 0],
+        p_x=diag[:, 1:4],
+        p_w=diag[:, 4:7],
+        P_x=None if i_com is None else diag[:, 7:10],
+        P_w=None if i_com is None else diag[:, 10:13],
         newton_iters=np.array([r.iterations for r in steps], dtype=int),
         method=method,
         h=h,

@@ -109,8 +109,13 @@ class CoefficientSet:
         )
 
     def mass_matrix(self) -> Array:
-        """6x6 velocity-to-momentum map [[2 a_xx, A_xw], [A_xw^T, 2 A_ww]]."""
-        return np.block([[2.0 * self.a_xx, self.A_xw], [self.A_xw.T, 2.0 * self.A_ww]])
+        """Cached, read-only 6x6 velocity-to-momentum map [[2 a_xx, A_xw], [A_xw^T, 2 A_ww]]."""
+        m = self.__dict__.get("_mass")
+        if m is None:
+            m = np.block([[2.0 * self.a_xx, self.A_xw], [self.A_xw.T, 2.0 * self.A_ww]])
+            m.flags.writeable = False
+            object.__setattr__(self, "_mass", m)
+        return m
 
     def is_positive_definite(self) -> bool:
         """True when the 6x6 mass matrix is positive definite."""
@@ -149,9 +154,10 @@ class BodyState:
         object.__setattr__(self, "x_e", np.array(self.x_e, dtype=float).reshape(3))
         object.__setattr__(self, "xdot_b", np.array(self.xdot_b, dtype=float).reshape(3))
         object.__setattr__(self, "omega_b", np.array(self.omega_b, dtype=float).reshape(3))
-        for name in ("q", "x_e", "xdot_b", "omega_b"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"BodyState.{name} has non-finite components")
+        # one test over all 13 components; the per-field pass only names the culprit
+        if not np.isfinite(np.concatenate((self.q, self.x_e, self.xdot_b, self.omega_b))).all():
+            bad = next(n for n in ("q", "x_e", "xdot_b", "omega_b") if not np.isfinite(getattr(self, n)).all())
+            raise ValueError(f"BodyState.{bad} has non-finite components")
         n = float(np.sqrt(self.q @ self.q))
         if abs(n - 1.0) > 1e-6:
             raise ValueError(f"BodyState.q norm {n!r} is not 1 within 1e-6")

@@ -97,6 +97,18 @@ def _rotate(q: Array, v: Array) -> Array:
     )
 
 
+def _rotation_matrix(q: Array) -> Array:
+    """Matrix of _rotate(q, .) for unit q: the body-to-earth rotation matrix."""
+    w, x, y, z = q.tolist()
+    return np.array(
+        [
+            [1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)],
+            [2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x)],
+            [2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)],
+        ]
+    )
+
+
 def rotate_to_earth(q: Array, v_body: Array) -> Array:
     """Coordinates of a body-frame vector on earth axes, q (x) v (x) q*."""
     _check_unit(q, "rotate_to_earth")

@@ -207,6 +207,23 @@ def test_rk_blow_up_truncates_with_partial_output(tmp_path, capsys):
     assert rows[0] == rows[1] and 2 <= rows[0] < 101
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scenario,h", [("free_body", 10), ("morphing", 3)])
+def test_huge_but_finite_blow_up_is_warning_free(tmp_path, capsys, scenario, h):
+    # accepted rows grow past 1e250 before the run stops; record assembly,
+    # summarize and the CSV writers must not overflow on them
+    cfg = parse_config(f"scenario = {scenario}\nmethod = rk\nh = {h}\nt_end = 300\nout_dir = {tmp_path}")
+    assert run(cfg) == 3
+    captured = capsys.readouterr()
+    assert "RuntimeWarning" not in captured.err
+    assert "non-finite" in captured.err
+    assert "(truncated)" in captured.out and "inf" not in captured.out
+    traj, errs = (tmp_path / f"{scenario}_rk_{kind}.csv" for kind in ("trajectory", "errors"))
+    rows = traj.read_text().splitlines()
+    assert 2 <= len(rows) - 1 < 101 and len(errs.read_text().splitlines()) == len(rows)
+    assert np.isfinite(np.loadtxt(errs, delimiter=",", skiprows=1)).all()
+
+
 def test_singular_jacobian_truncates_with_partial_output(tmp_path, capsys, monkeypatch):
     solve = integrators.newton_solve
     calls = []

@@ -62,6 +62,8 @@ def test_coefficient_set_add_and_inverse():
     inv = CSET.velocity_inverse()
     assert_allclose(inv @ CSET.mass_matrix(), np.eye(6), atol=1e-12)
     assert CSET.velocity_inverse() is inv  # cached
+    m = CSET.mass_matrix()
+    assert CSET.mass_matrix() is m and not m.flags.writeable  # cached, read-only
     degenerate = CoefficientSet(a_xx=0.0, A_xw=0.0, A_ww=0.0)
     with pytest.raises(ValueError):
         degenerate.velocity_inverse()
@@ -72,6 +74,14 @@ def test_body_state_validation():
         BodyState(0.0, np.array([1.0, 1.0, 0.0, 0.0]), np.zeros(3), np.zeros(3), np.zeros(3))
     with pytest.raises(ValueError):
         BodyState(0.0, identity_quat(), np.array([np.nan, 0, 0]), np.zeros(3), np.zeros(3))
+    # the error names the offending field
+    with pytest.raises(ValueError, match=r"BodyState\.q has non-finite"):
+        BodyState(0.0, np.array([np.nan, 0, 0, 0]), np.zeros(3), np.zeros(3), np.zeros(3))
+    for i, name in enumerate(("x_e", "xdot_b", "omega_b")):
+        vecs = [np.zeros(3), np.zeros(3), np.zeros(3)]
+        vecs[i] = np.array([0.0, np.inf, 0.0])
+        with pytest.raises(ValueError, match=rf"BodyState\.{name} has non-finite"):
+            BodyState(0.0, identity_quat(), *vecs)
 
 
 def test_kinetic_energy_fixture_value():
