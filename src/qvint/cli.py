@@ -284,7 +284,11 @@ def run(cfg: RunConfig) -> int:
         return code
     ex, ew, et = _error_strings(rec, report)
     accepted = len(rec) - 1
-    print(f"run: scenario={rec.scenario} method={rec.method} h={rec.h:g} t_end={cfg.t_end:g}")
+    # integrate takes round(t_end / h) steps, so a run can end off t_end
+    t_end, reached = f"{cfg.t_end:g}", f"{rec.t[-1]:g}"
+    if reached != t_end:
+        t_end += f" (reached t={reached})"
+    print(f"run: scenario={rec.scenario} method={rec.method} h={rec.h:g} t_end={t_end}")
     print(f"steps accepted: {accepted}" + (" (truncated)" if rec.truncated else ""))
     print(f"final errors: e_x={ex}  e_w={ew}  e_T={et}")
     iters = rec.newton_iters[1:]

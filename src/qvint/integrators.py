@@ -13,14 +13,17 @@ the quadrature of the underlying action sum:
 Each step solves a 6-dimensional nonlinear momentum balance for the new
 velocities with a damped Newton iteration (the balance's closed-form
 Jacobian, halving line search, warm start from the previous velocities).
-Each scheme's residual (residual_left, residual_mid) has its exact
-derivative beside it (jacobian_left, jacobian_mid). A classical
-RK4 baseline on the momentum form of the equations of motion is included for
-accuracy comparisons; it is not structure preserving.
+Each scheme's residual (residual_left, residual_mid) and its exact
+derivative (jacobian_left, jacobian_mid) wrap one balance evaluation
+(_left_eval, _mid_eval): Newton calls it once per iterate and the Jacobian
+reuses its terms. A classical RK4 baseline on the momentum form of the
+equations of motion is included for accuracy comparisons; it is not
+structure preserving.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -35,8 +38,7 @@ from .model import (
     _canonical_momenta_v,
     _cross,
     _energy_v,
-    _grad_omega_v,
-    _grad_xdot_v,
+    _momenta_v,
     _physical_momenta_v,
     skew,
 )
@@ -77,6 +79,7 @@ class NewtonResult(NamedTuple):
     iterations: int
     residual_norm: float
     converged: bool
+    terms: object  # what the residual returned beside r at x
 
 
 @dataclass(frozen=True)
@@ -117,16 +120,19 @@ class StepResult:
 
 
 def newton_solve(
-    residual: Callable[[Array], Array],
-    jacobian: Callable[[Array], Array],
+    residual: Callable[[Array], tuple[Array, object]],
+    jacobian: Callable[[Array, object], Array],
     guess: Array,
     cfg: SolverConfig,
     tol_abs: float | None = None,
 ) -> NewtonResult:
     """Damped Newton iteration on a square residual.
 
-    jacobian(x) returns the derivative of residual at x (the steppers pass
-    jacobian_left or jacobian_mid); it is evaluated once per iteration.
+    residual(x) returns (r, terms): the residual vector and whatever its
+    evaluation shares with the derivative. jacobian(x, terms) returns the
+    derivative of r at x from those terms (the steppers' exact balance
+    Jacobians); it is evaluated once per iteration, so each iterate costs one
+    residual evaluation. The result carries the terms of the returned x.
     Halving line search on the residual norm (at most 8 halvings). After the
     tolerance is first met one extra polish iteration runs, kept only when it
     improves the residual; this drives the leftover balance defect to the
@@ -137,8 +143,8 @@ def newton_solve(
     """
     tol = cfg.residual_tol if tol_abs is None else tol_abs
     x = np.array(guess, dtype=float)
-    r = np.asarray(residual(x), dtype=float)
-    rn = float(np.linalg.norm(r))
+    r, terms = residual(x)
+    rn = float(np.sqrt(r @ r))
     iterations = 0
     polish_left = 1
     while iterations < cfg.max_iter:
@@ -146,41 +152,38 @@ def newton_solve(
             if polish_left == 0 or rn == 0.0:
                 break
             polish_left -= 1
-        if not np.all(np.isfinite(r)):
+        if not np.isfinite(r).all():
             raise SingularJacobianError("residual is non-finite")
-        jac = np.asarray(jacobian(x), dtype=float)
-        if not np.all(np.isfinite(jac)):
+        jac = jacobian(x, terms)
+        if not np.isfinite(jac).all():
             raise SingularJacobianError("Jacobian has non-finite entries")
         try:
             dx = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobianError(f"singular Jacobian: {exc}") from exc
-        if not np.all(np.isfinite(dx)) or float(np.linalg.norm(dx)) > 1e12 * (
-            1.0 + float(np.linalg.norm(x))
-        ):
+        # the comparison is also false for a step with NaN or infinite entries
+        if not float(np.sqrt(dx @ dx)) <= 1e12 * (1.0 + float(np.sqrt(x @ x))):
             raise SingularJacobianError("Jacobian is numerically singular")
         alpha = 1.0
         improved = False
         for _ in range(9):
             x_try = x + alpha * dx
-            r_try = np.asarray(residual(x_try), dtype=float)
-            rn_try = float(np.linalg.norm(r_try))
+            r_try, terms_try = residual(x_try)
+            rn_try = float(np.sqrt(r_try @ r_try))
             if rn_try < rn:
-                x, r, rn = x_try, r_try, rn_try
+                x, r, rn, terms = x_try, r_try, rn_try, terms_try
                 improved = True
                 break
             alpha *= 0.5
         iterations += 1
         if not improved:
             break
-    return NewtonResult(x, iterations, rn, rn <= tol)
+    return NewtonResult(x, iterations, rn, rn <= tol, terms)
 
 
 def _forcing(f_earth: Array, tau_body: Array, h: float) -> Array:
     """Step impulse of the external load: h times force and torque."""
-    return np.concatenate(
-        (h * np.asarray(f_earth, dtype=float), h * np.asarray(tau_body, dtype=float))
-    )
+    return h * np.concatenate((f_earth, tau_body))
 
 
 # left-rectangle scheme
@@ -188,10 +191,25 @@ def _forcing(f_earth: Array, tau_body: Array, h: float) -> Array:
 
 def _left_history(q: Array, xdot: Array, omega: Array, c: CoefficientSet, h: float) -> Array:
     """Outgoing-momentum side carried over from step k-1."""
-    g1 = _grad_xdot_v(xdot, omega, c)
-    g2 = _grad_omega_v(xdot, omega, c)
-    top = _rotate(q, g1)
-    bot = g2 - (0.5 * h) * _cross(omega, g2)
+    g = _momenta_v(np.concatenate((xdot, omega)), c)
+    return np.concatenate((_rotation_matrix(q) @ g[:3], g[3:] - (0.5 * h) * _cross(omega, g[3:])))
+
+
+def _left_eval(r_k: Array, v: Array, c_k: CoefficientSet, h: float, carried: Array) -> tuple[Array, Array]:
+    """residual_left at v, with r_k = R(q_k), and the momenta g = M v + a its Jacobian reuses."""
+    g = _momenta_v(v, c_k)
+    g1, g2 = g[:3], g[3:]
+    bot = g2 + (0.5 * h) * _cross(v[3:], g2) + h * _cross(v[:3], g1)
+    return np.concatenate((r_k @ g1, bot)) - carried, g
+
+
+def _left_jacobian(v: Array, c_k: CoefficientSet, h: float, g: Array, top: Array) -> Array:
+    """jacobian_left from the momenta g of _left_eval and the constant top block R(q_k) Mt."""
+    m = c_k.mass_matrix()
+    mt, mb = m[:3], m[3:]
+    bot = mb + (0.5 * h) * (skew(v[3:]) @ mb) + h * (skew(v[:3]) @ mt)
+    bot[:, :3] -= h * skew(g[:3])
+    bot[:, 3:] -= (0.5 * h) * skew(g[3:])
     return np.concatenate((top, bot))
 
 
@@ -203,13 +221,9 @@ def residual_left(
     The incoming momentum of the trial velocities (xdot, omega) at the
     already-advanced orientation q_k, minus carried: the outgoing momentum of
     step k-1 (_left_history) plus the step impulse of the external load.
-    step_left solves this residual for zero.
+    step_left solves this residual for zero (through _left_eval).
     """
-    g1 = _grad_xdot_v(xdot, omega, c_k)
-    g2 = _grad_omega_v(xdot, omega, c_k)
-    top = _rotate(q_k, g1)
-    bot = g2 + (0.5 * h) * _cross(omega, g2) + h * _cross(xdot, g1)
-    return np.concatenate((top, bot)) - carried
+    return _left_eval(_rotation_matrix(q_k), np.concatenate((xdot, omega)), c_k, h, carried)[0]
 
 
 def jacobian_left(
@@ -220,14 +234,9 @@ def jacobian_left(
     With g = (g1, g2) = M v + a, M the mass matrix (rows Mt over Mb) and
     x^ = skew(x): [R(q_k) Mt ; Mb + (h/2)(omega^ Mb - [0 | g2^]) + h (xdot^ Mt - [g1^ | 0])].
     """
-    m = c_k.mass_matrix()
-    mt, mb = m[:3], m[3:]
-    g1 = _grad_xdot_v(xdot, omega, c_k)
-    g2 = _grad_omega_v(xdot, omega, c_k)
-    bot = mb + (0.5 * h) * (skew(omega) @ mb) + h * (skew(xdot) @ mt)
-    bot[:, :3] -= h * skew(g1)
-    bot[:, 3:] -= (0.5 * h) * skew(g2)
-    return np.concatenate((_rotation_matrix(q_k) @ mt, bot))
+    r_k, v = _rotation_matrix(q_k), np.concatenate((xdot, omega))
+    g = _left_eval(r_k, v, c_k, h, carried)[1]
+    return _left_jacobian(v, c_k, h, g, r_k @ c_k.mass_matrix()[:3])
 
 
 def step_left(
@@ -256,10 +265,12 @@ def step_left(
         f_earth, tau_body = sched.force(probe, t_k)
         carried = carried + _forcing(f_earth, tau_body, h)
 
+    r_k = _rotation_matrix(q_k)
+    top = r_k @ c_k.mass_matrix()[:3]  # the Jacobian's constant block
     guess = np.concatenate((prev.xdot_b, prev.omega_b))
     sol = newton_solve(
-        lambda v: residual_left(q_k, v[:3], v[3:], c_k, h, carried),
-        lambda v: jacobian_left(q_k, v[:3], v[3:], c_k, h, carried),
+        lambda v: _left_eval(r_k, v, c_k, h, carried),
+        lambda v, g: _left_jacobian(v, c_k, h, g, top),
         guess,
         cfg,
         tol_abs=cfg.residual_tol * scale,
@@ -272,24 +283,33 @@ def step_left(
 # midpoint scheme
 
 
-def _mid_terms(
-    q_k: Array, xdot: Array, omega: Array, c: CoefficientSet, h: float
-) -> tuple[Array, Array, Array]:
-    """Incoming (lhs) and outgoing (rhs) balance terms of one midpoint.
+class _MidTerms(NamedTuple):
+    """What one evaluation of the midpoint balance at trial velocities v shares."""
+
+    rhs: Array  # outgoing terms, the next step's history
+    q_t: Array  # midpoint orientation q_k (x) exp((h/4) omega)
+    r_t: Array  # its rotation matrix
+    g: Array  # momenta M v + a
+    w2: Array  # g2 + (h/2) xdot x g1
+
+
+def _mid_eval(q_k: Array, v: Array, c: CoefficientSet, h: float, carried: Array) -> tuple[Array, _MidTerms]:
+    """residual_mid at v and the terms its Jacobian and the step update reuse.
 
     The midpoint orientation is reconstructed as q_k (x) exp((h/4) omega).
-    Both terms share every subexpression, so the value matched by one step's
-    solve is bit-identical to the history the next step subtracts.
+    The incoming and outgoing (rhs) terms share every subexpression, so the
+    value matched by one step's solve is bit-identical to the history the next
+    step subtracts. One 3x3 product rotates g1 and g2 +- (h/2) xdot x g1.
     """
-    q_t = quat_mul(q_k, exp_map((0.25 * h) * omega))
-    g1 = _grad_xdot_v(xdot, omega, c)
-    g2 = _grad_omega_v(xdot, omega, c)
-    e1 = _rotate(q_t, g1)
-    e2 = _rotate(q_t, g2)
-    xc = (0.5 * h) * _rotate(q_t, _cross(xdot, g1))
-    lhs = np.concatenate((e1, e2 + xc))
-    rhs = np.concatenate((e1, e2 - xc))
-    return lhs, rhs, q_t
+    hh = 0.5 * h
+    q_t = quat_mul(q_k, exp_map((0.5 * hh) * v[3:]))
+    r_t = _rotation_matrix(q_t)
+    g = _momenta_v(v, c)
+    g1, g2 = g[:3], g[3:]
+    xc = hh * _cross(v[:3], g1)
+    w2 = g2 + xc
+    earth = np.concatenate((g1, w2, g2 - xc)).reshape(3, 3) @ r_t.T
+    return earth[:2].ravel() - carried, _MidTerms(earth[::2].ravel(), q_t, r_t, g, w2)
 
 
 def residual_mid(
@@ -297,26 +317,46 @@ def residual_mid(
 ) -> Array:
     """Midpoint momentum balance across step point k, stacked (translational, rotational).
 
-    The incoming terms (_mid_terms lhs) of the trial midpoint velocities
-    (xdot, omega) after the step-point orientation q_k, minus carried: the
-    outgoing terms of the previous midpoint (MidpointCache.history) plus the
-    step impulse. step_mid solves this residual for zero.
+    The incoming terms of the trial midpoint velocities (xdot, omega) after
+    the step-point orientation q_k, minus carried: the outgoing terms of the
+    previous midpoint (MidpointCache.history) plus the step impulse. step_mid
+    solves this residual for zero (through _mid_eval).
     """
-    return _mid_terms(q_k, xdot, omega, c_mid, h)[0] - carried
+    return _mid_eval(q_k, np.concatenate((xdot, omega)), c_mid, h, carried)[0]
 
 
 def _right_jacobian(phi: Array) -> Array:
-    """SO(3) right Jacobian J_r: Exp(phi + d) = Exp(phi) Exp(J_r(phi) d) to first order in d."""
-    t2 = float(phi @ phi)
-    t = np.sqrt(t2)
+    """SO(3) right Jacobian J_r: Exp(phi + d) = Exp(phi) Exp(J_r(phi) d) to first order in d.
+
+    J_r = I - a phi^ + b phi^ phi^ = (1 - b t^2) I - a phi^ + b phi phi^T, t = |phi|.
+    """
+    x, y, z = phi.tolist()
+    t2 = x * x + y * y + z * z
+    t = math.sqrt(t2)
     if t < SMALL_ANGLE:
         a, b = 0.5, 1.0 / 6.0
     else:
-        s = np.sin(0.5 * t) / t
+        s = math.sin(0.5 * t) / t
         a = 2.0 * s * s  # (1 - cos t) / t^2 without cancellation
-        b = (t - np.sin(t)) / (t2 * t)  # its cancellation is O(eps) in b t^2
-    k = skew(phi)
-    return np.eye(3) - a * k + b * (k @ k)
+        b = (t - math.sin(t)) / (t2 * t)  # its cancellation is O(eps) in b t^2
+    d, bx, by, bz = 1.0 - b * t2, b * x, b * y, b * z
+    return np.array([
+        [d + bx * x, bx * y + a * z, bx * z - a * y],
+        [by * x - a * z, d + by * y, by * z + a * x],
+        [bz * x + a * y, bz * y - a * x, d + bz * z],
+    ])
+
+
+def _mid_jacobian(v: Array, c_mid: CoefficientSet, h: float, terms: _MidTerms) -> Array:
+    """jacobian_mid from the terms of _mid_eval at v."""
+    hh = 0.5 * h
+    m = c_mid.mass_matrix()
+    s1 = skew(terms.g[:3])
+    d = m.copy()
+    d[3:] += hh * (skew(v[:3]) @ m[:3])
+    d[3:, :3] -= hh * s1
+    d[:, 3:] -= hh * (np.concatenate((s1, skew(terms.w2))) @ _right_jacobian(hh * v[3:]))
+    return (terms.r_t @ d.reshape(2, 3, 6)).reshape(6, 6)
 
 
 def jacobian_mid(
@@ -330,18 +370,8 @@ def jacobian_mid(
     [R_t (Mt - [0 | (h/2) g1^ J_r]) ;
      R_t (Mb + (h/2)(xdot^ Mt - [g1^ | 0]) - [0 | (h/2) w2^ J_r])].
     """
-    hh = 0.5 * h
-    m = c_mid.mass_matrix()
-    g1 = _grad_xdot_v(xdot, omega, c_mid)
-    g2 = _grad_omega_v(xdot, omega, c_mid)
-    w2 = g2 + hh * _cross(xdot, g1)
-    s1 = skew(g1)
-    d = m.copy()
-    d[3:] += hh * (skew(xdot) @ m[:3])
-    d[3:, :3] -= hh * s1
-    d[:, 3:] -= hh * (np.concatenate((s1, skew(w2))) @ _right_jacobian(hh * omega))
-    r_t = _rotation_matrix(quat_mul(q_k, exp_map((0.25 * h) * omega)))
-    return (r_t @ d.reshape(2, 3, 6)).reshape(6, 6)
+    v = np.concatenate((xdot, omega))
+    return _mid_jacobian(v, c_mid, h, _mid_eval(q_k, v, c_mid, h, carried)[1])
 
 
 def initial_midpoint_cache(state: BodyState, c0: CoefficientSet, h: float) -> MidpointCache:
@@ -353,15 +383,13 @@ def initial_midpoint_cache(state: BodyState, c0: CoefficientSet, h: float) -> Mi
     shifted by exp((h/4) omega) instead conserves a momentum O(h) away from
     the true one, which degrades the whole run to first order.)
     """
-    g1 = _grad_xdot_v(state.xdot_b, state.omega_b, c0)
-    g2 = _grad_omega_v(state.xdot_b, state.omega_b, c0)
-    history = np.concatenate((_rotate(state.q, g1), _rotate(state.q, g2)))
+    g = _momenta_v(np.concatenate((state.xdot_b, state.omega_b)), c0)
     return MidpointCache(
         t_mid=state.t,
         q_mid=state.q.copy(),
         xdot_mid=state.xdot_b.copy(),
         omega_mid=state.omega_b.copy(),
-        history=history,
+        history=(g.reshape(2, 3) @ _rotation_matrix(state.q).T).ravel(),
     )
 
 
@@ -410,21 +438,20 @@ def step_mid(
 
     guess = np.concatenate((cache.xdot_mid, cache.omega_mid))
     sol = newton_solve(
-        lambda v: residual_mid(q_k, v[:3], v[3:], c_mid, h, carried),
-        lambda v: jacobian_mid(q_k, v[:3], v[3:], c_mid, h, carried),
+        lambda v: _mid_eval(q_k, v, c_mid, h, carried),
+        lambda v, terms: _mid_jacobian(v, c_mid, h, terms),
         guess,
         cfg,
         tol_abs=cfg.residual_tol * scale,
     )
-    xd, om = sol.x[:3], sol.x[3:]
-    _, rhs, q_t = _mid_terms(q_k, xd, om, c_mid, h)
+    xd, om, q_t = sol.x[:3], sol.x[3:], sol.terms.q_t
     q_next = quat_mul(q_k, exp_map((0.5 * h) * om))
     if float(q_next @ q_k) < 0.0:
         q_next = -q_next
     q_next = normalize(q_next)
-    x_next = prev.x_e + h * _rotate(q_t, xd)
+    x_next = prev.x_e + h * (sol.terms.r_t @ xd)
     state = BodyState(prev.t + h, q_next, x_next, xd, om)
-    new_cache = MidpointCache(t_mid=t_mid, q_mid=q_t, xdot_mid=xd, omega_mid=om, history=rhs)
+    new_cache = MidpointCache(t_mid=t_mid, q_mid=q_t, xdot_mid=xd, omega_mid=om, history=sol.terms.rhs)
     return StepResult(
         state, sol.iterations, sol.residual_norm, sol.converged, (q_t, xd, om), c_mid, carried, new_cache
     )
@@ -435,7 +462,7 @@ def step_mid(
 
 def velocities_from_momenta(c: CoefficientSet, g1: Array, g2: Array) -> tuple[Array, Array]:
     """Invert the linear velocity-to-momentum map of a coefficient set."""
-    v = c.velocity_inverse() @ np.concatenate((g1 - c.a_x, g2 - c.a_w))
+    v = c.velocity_inverse() @ (np.concatenate((g1, g2)) - c.momentum_offset())
     return v[:3], v[3:]
 
 
@@ -454,8 +481,7 @@ def step_rk_baseline(
     c1 = c_prev
     c2 = sched.coefficients(t + 0.5 * h)
     c4 = sched.coefficients(t + h)
-    g1 = _grad_xdot_v(prev.xdot_b, prev.omega_b, c1)
-    g2 = _grad_omega_v(prev.xdot_b, prev.omega_b, c1)
+    g = _momenta_v(np.concatenate((prev.xdot_b, prev.omega_b)), c1)
     force_free = sched.force_free
 
     def rate(q_s, x_s, d1, d2, c, t_s):
@@ -474,7 +500,7 @@ def step_rk_baseline(
             dd2 = dd2 + tau
         return xd, om, _rotate(q_s, xd), dd1, dd2
 
-    x0, d10, d20 = prev.x_e, g1, g2
+    x0, d10, d20 = prev.x_e, g[:3], g[3:]
     xd1, om1, dx1, dd11, dd21 = rate(prev.q, x0, d10, d20, c1, t)
     q2 = quat_mul(prev.q, exp_map((0.25 * h) * om1))
     xd2, om2, dx2, dd12, dd22 = rate(
@@ -504,10 +530,8 @@ def step_rk_baseline(
 
 def momentum_scale(state: BodyState, c: CoefficientSet, h: float) -> float:
     """Absolute scale for Newton tolerances: initial canonical momentum norm, floored at 1."""
-    g1 = _grad_xdot_v(state.xdot_b, state.omega_b, c)
-    g2 = _grad_omega_v(state.xdot_b, state.omega_b, c)
-    p_w = g2 + (0.5 * h) * _cross(state.omega_b, g2)
-    return max(1.0, float(np.sqrt(g1 @ g1 + p_w @ p_w)))
+    p_x, p_w = _canonical_momenta_v(state.q, np.concatenate((state.xdot_b, state.omega_b)), c, h)
+    return max(1.0, float(np.sqrt(p_x @ p_x + p_w @ p_w)))
 
 
 def _midpoint_step_velocities(v: Array) -> Array:
@@ -536,8 +560,10 @@ def integrate(
 ) -> TrajectoryRecord:
     """Fixed-step run from initial.t to (approximately) t_end.
 
-    method is one of left, mid, rk. The step count is round((t_end - t)/h),
-    at least 1. Every accepted state is recorded. A step that fails (Newton
+    method is one of left, mid, rk. The step count is n = round((t_end - t)/h)
+    (nearest integer, halves to even), at least 1, so the run ends at t + n h,
+    off t_end when t_end - t is not a multiple of h; the record's last time is
+    the time reached. Every accepted state is recorded. A step that fails (Newton
     does not converge, the Jacobian is singular, or the state goes
     non-finite) truncates the record, flags it and names the cause in
     stop_reason. Physical momentum columns are filled when rigid_params is
@@ -565,9 +591,11 @@ def integrate(
 
     def conserved(r: StepResult) -> Array:
         """Row [T, p_x, p_w] (then P_x, P_w with rigid_params) at the step's diagnostics point."""
-        parts = [(_energy_v(r.point[1], r.point[2], r.coeffs),), *_canonical_momenta_v(*r.point, r.coeffs, h)]
+        q, xdot, omega = r.point
+        v = np.concatenate((xdot, omega))
+        parts = [(_energy_v(v, r.coeffs),), *_canonical_momenta_v(q, v, r.coeffs, h)]
         if rigid_params is not None:
-            parts += _physical_momenta_v(*r.point, rigid_params, i_com)
+            parts += _physical_momenta_v(q, xdot, omega, rigid_params, i_com)
         return np.concatenate(parts)
 
     # the initial state enters as a zero-iteration step

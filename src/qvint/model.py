@@ -42,19 +42,15 @@ _SYM_TOL = 1e-12
 
 def skew(v: Array) -> Array:
     """Cross-product matrix: skew(v) @ w == v x w."""
-    x, y, z = v
+    x, y, z = np.asarray(v, dtype=float).tolist()
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
 def _cross(a: Array, b: Array) -> Array:
-    """Hand-rolled 3-vector cross product (np.cross is slow on (3,) inputs)."""
-    return np.array(
-        [
-            a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        ]
-    )
+    """Hand-rolled 3-vector cross product (np.cross is slow on (3,) inputs), on Python floats."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 def _as_matrix(m, name: str) -> Array:
@@ -117,6 +113,15 @@ class CoefficientSet:
             object.__setattr__(self, "_mass", m)
         return m
 
+    def momentum_offset(self) -> Array:
+        """Cached, read-only 6-vector a = (a_x, a_w): the momenta M v + a at rest."""
+        a = self.__dict__.get("_offset")
+        if a is None:
+            a = np.concatenate((self.a_x, self.a_w))
+            a.flags.writeable = False
+            object.__setattr__(self, "_offset", a)
+        return a
+
     def is_positive_definite(self) -> bool:
         """True when the 6x6 mass matrix is positive definite."""
         return bool(np.linalg.eigvalsh(self.mass_matrix()).min() > 0.0)
@@ -166,46 +171,35 @@ class BodyState:
 # velocity-level kernels shared with the integrators (hot path, no BodyState)
 
 
-def _energy_v(xdot: Array, omega: Array, c: CoefficientSet) -> float:
-    return float(
-        xdot @ (c.a_xx @ xdot)
-        + xdot @ (c.A_xw @ omega)
-        + xdot @ c.a_x
-        + omega @ (c.A_ww @ omega)
-        + omega @ c.a_w
-        + c.a_0
-    )
+def _energy_v(v: Array, c: CoefficientSet) -> float:
+    """T = (1/2) v.M v + a.v + a_0 at the stacked velocities v = (xdot, omega)."""
+    return float(0.5 * (v @ (c.mass_matrix() @ v)) + c.momentum_offset() @ v + c.a_0)
 
 
-def _grad_xdot_v(xdot: Array, omega: Array, c: CoefficientSet) -> Array:
-    return 2.0 * (c.a_xx @ xdot) + c.A_xw @ omega + c.a_x
-
-
-def _grad_omega_v(xdot: Array, omega: Array, c: CoefficientSet) -> Array:
-    return 2.0 * (c.A_ww @ omega) + c.A_xw.T @ xdot + c.a_w
+def _momenta_v(v: Array, c: CoefficientSet) -> Array:
+    """Momenta g = M v + a = (D1, D2) at the stacked velocities v = (xdot, omega)."""
+    return c.mass_matrix() @ v + c.momentum_offset()
 
 
 def kinetic_energy(s: BodyState, c: CoefficientSet) -> float:
     """Kinetic energy of a state under a coefficient set [J]."""
-    return _energy_v(s.xdot_b, s.omega_b, c)
+    return _energy_v(np.concatenate((s.xdot_b, s.omega_b)), c)
 
 
 def energy_grad_xdot(s: BodyState, c: CoefficientSet) -> Array:
     """dT/dxdot, the body-frame translational momentum block."""
-    return _grad_xdot_v(s.xdot_b, s.omega_b, c)
+    return _momenta_v(np.concatenate((s.xdot_b, s.omega_b)), c)[:3]
 
 
 def energy_grad_omega(s: BodyState, c: CoefficientSet) -> Array:
     """dT/domega, the body-frame rotational momentum block."""
-    return _grad_omega_v(s.xdot_b, s.omega_b, c)
+    return _momenta_v(np.concatenate((s.xdot_b, s.omega_b)), c)[3:]
 
 
-def _canonical_momenta_v(
-    q: Array, xdot: Array, omega: Array, c: CoefficientSet, h: float
-) -> tuple[Array, Array]:
-    g1 = _grad_xdot_v(xdot, omega, c)
-    g2 = _grad_omega_v(xdot, omega, c)
-    return _rotate(q, g1), g2 + (0.5 * h) * _cross(omega, g2)
+def _canonical_momenta_v(q: Array, v: Array, c: CoefficientSet, h: float) -> tuple[Array, Array]:
+    g = _momenta_v(v, c)
+    g2 = g[3:]
+    return _rotate(q, g[:3]), g2 + (0.5 * h) * _cross(v[3:], g2)
 
 
 def canonical_momenta(s: BodyState, c: CoefficientSet, h: float) -> tuple[Array, Array]:
@@ -214,7 +208,7 @@ def canonical_momenta(s: BodyState, c: CoefficientSet, h: float) -> tuple[Array,
     p_x = q (x) D1 (x) q* and p_w = D2 + (h/2) omega x D2; the h term is the
     discrete left-rectangle correction, so p_w depends on the step size.
     """
-    return _canonical_momenta_v(s.q, s.xdot_b, s.omega_b, c, h)
+    return _canonical_momenta_v(s.q, np.concatenate((s.xdot_b, s.omega_b)), c, h)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,16 @@
 """Config parsing, CSV emission, exit codes, run and compare summaries."""
 
+import contextlib
+import io
+import re
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qvint import SingularJacobianError, integrate, integrators, preset_free_body
@@ -162,6 +171,18 @@ def test_run_success_summary_and_files(tmp_path, capsys):
     assert (tmp_path / "free_body_mid_errors.csv").is_file()
 
 
+def test_run_reports_the_time_reached_off_t_end(tmp_path, capsys):
+    # round(1.1 / 0.25) = 4 steps end at t = 1, not at t_end = 1.1
+    cfg = parse_config(f"h = 0.25\nt_end = 1.1\nout_dir = {tmp_path}")
+    assert run(cfg) == 0
+    out = capsys.readouterr().out
+    assert "h=0.25 t_end=1.1 (reached t=1)\n" in out
+    assert "steps accepted: 4\n" in out
+    cfg = parse_config(f"h = 0.25\nt_end = 1\nout_dir = {tmp_path}")
+    assert run(cfg) == 0
+    assert "h=0.25 t_end=1\n" in capsys.readouterr().out
+
+
 def test_run_is_deterministic_byte_for_byte(tmp_path):
     for sub in ("a", "b"):
         cfg = parse_config(f"t_end = 0.3\nout_dir = {tmp_path / sub}")
@@ -292,3 +313,38 @@ def test_main_exit_codes(tmp_path, capsys):
     other.write_text(f"scenario = morphing\nt_end = 0.05\nout_dir = {tmp_path}")
     assert main(["compare", str(good), str(other)]) == 2
     assert "share a scenario" in capsys.readouterr().err
+
+
+WARNING_LINE = re.compile(r"WARNING: integration stopped early at t=\S+ \(.+\); partial output written")
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    scenario=st.sampled_from(["free_body", "morphing", "custom"]),
+    method=st.sampled_from(["left", "mid", "rk"]),
+    h=st.floats(0.005, 0.5),
+    t_end=st.floats(0.001, 0.5),
+    omega0=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+    xdot0=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+)
+def test_random_valid_configs_end_in_a_documented_way(scenario, method, h, t_end, omega0, xdot0):
+    # every valid config exits 0 or 3, writes nothing to stderr but the
+    # documented early-stop warning, warns nothing, and a converged variational
+    # run conserves translational momentum to 1e-12
+    lines = [f"scenario = {scenario}", f"method = {method}", f"h = {h!r}", f"t_end = {t_end!r}"]
+    lines += [f"omega0_{c} = {w!r}" for c, w in zip("xyz", omega0)]
+    lines += [f"xdot0_{c} = {v!r}" for c, v in zip("xyz", xdot0)]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text("\n".join(lines + [f"out_dir = {tmp}"]), encoding="utf-8")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["run", str(cfg)])
+    assert code in (0, 3)
+    assert not caught, [str(w.message) for w in caught]
+    stderr = err.getvalue()
+    assert stderr == "" or (code == 3 and WARNING_LINE.fullmatch(stderr.rstrip("\n"))), stderr
+    if code == 0 and method != "rk":
+        e_x = float(re.search(r"e_x=(\S+)", out.getvalue()).group(1))
+        assert e_x <= 1e-12

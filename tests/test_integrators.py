@@ -38,7 +38,7 @@ from qvint import (
     velocities_from_momenta,
 )
 from qvint import integrators
-from qvint.integrators import _left_history, _mid_terms
+from qvint.integrators import _left_history, _mid_eval
 
 RNG = np.random.default_rng(61103)
 
@@ -66,7 +66,7 @@ def test_solver_config_validation():
 
 
 def test_newton_linear():
-    res = newton_solve(lambda v: v - 2.0, lambda v: np.eye(1), np.array([5.0]), CFG)
+    res = newton_solve(lambda v: (v - 2.0, None), lambda v, _: np.eye(1), np.array([5.0]), CFG)
     assert res.converged
     assert res.x[0] == 2.0
     assert res.residual_norm == 0.0
@@ -74,17 +74,23 @@ def test_newton_linear():
 
 
 def test_newton_quadratic():
-    res = newton_solve(lambda v: v * v - 4.0, lambda v: np.diag(2.0 * v), np.array([3.0]), CFG)
+    # the residual hands its derivative 2 v to the Jacobian, and the result
+    # carries the terms of the returned iterate
+    res = newton_solve(lambda v: (v * v - 4.0, 2.0 * v), lambda v, d: np.diag(d), np.array([3.0]), CFG)
     assert res.converged
     assert res.iterations <= 8
     assert abs(res.x[0] - 2.0) <= 1e-12
+    assert np.array_equal(res.terms, 2.0 * res.x)
 
 
 def test_newton_singular_vs_starved():
     with pytest.raises(SingularJacobianError):
-        newton_solve(lambda v: np.array([1.0]), lambda v: np.zeros((1, 1)), np.array([0.0]), CFG)
+        newton_solve(lambda v: (np.array([1.0]), None), lambda v, _: np.zeros((1, 1)), np.array([0.0]), CFG)
     res = newton_solve(
-        lambda v: v * v - 4.0, lambda v: np.diag(2.0 * v), np.array([100.0]), SolverConfig(h=0.01, max_iter=1)
+        lambda v: (v * v - 4.0, None),
+        lambda v, _: np.diag(2.0 * v),
+        np.array([100.0]),
+        SolverConfig(h=0.01, max_iter=1),
     )
     assert not res.converged
     assert res.residual_norm > 1.0
@@ -92,9 +98,11 @@ def test_newton_singular_vs_starved():
 
 def test_newton_multidimensional():
     a = np.array([1.0, -2.0, 0.5])
-    res = newton_solve(lambda v: v**3 - a, lambda v: np.diag(3.0 * v**2), np.array([1.0, -1.0, 1.0]), CFG)
+    guess = np.array([1.0, -1.0, 1.0])
+    res = newton_solve(lambda v: (v**3 - a, v**2), lambda v, v2: np.diag(3.0 * v2), guess, CFG)
     assert res.converged
     assert_allclose(res.x, np.cbrt(a), rtol=1e-12)
+    assert np.array_equal(res.terms, res.x**2)
 
 
 def central_difference_jacobian(residual, v, eps=1e-6):
@@ -162,18 +170,23 @@ def test_residual_left_nonzero_off_solution():
     assert np.linalg.norm(r) > 1e-3
 
 
+def outgoing(q, xdot, omega, c, h):
+    """Outgoing terms of the midpoint with velocities (xdot, omega) after step point q."""
+    return _mid_eval(q, np.concatenate((xdot, omega)), c, h, np.zeros(6))[1].rhs
+
+
 def test_residual_mid_equilibrium_and_zero_step():
     c = CoefficientSet(a_xx=2.0, A_xw=0.0, A_ww=np.diag([1.0, 2.0, 3.0]))
     h = 0.05
     omega = np.array([0.0, 0.0, 2.0])
     q0 = exp_map(np.array([0.0, 0.0, 0.3]))  # rotation about the spin axis
-    carried = _mid_terms(q0, np.zeros(3), omega, c, h)[1]
+    carried = outgoing(q0, np.zeros(3), omega, c, h)
     r = residual_mid(cg_step(q0, omega, h), np.zeros(3), omega, c, h, carried)
     assert np.all(r == 0.0)
     for _ in range(20):
         q = random_unit_quat(RNG)
         xd, om = RNG.standard_normal(3), RNG.standard_normal(3)
-        carried = _mid_terms(q, xd, om, CSET, 0.0)[1]
+        carried = outgoing(q, xd, om, CSET, 0.0)
         r = residual_mid(q, xd, om, CSET, 0.0, carried)
         assert np.all(r == 0.0)
 
@@ -219,6 +232,50 @@ def test_steppers_solve_the_public_residuals(sched):
         r = residual_mid(prev.q, cache.xdot_mid, cache.omega_mid, res.coeffs, CFG.h, res.carried)
         assert res.converged and res.iterations > 0
         assert np.linalg.norm(r) == res.residual_norm
+
+
+@pytest.mark.parametrize("sched", [SCHED, preset_morphing(damping=True)], ids=["free_body", "morphing"])
+def test_one_balance_evaluation_per_newton_residual(sched, monkeypatch):
+    # each residual Newton evaluates runs the scheme's balance evaluation
+    # once; the Jacobian and the step update reuse it, with no post-solve
+    # evaluation, and what they build from it equals the public functions
+    evals = {"_left_eval": 0, "_mid_eval": 0}
+    for name in evals:
+
+        def counted(*args, _fn=getattr(integrators, name), _name=name):
+            evals[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(integrators, name, counted)
+    solves = []
+    solve = integrators.newton_solve
+
+    def recording_solve(residual, jacobian, guess, cfg, tol_abs=None):
+        calls = []
+
+        def counted_residual(x):
+            calls.append(1)
+            return residual(x)
+
+        sol = solve(counted_residual, jacobian, guess, cfg, tol_abs)
+        solves.append((sol, jacobian, len(calls)))
+        return sol
+
+    monkeypatch.setattr(integrators, "newton_solve", recording_solve)
+    c0 = sched.coefficients(0.0)
+    scale = momentum_scale(SPIN, c0, CFG.h)
+    res = step_left(SPIN, c0, sched, CFG, scale)
+    res_mid = step_mid(SPIN, initial_midpoint_cache(SPIN, c0, CFG.h), sched, CFG, scale)
+    (sol, jac, n_left), (sol_mid, jac_mid, n_mid) = solves
+    assert evals == {"_left_eval": n_left, "_mid_eval": n_mid}
+    assert n_left > sol.iterations > 0 and n_mid > sol_mid.iterations > 0
+    s = res.state
+    want = jacobian_left(s.q, s.xdot_b, s.omega_b, res.coeffs, CFG.h, res.carried)
+    assert np.array_equal(jac(sol.x, sol.terms), want)
+    xd, om = res_mid.cache.xdot_mid, res_mid.cache.omega_mid
+    want = jacobian_mid(SPIN.q, xd, om, res_mid.coeffs, CFG.h, res_mid.carried)
+    assert np.array_equal(jac_mid(sol_mid.x, sol_mid.terms), want)
+    assert np.array_equal(res_mid.cache.history, outgoing(SPIN.q, xd, om, res_mid.coeffs, CFG.h))
 
 
 def counting(sched):
@@ -293,7 +350,7 @@ def test_mid_interstep_balance_holds_at_reported_tolerance():
     # the outgoing terms of midpoint k-1 are recomputed from its own step
     # point, not read back from the cache
     for (q_prev, prev_c), (q_k, cur_c) in zip(chain[:-1], chain[1:]):
-        carried = _mid_terms(q_prev, prev_c.xdot_mid, prev_c.omega_mid, CSET, CFG.h)[1]
+        carried = outgoing(q_prev, prev_c.xdot_mid, prev_c.omega_mid, CSET, CFG.h)
         r = residual_mid(q_k, cur_c.xdot_mid, cur_c.omega_mid, CSET, CFG.h, carried)
         assert np.linalg.norm(r) <= tol_abs
 
