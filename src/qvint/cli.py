@@ -85,23 +85,19 @@ def _vector(vals: dict[str, object], name: str) -> Array:
 
 @dataclass(frozen=True)
 class RunConfig:
-    scenario: str = _DEFAULTS["scenario"]
-    method: str = _DEFAULTS["method"]
-    h: float = _DEFAULTS["h"]
-    t_end: float = _DEFAULTS["t_end"]
-    q0: Array = None
-    x0: Array = None
-    xdot0: Array = None
-    omega0: Array = None
-    tol: float = _DEFAULTS["tol"]
-    max_iter: int = _DEFAULTS["max_iter"]
-    out_dir: str = _DEFAULTS["out_dir"]
+    """A parsed config; parse_config fills every field from _DEFAULTS and the text."""
 
-    def __post_init__(self):
-        for name in _VECTORS:
-            value = getattr(self, name)
-            arr = _vector(_DEFAULTS, name) if value is None else np.array(value, dtype=float)
-            object.__setattr__(self, name, arr)
+    scenario: str
+    method: str
+    h: float
+    t_end: float
+    q0: Array
+    x0: Array
+    xdot0: Array
+    omega0: Array
+    tol: float
+    max_iter: int
+    out_dir: str
 
 
 _POSITIVE_KEYS = ("h", "t_end", "tol")
@@ -241,7 +237,7 @@ def _execute(cfg: RunConfig, tag: str = ""):
     """Run one config, write its CSVs, return (record, report, wall, label, code)."""
     initial, sched, scfg, rp = build_scenario(cfg)
     start = time.perf_counter()
-    rec = integrate(initial, sched, scfg, cfg.method, cfg.t_end, rigid_params=rp, scenario=cfg.scenario)
+    rec = integrate(initial, sched, scfg, cfg.method, cfg.t_end, rigid_params=rp)
     wall = time.perf_counter() - start
     stem = f"{cfg.scenario}_{cfg.method}" + (f"_{tag}" if tag else "")
     try:

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BodyState
-
 Array = np.ndarray
 
 
@@ -69,19 +67,6 @@ class TrajectoryRecord:
 
     def __len__(self) -> int:
         return int(self.t.shape[0])
-
-    def state(self, i: int) -> BodyState:
-        """Reconstruct the BodyState at sample i."""
-        return BodyState(
-            t=self.t[i],
-            q=self.q[i],
-            x_e=self.x_e[i],
-            xdot_b=self.xdot_b[i],
-            omega_b=self.omega_b[i],
-        )
-
-    def final_state(self) -> BodyState:
-        return self.state(len(self) - 1)
 
 
 def running_max(series: Array) -> Array:
@@ -173,7 +158,6 @@ class ErrorReport:
     e_x_absolute: bool
     e_w_absolute: bool
     e_T_absolute: bool
-    drift_slope_e_w: float | None
 
     @property
     def final_e_x(self) -> float:
@@ -202,11 +186,9 @@ def summarize(rec: TrajectoryRecord) -> ErrorReport:
     include_w = physical or rec.force_free
     e_w = None
     abs_w = False
-    slope = None
     if include_w:
         raw_w, abs_w = _deviation_series(pw)
         e_w = running_max(raw_w)
-        slope = drift_slope(rec.t, e_w)
     raw_T, abs_T = _deviation_series(rec.energy)
     return ErrorReport(
         t=rec.t.copy(),
@@ -217,7 +199,6 @@ def summarize(rec: TrajectoryRecord) -> ErrorReport:
         e_x_absolute=abs_x,
         e_w_absolute=abs_w,
         e_T_absolute=abs_T,
-        drift_slope_e_w=slope,
     )
 
 

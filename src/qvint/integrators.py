@@ -83,22 +83,6 @@ class NewtonResult(NamedTuple):
 
 
 @dataclass(frozen=True)
-class MidpointCache:
-    """Converged midpoint data handed from one midpoint step to the next.
-
-    history holds the outgoing momentum terms of the solved balance; reusing
-    the stored vector (instead of recomputing it) makes the discrete momentum
-    sum telescope exactly, to the Newton floor.
-    """
-
-    t_mid: float
-    q_mid: Array
-    xdot_mid: Array
-    omega_mid: Array
-    history: Array
-
-
-@dataclass(frozen=True)
 class StepResult:
     """Outcome of one step of any scheme.
 
@@ -106,7 +90,10 @@ class StepResult:
     evaluates the step's conserved quantities and coeffs is the coefficient
     set at its time: the new step point for left and rk, the new midpoint for
     mid. carried is the outgoing momentum plus step impulse that the Newton
-    solve balanced (None for rk); cache continues the midpoint chain (mid).
+    solve balanced (None for rk). history (mid only) is the outgoing momentum
+    of the solved balance, which the next midpoint step carries: reusing the
+    stored vector instead of recomputing it makes the discrete momentum sum
+    telescope exactly, to the Newton floor.
     """
 
     state: BodyState
@@ -116,7 +103,7 @@ class StepResult:
     point: tuple[Array, Array, Array]
     coeffs: CoefficientSet
     carried: Array | None
-    cache: MidpointCache | None = None
+    history: Array | None = None
 
 
 def newton_solve(
@@ -319,7 +306,7 @@ def residual_mid(
 
     The incoming terms of the trial midpoint velocities (xdot, omega) after
     the step-point orientation q_k, minus carried: the outgoing terms of the
-    previous midpoint (MidpointCache.history) plus the step impulse. step_mid
+    previous midpoint (StepResult.history) plus the step impulse. step_mid
     solves this residual for zero (through _mid_eval).
     """
     return _mid_eval(q_k, np.concatenate((xdot, omega)), c_mid, h, carried)[0]
@@ -374,8 +361,8 @@ def jacobian_mid(
     return _mid_jacobian(v, c_mid, h, _mid_eval(q_k, v, c_mid, h, carried)[1])
 
 
-def initial_midpoint_cache(state: BodyState, c0: CoefficientSet, h: float) -> MidpointCache:
-    """Bootstrap cache for the first midpoint step.
+def initial_midpoint_history(state: BodyState, c0: CoefficientSet) -> Array:
+    """History that seeds the first midpoint step.
 
     The chain is seeded with the continuous momenta of the initial state, so
     the quantity the scheme conserves is the true initial momentum and the
@@ -384,59 +371,38 @@ def initial_midpoint_cache(state: BodyState, c0: CoefficientSet, h: float) -> Mi
     the true one, which degrades the whole run to first order.)
     """
     g = _momenta_v(np.concatenate((state.xdot_b, state.omega_b)), c0)
-    return MidpointCache(
-        t_mid=state.t,
-        q_mid=state.q.copy(),
-        xdot_mid=state.xdot_b.copy(),
-        omega_mid=state.omega_b.copy(),
-        history=(g.reshape(2, 3) @ _rotation_matrix(state.q).T).ravel(),
-    )
-
-
-def reversed_midpoint_cache(cache: MidpointCache) -> MidpointCache:
-    """Reversal map for the midpoint chain: negate velocities and history.
-
-    The cache is part of the scheme's phase-space state; velocity negation
-    lifts to negating the carried momentum terms as well. Continuing from the
-    reversed cache retraces the forward trajectory to the Newton floor
-    (self-adjointness of the midpoint quadrature).
-    """
-    return MidpointCache(
-        t_mid=cache.t_mid,
-        q_mid=cache.q_mid,
-        xdot_mid=-cache.xdot_mid,
-        omega_mid=-cache.omega_mid,
-        history=-cache.history,
-    )
+    return (g.reshape(2, 3) @ _rotation_matrix(state.q).T).ravel()
 
 
 def step_mid(
     prev: BodyState,
-    cache: MidpointCache,
+    history: Array,
     sched: MorphingSchedule,
     cfg: SolverConfig,
     scale: float = 1.0,
 ) -> StepResult:
-    """Advance one midpoint step.
+    """Advance one midpoint step from prev and the history of the previous one.
 
     Solves for the midpoint velocities, then updates orientation and position
-    with the midpoint rule. The returned state carries the fresh midpoint
-    velocities (the record applies the averaged step-point reconstruction);
-    the returned cache is authoritative for continuing the run.
+    with the midpoint rule. The velocities of prev are the previous midpoint's
+    (the initial state's for the first step): they warm-start the solve and
+    probe the force. The returned state carries the fresh midpoint velocities
+    (the record applies the averaged step-point reconstruction).
+    Reversal negates the state velocities and the history.
     """
     h = cfg.h
     t_mid = prev.t + 0.5 * h
     c_mid = sched.coefficients(t_mid)
     q_k = prev.q
-    carried = cache.history
+    carried = history
     if not sched.force_free:
-        q_pred = normalize(quat_mul(q_k, exp_map((0.25 * h) * cache.omega_mid)))
-        x_pred = prev.x_e + (0.5 * h) * _rotate(q_pred, cache.xdot_mid)
-        probe = BodyState(t_mid, q_pred, x_pred, cache.xdot_mid, cache.omega_mid)
+        q_pred = normalize(quat_mul(q_k, exp_map((0.25 * h) * prev.omega_b)))
+        x_pred = prev.x_e + (0.5 * h) * _rotate(q_pred, prev.xdot_b)
+        probe = BodyState(t_mid, q_pred, x_pred, prev.xdot_b, prev.omega_b)
         f_earth, tau_body = sched.force(probe, t_mid)
         carried = carried + _forcing(f_earth, tau_body, h)
 
-    guess = np.concatenate((cache.xdot_mid, cache.omega_mid))
+    guess = np.concatenate((prev.xdot_b, prev.omega_b))
     sol = newton_solve(
         lambda v: _mid_eval(q_k, v, c_mid, h, carried),
         lambda v, terms: _mid_jacobian(v, c_mid, h, terms),
@@ -451,19 +417,12 @@ def step_mid(
     q_next = normalize(q_next)
     x_next = prev.x_e + h * (sol.terms.r_t @ xd)
     state = BodyState(prev.t + h, q_next, x_next, xd, om)
-    new_cache = MidpointCache(t_mid=t_mid, q_mid=q_t, xdot_mid=xd, omega_mid=om, history=sol.terms.rhs)
     return StepResult(
-        state, sol.iterations, sol.residual_norm, sol.converged, (q_t, xd, om), c_mid, carried, new_cache
+        state, sol.iterations, sol.residual_norm, sol.converged, (q_t, xd, om), c_mid, carried, sol.terms.rhs
     )
 
 
 # explicit RK4 baseline on the momentum form
-
-
-def velocities_from_momenta(c: CoefficientSet, g1: Array, g2: Array) -> tuple[Array, Array]:
-    """Invert the linear velocity-to-momentum map of a coefficient set."""
-    v = c.velocity_inverse() @ (np.concatenate((g1, g2)) - c.momentum_offset())
-    return v[:3], v[3:]
 
 
 def step_rk_baseline(
@@ -478,51 +437,35 @@ def step_rk_baseline(
     set at prev.t.
     """
     t = prev.t
-    c1 = c_prev
-    c2 = sched.coefficients(t + 0.5 * h)
-    c4 = sched.coefficients(t + h)
-    g = _momenta_v(np.concatenate((prev.xdot_b, prev.omega_b)), c1)
-    force_free = sched.force_free
+    c_half = sched.coefficients(t + 0.5 * h)
+    c_end = sched.coefficients(t + h)
+    d0 = _momenta_v(np.concatenate((prev.xdot_b, prev.omega_b)), c_prev)
 
-    def rate(q_s, x_s, d1, d2, c, t_s):
-        xd, om = velocities_from_momenta(c, d1, d2)
-        if force_free:
-            f_b = None
-            tau = None
-        else:
+    def rate(q_s, x_s, d, c, t_s):
+        """Stage velocities v and the rates of x and d = (D1, D2)."""
+        v = c.velocity_inverse() @ (d - c.momentum_offset())
+        xd, om, d1 = v[:3], v[3:], d[:3]
+        dd = np.concatenate((-_cross(om, d1), -_cross(om, d[3:]) - _cross(xd, d1)))
+        if not sched.force_free:
             probe = BodyState(t_s, normalize(q_s), x_s, xd, om)
             f_e, tau = sched.force(probe, t_s)
-            f_b = _rotate(conj(probe.q), f_e)
-        dd1 = -_cross(om, d1)
-        dd2 = -_cross(om, d2) - _cross(xd, d1)
-        if f_b is not None:
-            dd1 = dd1 + f_b
-            dd2 = dd2 + tau
-        return xd, om, _rotate(q_s, xd), dd1, dd2
+            dd = dd + np.concatenate((_rotate(conj(probe.q), f_e), tau))
+        return v, _rotate(q_s, xd), dd
 
-    x0, d10, d20 = prev.x_e, g[:3], g[3:]
-    xd1, om1, dx1, dd11, dd21 = rate(prev.q, x0, d10, d20, c1, t)
-    q2 = quat_mul(prev.q, exp_map((0.25 * h) * om1))
-    xd2, om2, dx2, dd12, dd22 = rate(
-        q2, x0 + 0.5 * h * dx1, d10 + 0.5 * h * dd11, d20 + 0.5 * h * dd21, c2, t + 0.5 * h
-    )
-    q3 = quat_mul(prev.q, exp_map((0.25 * h) * om2))
-    xd3, om3, dx3, dd13, dd23 = rate(
-        q3, x0 + 0.5 * h * dx2, d10 + 0.5 * h * dd12, d20 + 0.5 * h * dd22, c2, t + 0.5 * h
-    )
-    q4 = quat_mul(prev.q, exp_map((0.5 * h) * om3))
-    xd4, om4, dx4, dd14, dd24 = rate(
-        q4, x0 + h * dx3, d10 + h * dd13, d20 + h * dd23, c4, t + h
-    )
+    k = [rate(prev.q, prev.x_e, d0, c_prev, t)]
+    for a, c in ((0.5, c_half), (0.5, c_half), (1.0, c_end)):
+        v, dx, dd = k[-1]
+        q_s = quat_mul(prev.q, exp_map((0.5 * a * h) * v[3:]))
+        k.append(rate(q_s, prev.x_e + (a * h) * dx, d0 + (a * h) * dd, c, t + a * h))
+
+    def weighted(i):
+        return k[0][i] + 2.0 * k[1][i] + 2.0 * k[2][i] + k[3][i]
+
     sixth = h / 6.0
-    x_new = x0 + sixth * (dx1 + 2.0 * dx2 + 2.0 * dx3 + dx4)
-    d1_new = d10 + sixth * (dd11 + 2.0 * dd12 + 2.0 * dd13 + dd14)
-    d2_new = d20 + sixth * (dd21 + 2.0 * dd22 + 2.0 * dd23 + dd24)
-    om_avg = (om1 + 2.0 * om2 + 2.0 * om3 + om4) / 6.0
-    q_new = normalize(quat_mul(prev.q, exp_map((0.5 * h) * om_avg)))
-    xd_new, om_new = velocities_from_momenta(c4, d1_new, d2_new)
-    state = BodyState(t + h, q_new, x_new, xd_new, om_new)
-    return StepResult(state, 0, 0.0, True, (state.q, state.xdot_b, state.omega_b), c4, None)
+    q_new = normalize(quat_mul(prev.q, exp_map((0.5 * h) * (weighted(0)[3:] / 6.0))))
+    v_new = c_end.velocity_inverse() @ (d0 + sixth * weighted(2) - c_end.momentum_offset())
+    state = BodyState(t + h, q_new, prev.x_e + sixth * weighted(1), v_new[:3], v_new[3:])
+    return StepResult(state, 0, 0.0, True, (state.q, state.xdot_b, state.omega_b), c_end, None)
 
 
 # run driver
@@ -556,7 +499,6 @@ def integrate(
     method: str,
     t_end: float,
     rigid_params: RigidParams | None = None,
-    scenario: str | None = None,
 ) -> TrajectoryRecord:
     """Fixed-step run from initial.t to (approximately) t_end.
 
@@ -583,7 +525,7 @@ def integrate(
     scale = momentum_scale(initial, c0, h)
     take_step = {
         "left": lambda r: step_left(r.state, r.coeffs, sched, cfg, scale),
-        "mid": lambda r: step_mid(r.state, r.cache, sched, cfg, scale),
+        "mid": lambda r: step_mid(r.state, r.history, sched, cfg, scale),
         "rk": lambda r: step_rk_baseline(r.state, r.coeffs, sched, h),
     }[method]
 
@@ -600,8 +542,8 @@ def integrate(
 
     # the initial state enters as a zero-iteration step
     point0 = (initial.q, initial.xdot_b, initial.omega_b)
-    cache0 = initial_midpoint_cache(initial, c0, h)
-    steps = [StepResult(initial, 0, 0.0, True, point0, c0, None, cache0)]
+    history0 = initial_midpoint_history(initial, c0)
+    steps = [StepResult(initial, 0, 0.0, True, point0, c0, None, history0)]
     stop_reason = ""
     # a diverging run surfaces as a non-finite state or conserved-quantity row,
     # reported once as its stop reason
@@ -646,7 +588,7 @@ def integrate(
         newton_iters=np.array([r.iterations for r in steps], dtype=int),
         method=method,
         h=h,
-        scenario=sched.name if scenario is None else scenario,
+        scenario=sched.name,
         truncated=bool(stop_reason),
         stop_reason=stop_reason,
         force_free=sched.force_free,

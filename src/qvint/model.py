@@ -122,10 +122,6 @@ class CoefficientSet:
             object.__setattr__(self, "_offset", a)
         return a
 
-    def is_positive_definite(self) -> bool:
-        """True when the 6x6 mass matrix is positive definite."""
-        return bool(np.linalg.eigvalsh(self.mass_matrix()).min() > 0.0)
-
     def velocity_inverse(self) -> Array:
         """Cached inverse of the mass matrix, for momentum-to-velocity recovery."""
         inv = self.__dict__.get("_vinv")

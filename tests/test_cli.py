@@ -38,7 +38,7 @@ def short_record(t_end=0.05):
     cset, rp = preset_free_body()
     cfg = parse_config("")
     initial, sched, scfg, _ = build_scenario(cfg)
-    return integrate(initial, sched, scfg, "mid", t_end, rigid_params=rp, scenario="free_body")
+    return integrate(initial, sched, scfg, "mid", t_end, rigid_params=rp)
 
 
 def test_parse_defaults():

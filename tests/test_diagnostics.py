@@ -71,10 +71,6 @@ def test_record_validation_and_state_access():
             energy=rec.energy, p_x=rec.p_x, p_w=rec.p_w, P_x=None, P_w=None,
             newton_iters=rec.newton_iters, method="left", h=0.1,
         )
-    s = rec.state(2)
-    assert isinstance(s, BodyState)
-    assert s.t == rec.t[2]
-    assert rec.final_state().t == rec.t[-1]
     assert len(rec) == 4
 
 
@@ -135,12 +131,10 @@ def test_summarize_momentum_source_and_ew_policy():
     rep = summarize(make_record(physical=True, force_free=False))
     assert rep.momentum_source == "physical"
     assert rep.e_w is not None  # physical momenta stay meaningful under torque
-    assert rep.drift_slope_e_w is not None
     rep = summarize(make_record(physical=False, force_free=False))
     assert rep.momentum_source == "canonical"
     assert rep.e_w is None  # canonical p_w is not conserved under applied torque
     assert rep.final_e_w is None
-    assert rep.drift_slope_e_w is None
     rep = summarize(make_record(physical=False, force_free=True))
     assert rep.e_w is not None
 

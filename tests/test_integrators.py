@@ -19,26 +19,23 @@ from qvint import (
     energy_grad_xdot,
     exp_map,
     identity_quat,
-    initial_midpoint_cache,
+    initial_midpoint_history,
     integrate,
     jacobian_left,
     jacobian_mid,
-    momentum_scale,
     newton_solve,
     preset_free_body,
     preset_morphing,
     quat_mul,
     residual_left,
     residual_mid,
-    reversed_midpoint_cache,
     step_left,
     step_mid,
     step_rk_baseline,
     summarize,
-    velocities_from_momenta,
 )
 from qvint import integrators
-from qvint.integrators import _left_history, _mid_eval
+from qvint.integrators import _left_history, _mid_eval, momentum_scale
 
 RNG = np.random.default_rng(61103)
 
@@ -194,14 +191,13 @@ def test_residual_mid_equilibrium_and_zero_step():
 def test_residual_mid_local_linearity():
     # the residual is smooth in the trial velocities: doubling a small
     # perturbation about the solved point doubles the defect
-    cache = initial_midpoint_cache(SPIN, CSET, CFG.h)
-    res = step_mid(SPIN, cache, SCHED, CFG, scale=momentum_scale(SPIN, CSET, CFG.h))
-    sol = res.cache
+    history = initial_midpoint_history(SPIN, CSET)
+    res = step_mid(SPIN, history, SCHED, CFG, scale=momentum_scale(SPIN, CSET, CFG.h))
 
     def defect(v):
         return residual_mid(SPIN.q, v[:3], v[3:], CSET, CFG.h, res.carried)
 
-    v_star = np.concatenate((sol.xdot_mid, sol.omega_mid))
+    v_star = np.concatenate((res.state.xdot_b, res.state.omega_b))
     r0 = defect(v_star)
     d = RNG.standard_normal(6)
     d /= np.linalg.norm(d)
@@ -225,11 +221,11 @@ def test_steppers_solve_the_public_residuals(sched):
         assert np.linalg.norm(r) == res.residual_norm
         if sched.force_free:
             assert np.array_equal(res.carried, _left_history(prev.q, prev.xdot_b, prev.omega_b, c0, CFG.h))
-    state, cache = SPIN, initial_midpoint_cache(SPIN, c0, CFG.h)
+    state, history = SPIN, initial_midpoint_history(SPIN, c0)
     for _ in range(5):
-        prev, res = state, step_mid(state, cache, sched, CFG, scale)
-        state, cache = res.state, res.cache
-        r = residual_mid(prev.q, cache.xdot_mid, cache.omega_mid, res.coeffs, CFG.h, res.carried)
+        prev, res = state, step_mid(state, history, sched, CFG, scale)
+        state, history = res.state, res.history
+        r = residual_mid(prev.q, state.xdot_b, state.omega_b, res.coeffs, CFG.h, res.carried)
         assert res.converged and res.iterations > 0
         assert np.linalg.norm(r) == res.residual_norm
 
@@ -265,17 +261,17 @@ def test_one_balance_evaluation_per_newton_residual(sched, monkeypatch):
     c0 = sched.coefficients(0.0)
     scale = momentum_scale(SPIN, c0, CFG.h)
     res = step_left(SPIN, c0, sched, CFG, scale)
-    res_mid = step_mid(SPIN, initial_midpoint_cache(SPIN, c0, CFG.h), sched, CFG, scale)
+    res_mid = step_mid(SPIN, initial_midpoint_history(SPIN, c0), sched, CFG, scale)
     (sol, jac, n_left), (sol_mid, jac_mid, n_mid) = solves
     assert evals == {"_left_eval": n_left, "_mid_eval": n_mid}
     assert n_left > sol.iterations > 0 and n_mid > sol_mid.iterations > 0
     s = res.state
     want = jacobian_left(s.q, s.xdot_b, s.omega_b, res.coeffs, CFG.h, res.carried)
     assert np.array_equal(jac(sol.x, sol.terms), want)
-    xd, om = res_mid.cache.xdot_mid, res_mid.cache.omega_mid
+    xd, om = res_mid.state.xdot_b, res_mid.state.omega_b
     want = jacobian_mid(SPIN.q, xd, om, res_mid.coeffs, CFG.h, res_mid.carried)
     assert np.array_equal(jac_mid(sol_mid.x, sol_mid.terms), want)
-    assert np.array_equal(res_mid.cache.history, outgoing(SPIN.q, xd, om, res_mid.coeffs, CFG.h))
+    assert np.array_equal(res_mid.history, outgoing(SPIN.q, xd, om, res_mid.coeffs, CFG.h))
 
 
 def counting(sched):
@@ -308,8 +304,7 @@ def test_rest_state_is_fixed_point():
     assert np.all(res.state.xdot_b == 0.0) and np.all(res.state.omega_b == 0.0)
     assert np.all(res.state.x_e == rest.x_e)
     assert np.all(res.state.q == rest.q)
-    cache = initial_midpoint_cache(rest, CSET, CFG.h)
-    res = step_mid(rest, cache, SCHED, CFG)
+    res = step_mid(rest, initial_midpoint_history(rest, CSET), SCHED, CFG)
     assert res.converged
     assert np.all(res.state.xdot_b == 0.0) and np.all(res.state.omega_b == 0.0)
     assert np.all(res.state.x_e == rest.x_e)
@@ -339,19 +334,19 @@ def test_left_interstep_balance_holds_at_reported_tolerance():
 def test_mid_interstep_balance_holds_at_reported_tolerance():
     scale = momentum_scale(SPIN, CSET, CFG.h)
     tol_abs = CFG.residual_tol * scale
-    state, cache = SPIN, initial_midpoint_cache(SPIN, CSET, CFG.h)
+    state, history = SPIN, initial_midpoint_history(SPIN, CSET)
     chain = []
     for _ in range(50):
-        res = step_mid(state, cache, SCHED, CFG, scale)
+        res = step_mid(state, history, SCHED, CFG, scale)
         assert res.converged
         assert res.residual_norm <= tol_abs
-        chain.append((state.q, res.cache))
-        state, cache = res.state, res.cache
+        chain.append((state.q, res.state))
+        state, history = res.state, res.history
     # the outgoing terms of midpoint k-1 are recomputed from its own step
-    # point, not read back from the cache
-    for (q_prev, prev_c), (q_k, cur_c) in zip(chain[:-1], chain[1:]):
-        carried = outgoing(q_prev, prev_c.xdot_mid, prev_c.omega_mid, CSET, CFG.h)
-        r = residual_mid(q_k, cur_c.xdot_mid, cur_c.omega_mid, CSET, CFG.h, carried)
+    # point, not read back from the history
+    for (q_prev, prev_m), (q_k, cur_m) in zip(chain[:-1], chain[1:]):
+        carried = outgoing(q_prev, prev_m.xdot_b, prev_m.omega_b, CSET, CFG.h)
+        r = residual_mid(q_k, cur_m.xdot_b, cur_m.omega_b, CSET, CFG.h, carried)
         assert np.linalg.norm(r) <= tol_abs
 
 
@@ -397,33 +392,39 @@ def test_quaternion_norms_stay_unit():
         assert np.abs(np.linalg.norm(rec.q, axis=1) - 1.0).max() <= 1e-12
 
 
-def test_midpoint_time_reversal_retrace():
+@settings(max_examples=15, deadline=None)
+@given(
+    q0=floats(-1.0, 1.0, 4).filter(lambda q: np.linalg.norm(q) > 0.1),
+    omega0=floats(-2.0, 2.0, 3),
+    xdot0=floats(-1.0, 1.0, 3),
+)
+def test_midpoint_time_reversal_retrace(q0, omega0, xdot0):
     # negating the velocities and the carried momentum history replays the
     # trajectory backwards through the forward-time stepper
-    start = BodyState(0.0, identity_quat(), np.zeros(3), np.array([0.3, -0.2, 0.1]), np.array([1.0, 1.0, 1.0]))
+    start = BodyState(0.0, q0 / np.linalg.norm(q0), np.zeros(3), xdot0, omega0)
     scale = momentum_scale(start, CSET, CFG.h)
-    state, cache = start, initial_midpoint_cache(start, CSET, CFG.h)
+    state, history = start, initial_midpoint_history(start, CSET)
     first_mid = None
     for _ in range(100):
-        res = step_mid(state, cache, SCHED, CFG, scale)
+        res = step_mid(state, history, SCHED, CFG, scale)
         assert res.converged
-        state, cache = res.state, res.cache
+        state, history = res.state, res.history
         if first_mid is None:
-            first_mid = cache
+            first_mid = state
     state = BodyState(state.t, state.q, state.x_e, -state.xdot_b, -state.omega_b)
-    cache = reversed_midpoint_cache(cache)
+    history = -history
     for _ in range(100):
-        res = step_mid(state, cache, SCHED, CFG, scale)
+        res = step_mid(state, history, SCHED, CFG, scale)
         assert res.converged
-        state, cache = res.state, res.cache
+        state, history = res.state, res.history
     q_err = quat_mul(conj(start.q), state.q)
     q_err = q_err if q_err[0] >= 0.0 else -q_err
     assert np.linalg.norm(q_err - identity_quat()) <= 1e-6
     assert np.linalg.norm(state.x_e - start.x_e) <= 1e-9
     # the last reversed midpoint must be the first forward midpoint, negated
     # (state velocity columns are staggered half a step and cannot match v0)
-    assert_allclose(-cache.xdot_mid, first_mid.xdot_mid, atol=1e-9)
-    assert_allclose(-cache.omega_mid, first_mid.omega_mid, atol=1e-9)
+    assert_allclose(-state.xdot_b, first_mid.xdot_b, atol=1e-9)
+    assert_allclose(-state.omega_b, first_mid.omega_b, atol=1e-9)
 
 
 TOP_OMEGA_AT_1 = np.array([0.27168531182286143, 1.4136065744733737, 0.36600648586296108])
@@ -466,6 +467,20 @@ def test_rk_spherical_body_is_exact():
         assert np.abs(state.xdot_b).max() <= 1e-12
 
 
+def test_rk_damped_spherical_body_decays_exponentially():
+    # under the body torque -beta omega a spherical body obeys
+    # 2 d(omega)/dt = -beta omega, so omega(t) = omega0 exp(-beta t / 2)
+    beta = 0.5
+    c = CoefficientSet(a_xx=1.0, A_xw=0.0, A_ww=1.0)
+    sched = constant_schedule(c, name="damped_sphere", force=lambda s, t: (np.zeros(3), -beta * s.omega_b))
+    omega0 = np.array([0.4, -0.3, 0.8])
+    start = BodyState(0.0, identity_quat(), np.zeros(3), np.zeros(3), omega0)
+    rec = integrate(start, sched, SolverConfig(h=0.01), "rk", 1.0)
+    assert len(rec) == 101 and not rec.truncated
+    assert np.abs(rec.omega_b - omega0 * np.exp(-0.5 * beta * rec.t)[:, None]).max() <= 1e-10
+    assert np.abs(rec.xdot_b).max() <= 1e-12
+
+
 def test_rk_same_cost_run_is_less_accurate_than_midpoint():
     # matched wall-clock budgets: the explicit baseline needs h ~ 0.095 to cost
     # what the implicit midpoint run costs at h = 0.01
@@ -483,9 +498,10 @@ def test_velocities_from_momenta_round_trip():
         c = sched.coefficients(RNG.uniform(0.0, 2 * np.pi))
         xd, om = RNG.standard_normal(3), RNG.standard_normal(3)
         s = BodyState(0.0, identity_quat(), np.zeros(3), xd, om)
-        xd2, om2 = velocities_from_momenta(c, energy_grad_xdot(s, c), energy_grad_omega(s, c))
-        assert_allclose(xd2, xd, rtol=1e-10, atol=1e-10)
-        assert_allclose(om2, om, rtol=1e-10, atol=1e-10)
+        g = np.concatenate((energy_grad_xdot(s, c), energy_grad_omega(s, c)))
+        v = c.velocity_inverse() @ (g - c.momentum_offset())
+        assert_allclose(v[:3], xd, rtol=1e-10, atol=1e-10)
+        assert_allclose(v[3:], om, rtol=1e-10, atol=1e-10)
 
 
 def test_momentum_scale_floor_and_value():
