@@ -348,10 +348,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return run(_load_config(args.config))
         return compare([_load_config(p) for p in args.configs])
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -168,11 +168,6 @@ def newton_solve(
     return NewtonResult(x, iterations, rn, rn <= tol, terms)
 
 
-def _forcing(f_earth: Array, tau_body: Array, h: float) -> Array:
-    """Step impulse of the external load: h times force and torque."""
-    return h * np.concatenate((f_earth, tau_body))
-
-
 # left-rectangle scheme
 
 
@@ -250,7 +245,7 @@ def step_left(
     if not sched.force_free:
         probe = BodyState(t_k, q_k, x_k, prev.xdot_b, prev.omega_b)
         f_earth, tau_body = sched.force(probe, t_k)
-        carried = carried + _forcing(f_earth, tau_body, h)
+        carried = carried + h * np.concatenate((f_earth, tau_body))  # step impulse
 
     r_k = _rotation_matrix(q_k)
     top = r_k @ c_k.mass_matrix()[:3]  # the Jacobian's constant block
@@ -400,7 +395,7 @@ def step_mid(
         x_pred = prev.x_e + (0.5 * h) * _rotate(q_pred, prev.xdot_b)
         probe = BodyState(t_mid, q_pred, x_pred, prev.xdot_b, prev.omega_b)
         f_earth, tau_body = sched.force(probe, t_mid)
-        carried = carried + _forcing(f_earth, tau_body, h)
+        carried = carried + h * np.concatenate((f_earth, tau_body))  # step impulse
 
     guess = np.concatenate((prev.xdot_b, prev.omega_b))
     sol = newton_solve(
@@ -505,11 +500,12 @@ def integrate(
     method is one of left, mid, rk. The step count is n = round((t_end - t)/h)
     (nearest integer, halves to even), at least 1, so the run ends at t + n h,
     off t_end when t_end - t is not a multiple of h; the record's last time is
-    the time reached. Every accepted state is recorded. A step that fails (Newton
-    does not converge, the Jacobian is singular, or the state goes
-    non-finite) truncates the record, flags it and names the cause in
-    stop_reason. Physical momentum columns are filled when rigid_params is
-    given (single-rigid-body models only).
+    the time reached. Step k's time is t + k h, computed from k, so rounding
+    does not accumulate over the run. Every accepted state is recorded. A
+    step that fails (Newton does not converge, the Jacobian is singular, or
+    the state goes non-finite) truncates the record, flags it and names the
+    cause in stop_reason. Physical momentum columns are filled when
+    rigid_params is given (single-rigid-body models only).
 
     For the midpoint method the conserved-quantity columns are evaluated at
     the midpoint quadrature states (row 0 repeats the first midpoint); the
@@ -521,6 +517,7 @@ def integrate(
         raise ValueError("t_end must exceed the initial time")
     h = cfg.h
     n_steps = max(1, int(round((t_end - initial.t) / h)))
+    times = initial.t + h * np.arange(n_steps + 1)
     c0 = sched.coefficients(initial.t)
     scale = momentum_scale(initial, c0, h)
     take_step = {
@@ -549,7 +546,7 @@ def integrate(
     # reported once as its stop reason
     with np.errstate(over="ignore", invalid="ignore"):
         rows = [conserved(steps[0])]
-        for _ in range(n_steps):
+        for t_k in times[1:].tolist():
             try:
                 res = take_step(steps[-1])
             except (SingularJacobianError, ValueError) as exc:
@@ -562,6 +559,8 @@ def integrate(
             if not np.isfinite(row).all():
                 stop_reason = "diverged: non-finite energy or momentum"
                 break
+            # the stepper reached prev.t + h; its fresh state moves onto the grid
+            object.__setattr__(res.state, "t", t_k)
             steps.append(res)
             rows.append(row)
 
@@ -575,7 +574,7 @@ def integrate(
         diag[0] = diag[1]
 
     return TrajectoryRecord(
-        t=np.array([s.t for s in states]),
+        t=times[: len(steps)],
         q=np.array([s.q for s in states]),
         x_e=np.array([s.x_e for s in states]),
         xdot_b=xd_arr,

@@ -520,6 +520,21 @@ def test_integrate_record_shape_and_guards():
         integrate(SPIN, SCHED, CFG, "left", 0.0)
 
 
+@pytest.mark.parametrize("method", ["left", "mid", "rk"])
+def test_record_times_lie_on_the_exact_grid(method):
+    # step k's time is t0 + k h, computed from k rather than accumulated
+    start = dataclasses.replace(SPIN, t=0.3)
+    rec = integrate(start, preset_morphing(damping=True), CFG, method, 1.3)
+    assert len(rec) == 101
+    assert np.array_equal(rec.t, start.t + CFG.h * np.arange(len(rec)))
+
+
+def test_long_run_ends_on_the_grid():
+    # summing h 5000 times would end at 49.99999999999862
+    rec = integrate(SPIN, SCHED, CFG, "rk", 50.0)
+    assert len(rec) == 5001 and rec.t[-1] == 50.0
+
+
 def test_integrate_truncates_on_starved_newton():
     cfg = SolverConfig(h=0.01, max_iter=1)
     for method in ("left", "mid"):
