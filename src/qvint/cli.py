@@ -17,6 +17,7 @@ identical runs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 import warnings
@@ -263,13 +264,16 @@ def _execute(cfg: RunConfig, tag: str = ""):
 
 
 def _error_strings(rec: TrajectoryRecord, report) -> tuple[str, str, str]:
-    ex = f"{report.final_e_x:.3e}" + (" (abs)" if report.e_x_absolute else "")
-    et = f"{report.final_e_T:.3e}" + (" (abs)" if report.e_T_absolute else "")
+    def fmt(e: float, note: str) -> str:  # undefined against a non-finite initial value
+        return f"{e:.3e}{note}" if math.isfinite(e) else "n/a"
+
+    ex = fmt(report.final_e_x, " (abs)" if report.e_x_absolute else "")
+    et = fmt(report.final_e_T, " (abs)" if report.e_T_absolute else "")
     if report.e_w is None:
         _, ew_series = momentum_errors(rec, running=True)
-        ew = f"{ew_series[-1]:.3e} (diagnostic; external moments act)"
+        ew = fmt(float(ew_series[-1]), " (diagnostic; external moments act)")
     else:
-        ew = f"{report.final_e_w:.3e}" + (" (abs)" if report.e_w_absolute else "")
+        ew = fmt(report.final_e_w, " (abs)" if report.e_w_absolute else "")
     return ex, ew, et
 
 

@@ -78,12 +78,14 @@ def _deviation_series(values: Array, /) -> tuple[Array, bool]:
     """Per-sample deviation from the first sample.
 
     Relative when the first sample has nonzero norm, absolute otherwise
-    (flagged True). values is (n,) or (n, d).
+    (flagged True). values is (n,) or (n, d). A non-finite first sample
+    leaves every deviation undefined (NaN), without a warning.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim == 1:
         v = v[:, None]
-    dev = _row_norms(v - v[0])
+    with np.errstate(invalid="ignore"):
+        dev = _row_norms(v - v[0])
     base = float(_row_norms(v[:1])[0])
     if base == 0.0:
         return dev, True

@@ -10,41 +10,34 @@ the quadrature of the underlying action sum:
   reconstructed in closed form from the unknown midpoint rate, which keeps
   the scheme self-adjoint.
 
-Each step solves a 6-dimensional nonlinear momentum balance for the new
-velocities with a damped Newton iteration (the balance's closed-form
-Jacobian, halving line search, warm start from the previous velocities).
-Each scheme's residual (residual_left, residual_mid) and its exact
-derivative (jacobian_left, jacobian_mid) wrap one balance evaluation
-(_left_eval, _mid_eval): Newton calls it once per iterate and the Jacobian
-reuses its terms. A classical RK4 baseline on the momentum form of the
-equations of motion is included for accuracy comparisons; it is not
-structure preserving.
+Each step solves the 6-component momentum balance for the new velocities. It
+is linear in xdot for a fixed rate omega, so its translational row is solved
+in closed form and Newton runs on omega alone, on Python floats (exact 3x3
+Jacobian, adjugate solve, halving line search, warm start from the previous
+rate). The translational row holds by construction, and a step carries the
+translational momentum it received forward unchanged. Each scheme's residual
+(residual_left, residual_mid) and its exact derivative (jacobian_left,
+jacobian_mid) wrap one balance evaluation (_left_eval, _mid_eval): Newton
+calls it once per iterate and the Jacobian reuses its terms. A classical RK4
+baseline on the momentum form of the equations of motion is included for
+accuracy comparisons; it is not structure preserving.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .diagnostics import TrajectoryRecord
-from .model import (
-    BodyState,
-    CoefficientSet,
-    MorphingSchedule,
-    RigidParams,
-    _canonical_momenta_v,
-    _cross,
-    _energy_v,
-    _momenta_v,
-    _physical_momenta_v,
-    skew,
-)
-from .quat import SMALL_ANGLE, _rotate, _rotation_matrix, conj, exp_map, normalize, quat_mul
+from .model import BodyState, CoefficientSet, MorphingSchedule, RigidParams, _canonical_momenta_v, _cross, _energy_v
+from .model import _cx, _mm, _momenta_v, _mv, _physical_momenta_v, _skew, canonical_momenta
+from .quat import _exp_f, _mul_f, _right_jacobian, _rotate, _rotate_f, conj, exp_map, normalize, quat_mul
 
 Array = np.ndarray
+Vec3 = tuple[float, float, float]
 
 _METHODS = ("left", "mid", "rk")
 
@@ -75,7 +68,7 @@ class SolverConfig:
 
 
 class NewtonResult(NamedTuple):
-    x: Array
+    x: Vec3
     iterations: int
     residual_norm: float
     converged: bool
@@ -90,10 +83,11 @@ class StepResult:
     evaluates the step's conserved quantities and coeffs is the coefficient
     set at its time: the new step point for left and rk, the new midpoint for
     mid. carried is the outgoing momentum plus step impulse that the Newton
-    solve balanced (None for rk). history (mid only) is the outgoing momentum
-    of the solved balance, which the next midpoint step carries: reusing the
-    stored vector instead of recomputing it makes the discrete momentum sum
-    telescope exactly, to the Newton floor.
+    solve balanced (None for rk). history (left and mid) is the outgoing
+    momentum of the solved balance, which the next step carries: carried[:3]
+    verbatim, since the reduced solve balances it by construction, and a
+    rotational part from the solve's own terms. Not recomputing it from the
+    solved velocities makes the momentum sum telescope to the Newton floor.
     """
 
     state: BodyState
@@ -107,31 +101,31 @@ class StepResult:
 
 
 def newton_solve(
-    residual: Callable[[Array], tuple[Array, object]],
-    jacobian: Callable[[Array, object], Array],
-    guess: Array,
+    residual: Callable[[Vec3], tuple[Sequence[float], object]],
+    jacobian: Callable[[Vec3, object], Sequence[float]],
+    guess,
     cfg: SolverConfig,
     tol_abs: float | None = None,
 ) -> NewtonResult:
-    """Damped Newton iteration on a square residual.
+    """Damped Newton iteration on a residual in three unknowns, on Python floats.
 
-    residual(x) returns (r, terms): the residual vector and whatever its
-    evaluation shares with the derivative. jacobian(x, terms) returns the
-    derivative of r at x from those terms (the steppers' exact balance
-    Jacobians); it is evaluated once per iteration, so each iterate costs one
-    residual evaluation. The result carries the terms of the returned x.
-    Halving line search on the residual norm (at most 8 halvings). After the
-    tolerance is first met one extra polish iteration runs, kept only when it
-    improves the residual; this drives the leftover balance defect to the
-    roundoff floor so momentum sums telescoped over many steps stay at
-    machine precision.
-    Raises SingularJacobianError for an unusable Jacobian; a stalled line
+    residual(x) takes a 3-tuple and returns (r, terms): the 3 residual floats
+    and what their evaluation shares with the derivative. jacobian(x, terms)
+    returns the derivative at x as 9 row-major floats, once per iteration;
+    the 3x3 system is solved in closed form (adjugate over determinant). The
+    result carries the terms of the returned x. Halving line search on the
+    residual norm (at most 8 halvings). One polish iteration after the
+    tolerance is first met, kept only when it improves the residual, drives
+    the balance defect to the roundoff floor so momentum sums telescoped over
+    many steps stay at machine precision. Raises SingularJacobianError for a
+    non-finite residual or an unusable Jacobian (non-finite entries, a zero
+    or non-finite determinant, a step beyond 1e12 (1 + |x|)); a stalled line
     search returns converged=False.
     """
     tol = cfg.residual_tol if tol_abs is None else tol_abs
-    x = np.array(guess, dtype=float)
+    x = tuple([float(v) for v in guess])
     r, terms = residual(x)
-    rn = float(np.sqrt(r @ r))
+    rn = math.hypot(*r)
     iterations = 0
     polish_left = 1
     while iterations < cfg.max_iter:
@@ -139,24 +133,33 @@ def newton_solve(
             if polish_left == 0 or rn == 0.0:
                 break
             polish_left -= 1
-        if not np.isfinite(r).all():
+        if not math.isfinite(rn):
             raise SingularJacobianError("residual is non-finite")
         jac = jacobian(x, terms)
-        if not np.isfinite(jac).all():
+        if not all(map(math.isfinite, jac)):
             raise SingularJacobianError("Jacobian has non-finite entries")
-        try:
-            dx = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobianError(f"singular Jacobian: {exc}") from exc
+        a, b, c, d, e, f, g, h, i = jac
+        c0, c1, c2 = e * i - f * h, f * g - d * i, d * h - e * g
+        det = a * c0 + b * c1 + c * c2
+        if det == 0.0:
+            raise SingularJacobianError("singular Jacobian: zero determinant")
+        if not math.isfinite(det):
+            raise SingularJacobianError("Jacobian determinant is non-finite")
+        r0, r1, r2 = r
+        dx = (
+            -(c0 * r0 + (c * h - b * i) * r1 + (b * f - c * e) * r2) / det,
+            -(c1 * r0 + (a * i - c * g) * r1 + (c * d - a * f) * r2) / det,
+            -(c2 * r0 + (b * g - a * h) * r1 + (a * e - b * d) * r2) / det,
+        )
         # the comparison is also false for a step with NaN or infinite entries
-        if not float(np.sqrt(dx @ dx)) <= 1e12 * (1.0 + float(np.sqrt(x @ x))):
+        if not math.hypot(*dx) <= 1e12 * (1.0 + math.hypot(*x)):
             raise SingularJacobianError("Jacobian is numerically singular")
         alpha = 1.0
         improved = False
         for _ in range(9):
-            x_try = x + alpha * dx
+            x_try = (x[0] + alpha * dx[0], x[1] + alpha * dx[1], x[2] + alpha * dx[2])
             r_try, terms_try = residual(x_try)
-            rn_try = float(np.sqrt(r_try @ r_try))
+            rn_try = math.hypot(*r_try)
             if rn_try < rn:
                 x, r, rn, terms = x_try, r_try, rn_try, terms_try
                 improved = True
@@ -168,192 +171,168 @@ def newton_solve(
     return NewtonResult(x, iterations, rn, rn <= tol, terms)
 
 
+# Float kernels build lists, not tuple(<generator>): CPython sizes such a tuple by a guess and
+# shrinks it, and its per-size tuple free lists then hoard thousands of them (about 0.3 MB).
+
+
+def _blocks(c: CoefficientSet) -> tuple:
+    try:
+        return c.elimination_blocks()
+    except ValueError as exc:  # np.linalg.LinAlgError is one
+        raise SingularJacobianError(f"translational mass block 2 a_xx: {exc}") from exc
+
+
+def _advance(q, omega, h: float) -> tuple[float, float, float, float]:
+    """q (x) exp((h/2) omega), sign-matched to q and renormalized."""
+    p = _mul_f(q, _exp_f([0.5 * h * w for w in omega]))
+    if p[0] * q[0] + p[1] * q[1] + p[2] * q[2] + p[3] * q[3] < 0.0:
+        p = (-p[0], -p[1], -p[2], -p[3])
+    n = math.sqrt(p[0] * p[0] + p[1] * p[1] + p[2] * p[2] + p[3] * p[3])
+    if not 0.0 < n < math.inf:
+        raise ValueError("cannot normalize quaternion with zero or non-finite norm")
+    return (p[0] / n, p[1] / n, p[2] / n, p[3] / n)
+
+
 # left-rectangle scheme
 
 
-def _left_history(q: Array, xdot: Array, omega: Array, c: CoefficientSet, h: float) -> Array:
-    """Outgoing-momentum side carried over from step k-1."""
-    g = _momenta_v(np.concatenate((xdot, omega)), c)
-    return np.concatenate((_rotation_matrix(q) @ g[:3], g[3:] - (0.5 * h) * _cross(omega, g[3:])))
+def _left_setup(q_k, c_k: CoefficientSet, h: float, carried: Array) -> tuple:
+    """The omega-independent terms of residual_left; g1 = b = R(q_k)^T carried_x is fixed."""
+    mi, xc, s, p, a_x, a_w = _blocks(c_k)
+    (w, x, y, z), cl = q_k, carried.tolist()
+    b, c_w = _rotate_f((w, -x, -y, -z), cl[:3]), cl[3:]
+    d = (b[0] - a_x[0], b[1] - a_x[1], b[2] - a_x[2])
+    g20 = [u + v for u, v in zip(_mv(p, d), a_w)]
+    k0 = [u - h * v for u, v in zip(s, _mm(_skew(b), xc))]  # the Jacobian's constant part
+    return b, _mv(mi, d), g20, c_w, xc, s, k0, h
 
 
-def _left_eval(r_k: Array, v: Array, c_k: CoefficientSet, h: float, carried: Array) -> tuple[Array, Array]:
-    """residual_left at v, with r_k = R(q_k), and the momenta g = M v + a its Jacobian reuses."""
-    g = _momenta_v(v, c_k)
-    g1, g2 = g[:3], g[3:]
-    bot = g2 + (0.5 * h) * _cross(v[3:], g2) + h * _cross(v[:3], g1)
-    return np.concatenate((r_k @ g1, bot)) - carried, g
+def _left_eval(k: tuple, w: Vec3) -> tuple[list[float], tuple[Vec3, Vec3]]:
+    """residual_left at omega = w from _left_setup's terms, and (xdot, g2) for the Jacobian and the step."""
+    b, x0, g20, c_w, xc, s, _, h = k
+    u, v = _mv(xc, w), _mv(s, w)
+    xd = (x0[0] + u[0], x0[1] + u[1], x0[2] + u[2])
+    g2 = (g20[0] + v[0], g20[1] + v[1], g20[2] + v[2])
+    m, n = _cx(w, g2), _cx(xd, b)
+    return [g2[i] + 0.5 * h * m[i] + h * n[i] - c_w[i] for i in range(3)], (xd, g2)
 
 
-def _left_jacobian(v: Array, c_k: CoefficientSet, h: float, g: Array, top: Array) -> Array:
-    """jacobian_left from the momenta g of _left_eval and the constant top block R(q_k) Mt."""
-    m = c_k.mass_matrix()
-    mt, mb = m[:3], m[3:]
-    bot = mb + (0.5 * h) * (skew(v[3:]) @ mb) + h * (skew(v[:3]) @ mt)
-    bot[:, :3] -= h * skew(g[:3])
-    bot[:, 3:] -= (0.5 * h) * skew(g[3:])
-    return np.concatenate((top, bot))
+def _left_jacobian(k: tuple, w: Vec3, terms: tuple[Vec3, Vec3]) -> list[float]:
+    """jacobian_left from the terms of _left_eval at w."""
+    s, k0, hh = k[5], k[6], 0.5 * k[7]
+    return [u + hh * (v - g) for u, v, g in zip(k0, _mm(_skew(w), s), _skew(terms[1]))]
 
 
-def residual_left(
-    q_k: Array, xdot: Array, omega: Array, c_k: CoefficientSet, h: float, carried: Array
-) -> Array:
-    """Left-rectangle momentum balance at step k, stacked (translational, rotational).
+def residual_left(q_k: Array, omega: Array, c_k: CoefficientSet, h: float, carried: Array) -> Array:
+    """Left-rectangle momentum balance at step k, reduced to the rate omega (body axes).
 
-    The incoming momentum of the trial velocities (xdot, omega) at the
-    already-advanced orientation q_k, minus carried: the outgoing momentum of
-    step k-1 (_left_history) plus the step impulse of the external load.
-    step_left solves this residual for zero (through _left_eval).
+    carried: outgoing momentum of step k-1 plus step impulse (earth-axes x, body-axes w).
+    The translational row fixes g1 = b = R(q_k)^T carried_x, so xdot = Mxx^-1 (b - a_x)
+    + X omega and g2 = Mwx xdot + Mww omega + a_w (CoefficientSet.elimination_blocks).
+    The residual is the rotational row g2 + (h/2) omega x g2 + h xdot x b - carried_w.
     """
-    return _left_eval(_rotation_matrix(q_k), np.concatenate((xdot, omega)), c_k, h, carried)[0]
+    return np.array(_left_eval(_left_setup(list(map(float, q_k)), c_k, h, carried), tuple(map(float, omega)))[0])
 
 
-def jacobian_left(
-    q_k: Array, xdot: Array, omega: Array, c_k: CoefficientSet, h: float, carried: Array
-) -> Array:
-    """Exact 6x6 derivative of residual_left in v = (xdot, omega); carried drops out.
-
-    With g = (g1, g2) = M v + a, M the mass matrix (rows Mt over Mb) and
-    x^ = skew(x): [R(q_k) Mt ; Mb + (h/2)(omega^ Mb - [0 | g2^]) + h (xdot^ Mt - [g1^ | 0])].
-    """
-    r_k, v = _rotation_matrix(q_k), np.concatenate((xdot, omega))
-    g = _left_eval(r_k, v, c_k, h, carried)[1]
-    return _left_jacobian(v, c_k, h, g, r_k @ c_k.mass_matrix()[:3])
+def jacobian_left(q_k: Array, omega: Array, c_k: CoefficientSet, h: float, carried: Array) -> Array:
+    """Exact 3x3 derivative of residual_left in omega: S - h b^ X + (h/2)(omega^ S - g2^), x^ = skew(x)."""
+    k, w = _left_setup(list(map(float, q_k)), c_k, h, carried), tuple(map(float, omega))
+    return np.array(_left_jacobian(k, w, _left_eval(k, w)[1])).reshape(3, 3)
 
 
 def step_left(
-    prev: BodyState,
-    c_prev: CoefficientSet,
-    sched: MorphingSchedule,
-    cfg: SolverConfig,
-    scale: float = 1.0,
+    prev: BodyState, history: Array, sched: MorphingSchedule, cfg: SolverConfig, scale: float = 1.0
 ) -> StepResult:
-    """Advance one left-rectangle step; c_prev is the coefficient set at prev.t.
+    """Advance one left-rectangle step from prev and the history of the previous one.
 
     Kinematics first (exponential orientation update and position quadrature
-    with step k-1 values), then the implicit velocity solve at step k.
+    with step k-1 values), then the implicit solve for the step-k rate.
     """
     h = cfg.h
-    q_k = quat_mul(prev.q, exp_map((0.5 * h) * prev.omega_b))
-    if float(q_k @ prev.q) < 0.0:
-        q_k = -q_k
-    q_k = normalize(q_k)
+    q_k = _advance(prev.q.tolist(), prev.omega_b.tolist(), h)
     x_k = prev.x_e + h * _rotate(prev.q, prev.xdot_b)
     t_k = prev.t + h
     c_k = sched.coefficients(t_k)
-    carried = _left_history(prev.q, prev.xdot_b, prev.omega_b, c_prev, h)
+    carried = history
     if not sched.force_free:
         probe = BodyState(t_k, q_k, x_k, prev.xdot_b, prev.omega_b)
         f_earth, tau_body = sched.force(probe, t_k)
         carried = carried + h * np.concatenate((f_earth, tau_body))  # step impulse
 
-    r_k = _rotation_matrix(q_k)
-    top = r_k @ c_k.mass_matrix()[:3]  # the Jacobian's constant block
-    guess = np.concatenate((prev.xdot_b, prev.omega_b))
+    k = _left_setup(q_k, c_k, h, carried)
     sol = newton_solve(
-        lambda v: _left_eval(r_k, v, c_k, h, carried),
-        lambda v, g: _left_jacobian(v, c_k, h, g, top),
-        guess,
+        lambda w: _left_eval(k, w),
+        lambda w, terms: _left_jacobian(k, w, terms),
+        prev.omega_b.tolist(),
         cfg,
         tol_abs=cfg.residual_tol * scale,
     )
-    state = BodyState(t_k, q_k, x_k, sol.x[:3], sol.x[3:])
+    (xd, g2), om, hh = sol.terms, sol.x, 0.5 * h
+    m = _cx(om, g2)
+    history = np.array((*carried[:3].tolist(), g2[0] - hh * m[0], g2[1] - hh * m[1], g2[2] - hh * m[2]))
+    state = BodyState(t_k, q_k, x_k, xd, om)
     point = (state.q, state.xdot_b, state.omega_b)
-    return StepResult(state, sol.iterations, sol.residual_norm, sol.converged, point, c_k, carried)
+    return StepResult(state, sol.iterations, sol.residual_norm, sol.converged, point, c_k, carried, history)
 
 
 # midpoint scheme
 
 
-class _MidTerms(NamedTuple):
-    """What one evaluation of the midpoint balance at trial velocities v shares."""
-
-    rhs: Array  # outgoing terms, the next step's history
-    q_t: Array  # midpoint orientation q_k (x) exp((h/4) omega)
-    r_t: Array  # its rotation matrix
-    g: Array  # momenta M v + a
-    w2: Array  # g2 + (h/2) xdot x g1
+def _mid_setup(q_k, c: CoefficientSet, h: float, carried: Array) -> tuple:
+    """The omega-independent terms of residual_mid: u = R(q_k)^T carried, both halves."""
+    (w, x, y, z), cl = q_k, carried.tolist()
+    return _rotate_f((w, -x, -y, -z), cl[:3]), _rotate_f((w, -x, -y, -z), cl[3:]), _blocks(c), 0.5 * h
 
 
-def _mid_eval(q_k: Array, v: Array, c: CoefficientSet, h: float, carried: Array) -> tuple[Array, _MidTerms]:
-    """residual_mid at v and the terms its Jacobian and the step update reuse.
+def _mid_eval(k: tuple, w: Vec3) -> tuple[list[float], tuple]:
+    """residual_mid at omega = w, and (e = exp((h/4) w), g1, xdot, E^T u_w) for the Jacobian and the step."""
+    u_x, u_w, (mi, xc, s, p, a_x, a_w), hh = k
+    e = _exp_f((0.5 * hh * w[0], 0.5 * hh * w[1], 0.5 * hh * w[2]))
+    ec = (e[0], -e[1], -e[2], -e[3])
+    g1, wv = _rotate_f(ec, u_x), _rotate_f(ec, u_w)
+    d = (g1[0] - a_x[0], g1[1] - a_x[1], g1[2] - a_x[2])
+    m1, m2, m3, m4 = _mv(mi, d), _mv(xc, w), _mv(p, d), _mv(s, w)
+    xd = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
+    n = _cx(xd, g1)
+    # in this order; subtracting E^T u_w last gives an exact zero (no polish) on ~2 % of free-body steps
+    return [(m3[i] + a_w[i] - wv[i]) + m4[i] + hh * n[i] for i in range(3)], (e, g1, xd, wv)
 
-    The midpoint orientation is reconstructed as q_k (x) exp((h/4) omega).
-    The incoming and outgoing (rhs) terms share every subexpression, so the
-    value matched by one step's solve is bit-identical to the history the next
-    step subtracts. One 3x3 product rotates g1 and g2 +- (h/2) xdot x g1.
+
+def _mid_jacobian(k: tuple, w: Vec3, terms: tuple) -> list[float]:
+    """jacobian_mid from the terms of _mid_eval at w."""
+    _, _, (mi, xc, s, p, _, _), hh = k
+    _, g1, xd, wv = terms
+    jr = _right_jacobian((hh * w[0], hh * w[1], hh * w[2]))
+    g1s = _skew(g1)
+    a = [hh * v for v in _mm(g1s, jr)]  # d g1 / d omega
+    x = [u + v for u, v in zip(_mm(mi, a), xc)]  # d xdot / d omega
+    return [
+        u + v + hh * (y - z - q)
+        for u, v, y, z, q in zip(_mm(p, a), s, _mm(_skew(xd), a), _mm(g1s, x), _mm(_skew(wv), jr))
+    ]
+
+
+def residual_mid(q_k: Array, omega: Array, c_mid: CoefficientSet, h: float, carried: Array) -> Array:
+    """Midpoint momentum balance across step point k, reduced to the midpoint rate omega.
+
+    carried: outgoing momentum of the previous midpoint (StepResult.history) plus step
+    impulse, on earth axes; u = R(q_k)^T carried. With E = R(exp((h/4) omega)), the
+    translational row fixes g1 = E^T u_x, so xdot = Mxx^-1 (g1 - Mxw omega - a_x) and
+    g2 = Mwx xdot + Mww omega + a_w. The residual is the rotational row on midpoint body
+    axes, g2 + (h/2) xdot x g1 - E^T u_w.
     """
-    hh = 0.5 * h
-    q_t = quat_mul(q_k, exp_map((0.5 * hh) * v[3:]))
-    r_t = _rotation_matrix(q_t)
-    g = _momenta_v(v, c)
-    g1, g2 = g[:3], g[3:]
-    xc = hh * _cross(v[:3], g1)
-    w2 = g2 + xc
-    earth = np.concatenate((g1, w2, g2 - xc)).reshape(3, 3) @ r_t.T
-    return earth[:2].ravel() - carried, _MidTerms(earth[::2].ravel(), q_t, r_t, g, w2)
+    return np.array(_mid_eval(_mid_setup(list(map(float, q_k)), c_mid, h, carried), tuple(map(float, omega)))[0])
 
 
-def residual_mid(
-    q_k: Array, xdot: Array, omega: Array, c_mid: CoefficientSet, h: float, carried: Array
-) -> Array:
-    """Midpoint momentum balance across step point k, stacked (translational, rotational).
+def jacobian_mid(q_k: Array, omega: Array, c_mid: CoefficientSet, h: float, carried: Array) -> Array:
+    """Exact 3x3 derivative of residual_mid in omega.
 
-    The incoming terms of the trial midpoint velocities (xdot, omega) after
-    the step-point orientation q_k, minus carried: the outgoing terms of the
-    previous midpoint (StepResult.history) plus the step impulse. step_mid
-    solves this residual for zero (through _mid_eval).
+    E = Exp(phi), phi = (h/2) omega, so d(E^T u)/d omega = (h/2) (E^T u)^ J_r(phi)
+    with J_r the SO(3) right Jacobian. With X = Mxx^-1 ((h/2) g1^ J_r - Mxw):
+    Mwx X + Mww + (h/2)(xdot^ (h/2) g1^ J_r - g1^ X) - (h/2) (E^T u_w)^ J_r.
     """
-    return _mid_eval(q_k, np.concatenate((xdot, omega)), c_mid, h, carried)[0]
-
-
-def _right_jacobian(phi: Array) -> Array:
-    """SO(3) right Jacobian J_r: Exp(phi + d) = Exp(phi) Exp(J_r(phi) d) to first order in d.
-
-    J_r = I - a phi^ + b phi^ phi^ = (1 - b t^2) I - a phi^ + b phi phi^T, t = |phi|.
-    """
-    x, y, z = phi.tolist()
-    t2 = x * x + y * y + z * z
-    t = math.sqrt(t2)
-    if t < SMALL_ANGLE:
-        a, b = 0.5, 1.0 / 6.0
-    else:
-        s = math.sin(0.5 * t) / t
-        a = 2.0 * s * s  # (1 - cos t) / t^2 without cancellation
-        b = (t - math.sin(t)) / (t2 * t)  # its cancellation is O(eps) in b t^2
-    d, bx, by, bz = 1.0 - b * t2, b * x, b * y, b * z
-    return np.array([
-        [d + bx * x, bx * y + a * z, bx * z - a * y],
-        [by * x - a * z, d + by * y, by * z + a * x],
-        [bz * x + a * y, bz * y - a * x, d + bz * z],
-    ])
-
-
-def _mid_jacobian(v: Array, c_mid: CoefficientSet, h: float, terms: _MidTerms) -> Array:
-    """jacobian_mid from the terms of _mid_eval at v."""
-    hh = 0.5 * h
-    m = c_mid.mass_matrix()
-    s1 = skew(terms.g[:3])
-    d = m.copy()
-    d[3:] += hh * (skew(v[:3]) @ m[:3])
-    d[3:, :3] -= hh * s1
-    d[:, 3:] -= hh * (np.concatenate((s1, skew(terms.w2))) @ _right_jacobian(hh * v[3:]))
-    return (terms.r_t @ d.reshape(2, 3, 6)).reshape(6, 6)
-
-
-def jacobian_mid(
-    q_k: Array, xdot: Array, omega: Array, c_mid: CoefficientSet, h: float, carried: Array
-) -> Array:
-    """Exact 6x6 derivative of residual_mid in v = (xdot, omega); carried drops out.
-
-    The midpoint rotation R_t = R(q_k (x) exp((h/4) omega)) is R(q_k) Exp(phi)
-    with rotation vector phi = (h/2) omega, whose derivative brings in the
-    SO(3) right Jacobian J_r(phi). With g = M v + a and w2 = g2 + (h/2) xdot x g1:
-    [R_t (Mt - [0 | (h/2) g1^ J_r]) ;
-     R_t (Mb + (h/2)(xdot^ Mt - [g1^ | 0]) - [0 | (h/2) w2^ J_r])].
-    """
-    v = np.concatenate((xdot, omega))
-    return _mid_jacobian(v, c_mid, h, _mid_eval(q_k, v, c_mid, h, carried)[1])
+    k, w = _mid_setup(list(map(float, q_k)), c_mid, h, carried), tuple(map(float, omega))
+    return np.array(_mid_jacobian(k, w, _mid_eval(k, w)[1])).reshape(3, 3)
 
 
 def initial_midpoint_history(state: BodyState, c0: CoefficientSet) -> Array:
@@ -366,29 +345,25 @@ def initial_midpoint_history(state: BodyState, c0: CoefficientSet) -> Array:
     the true one, which degrades the whole run to first order.)
     """
     g = _momenta_v(np.concatenate((state.xdot_b, state.omega_b)), c0)
-    return (g.reshape(2, 3) @ _rotation_matrix(state.q).T).ravel()
+    return np.concatenate((_rotate(state.q, g[:3]), _rotate(state.q, g[3:])))
 
 
 def step_mid(
-    prev: BodyState,
-    history: Array,
-    sched: MorphingSchedule,
-    cfg: SolverConfig,
-    scale: float = 1.0,
+    prev: BodyState, history: Array, sched: MorphingSchedule, cfg: SolverConfig, scale: float = 1.0
 ) -> StepResult:
     """Advance one midpoint step from prev and the history of the previous one.
 
-    Solves for the midpoint velocities, then updates orientation and position
-    with the midpoint rule. The velocities of prev are the previous midpoint's
-    (the initial state's for the first step): they warm-start the solve and
-    probe the force. The returned state carries the fresh midpoint velocities
-    (the record applies the averaged step-point reconstruction).
-    Reversal negates the state velocities and the history.
+    Solves for the midpoint rate (the midpoint velocity follows in closed
+    form), then updates orientation and position with the midpoint rule. The
+    velocities of prev are the previous midpoint's (the initial state's for
+    the first step): they warm-start the solve and probe the force. The
+    returned state carries the fresh midpoint velocities. Reversal negates
+    the state velocities and the history.
     """
     h = cfg.h
     t_mid = prev.t + 0.5 * h
     c_mid = sched.coefficients(t_mid)
-    q_k = prev.q
+    q_k = prev.q.tolist()
     carried = history
     if not sched.force_free:
         q_pred = normalize(quat_mul(q_k, exp_map((0.25 * h) * prev.omega_b)))
@@ -397,24 +372,23 @@ def step_mid(
         f_earth, tau_body = sched.force(probe, t_mid)
         carried = carried + h * np.concatenate((f_earth, tau_body))  # step impulse
 
-    guess = np.concatenate((prev.xdot_b, prev.omega_b))
+    k = _mid_setup(q_k, c_mid, h, carried)
     sol = newton_solve(
-        lambda v: _mid_eval(q_k, v, c_mid, h, carried),
-        lambda v, terms: _mid_jacobian(v, c_mid, h, terms),
-        guess,
+        lambda w: _mid_eval(k, w),
+        lambda w, terms: _mid_jacobian(k, w, terms),
+        prev.omega_b.tolist(),
         cfg,
         tol_abs=cfg.residual_tol * scale,
     )
-    xd, om, q_t = sol.x[:3], sol.x[3:], sol.terms.q_t
-    q_next = quat_mul(q_k, exp_map((0.5 * h) * om))
-    if float(q_next @ q_k) < 0.0:
-        q_next = -q_next
-    q_next = normalize(q_next)
-    x_next = prev.x_e + h * (sol.terms.r_t @ xd)
-    state = BodyState(prev.t + h, q_next, x_next, xd, om)
-    return StepResult(
-        state, sol.iterations, sol.residual_norm, sol.converged, (q_t, xd, om), c_mid, carried, sol.terms.rhs
-    )
+    (e, g1, xd, _), om = sol.terms, sol.x
+    q_t = _mul_f(q_k, e)
+    m = _rotate_f(q_t, _cx(xd, g1))  # outgoing = incoming - h R_t (xdot x g1)
+    c = carried.tolist()
+    history = np.array((*c[:3], c[3] - h * m[0], c[4] - h * m[1], c[5] - h * m[2]))
+    x_next = prev.x_e + h * np.array(_rotate_f(q_t, xd))
+    state = BodyState(prev.t + h, _advance(q_k, om, h), x_next, xd, om)
+    point = (np.array(q_t), state.xdot_b, state.omega_b)
+    return StepResult(state, sol.iterations, sol.residual_norm, sol.converged, point, c_mid, carried, history)
 
 
 # explicit RK4 baseline on the momentum form
@@ -469,7 +443,7 @@ def step_rk_baseline(
 def momentum_scale(state: BodyState, c: CoefficientSet, h: float) -> float:
     """Absolute scale for Newton tolerances: initial canonical momentum norm, floored at 1."""
     p_x, p_w = _canonical_momenta_v(state.q, np.concatenate((state.xdot_b, state.omega_b)), c, h)
-    return max(1.0, float(np.sqrt(p_x @ p_x + p_w @ p_w)))
+    return max(1.0, math.hypot(*p_x.tolist(), *p_w.tolist()))
 
 
 def _midpoint_step_velocities(v: Array) -> Array:
@@ -504,8 +478,9 @@ def integrate(
     does not accumulate over the run. Every accepted state is recorded. A
     step that fails (Newton does not converge, the Jacobian is singular, or
     the state goes non-finite) truncates the record, flags it and names the
-    cause in stop_reason. Physical momentum columns are filled when
-    rigid_params is given (single-rigid-body models only).
+    cause in stop_reason; so does an initial state whose energy or momentum
+    is non-finite, with a one-row record. Physical momentum columns are
+    filled when rigid_params is given (single-rigid-body models only).
 
     For the midpoint method the conserved-quantity columns are evaluated at
     the midpoint quadrature states (row 0 repeats the first midpoint); the
@@ -519,9 +494,8 @@ def integrate(
     n_steps = max(1, int(round((t_end - initial.t) / h)))
     times = initial.t + h * np.arange(n_steps + 1)
     c0 = sched.coefficients(initial.t)
-    scale = momentum_scale(initial, c0, h)
     take_step = {
-        "left": lambda r: step_left(r.state, r.coeffs, sched, cfg, scale),
+        "left": lambda r: step_left(r.state, r.history, sched, cfg, scale),
         "mid": lambda r: step_mid(r.state, r.history, sched, cfg, scale),
         "rk": lambda r: step_rk_baseline(r.state, r.coeffs, sched, h),
     }[method]
@@ -537,18 +511,23 @@ def integrate(
             parts += _physical_momenta_v(q, xdot, omega, rigid_params, i_com)
         return np.concatenate(parts)
 
-    # the initial state enters as a zero-iteration step
-    point0 = (initial.q, initial.xdot_b, initial.omega_b)
-    history0 = initial_midpoint_history(initial, c0)
-    steps = [StepResult(initial, 0, 0.0, True, point0, c0, None, history0)]
+    # the initial state enters as a zero-iteration step; of the steps only the last is kept whole
+    left_seed = np.concatenate(canonical_momenta(initial, c0, -h))  # left's outgoing momentum: canonical at step -h
+    history0 = left_seed if method == "left" else initial_midpoint_history(initial, c0)
+    last = StepResult(initial, 0, 0.0, True, (initial.q, initial.xdot_b, initial.omega_b), c0, None, history0)
+    states, iterations = [initial], [0]
     stop_reason = ""
     # a diverging run surfaces as a non-finite state or conserved-quantity row,
-    # reported once as its stop reason
+    # reported once as its stop reason; row 0 is held to the same rule
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = [conserved(steps[0])]
+        scale = momentum_scale(initial, c0, h)
+        rows = [conserved(last)]
+        if not np.isfinite(rows[0]).all():
+            stop_reason = "diverged: non-finite initial energy or momentum"
+            times = times[:1]
         for t_k in times[1:].tolist():
             try:
-                res = take_step(steps[-1])
+                res = take_step(last)
             except (SingularJacobianError, ValueError) as exc:
                 stop_reason = str(exc)
                 break
@@ -561,20 +540,21 @@ def integrate(
                 break
             # the stepper reached prev.t + h; its fresh state moves onto the grid
             object.__setattr__(res.state, "t", t_k)
-            steps.append(res)
+            last = res
+            states.append(res.state)
+            iterations.append(res.iterations)
             rows.append(row)
 
-    states = [r.state for r in steps]
     xd_arr = np.array([s.xdot_b for s in states])
     om_arr = np.array([s.omega_b for s in states])
     diag = np.array(rows)
-    if method == "mid" and len(steps) > 1:
+    if method == "mid" and len(states) > 1:
         xd_arr = _midpoint_step_velocities(xd_arr)
         om_arr = _midpoint_step_velocities(om_arr)
         diag[0] = diag[1]
 
     return TrajectoryRecord(
-        t=times[: len(steps)],
+        t=times[: len(states)],
         q=np.array([s.q for s in states]),
         x_e=np.array([s.x_e for s in states]),
         xdot_b=xd_arr,
@@ -584,7 +564,7 @@ def integrate(
         p_w=diag[:, 4:7],
         P_x=None if i_com is None else diag[:, 7:10],
         P_w=None if i_com is None else diag[:, 10:13],
-        newton_iters=np.array([r.iterations for r in steps], dtype=int),
+        newton_iters=np.array(iterations, dtype=int),
         method=method,
         h=h,
         scenario=sched.name,

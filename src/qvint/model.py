@@ -42,15 +42,42 @@ _SYM_TOL = 1e-12
 
 def skew(v: Array) -> Array:
     """Cross-product matrix: skew(v) @ w == v x w."""
-    x, y, z = np.asarray(v, dtype=float).tolist()
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    return np.array(_skew(np.asarray(v, dtype=float).tolist())).reshape(3, 3)
+
+
+# kernels on sequences of Python floats: 3-vectors, and 3x3 matrices as row-major 9-sequences
+
+
+def _mv(m, v) -> tuple[float, float, float]:
+    m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
+    x, y, z = v
+    return (m0 * x + m1 * y + m2 * z, m3 * x + m4 * y + m5 * z, m6 * x + m7 * y + m8 * z)
+
+
+def _mm(a, b) -> tuple[float, ...]:
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+    return (
+        a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7, a0 * b2 + a1 * b5 + a2 * b8,
+        a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8,
+        a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8,
+    )  # fmt: skip
+
+
+def _cx(a, b) -> tuple[float, float, float]:
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
+def _skew(v) -> tuple[float, ...]:
+    x, y, z = v
+    return (0.0, -z, y, z, 0.0, -x, -y, x, 0.0)
 
 
 def _cross(a: Array, b: Array) -> Array:
-    """Hand-rolled 3-vector cross product (np.cross is slow on (3,) inputs), on Python floats."""
-    a0, a1, a2 = a.tolist()
-    b0, b1, b2 = b.tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    """Hand-rolled 3-vector cross product (np.cross is slow on (3,) inputs)."""
+    return np.array(_cx(a.tolist(), b.tolist()))
 
 
 def _as_matrix(m, name: str) -> Array:
@@ -121,6 +148,25 @@ class CoefficientSet:
             a.flags.writeable = False
             object.__setattr__(self, "_offset", a)
         return a
+
+    def elimination_blocks(self) -> tuple:
+        """Cached Python-float blocks that eliminate xdot from the momenta g = M v + a.
+
+        With M = [[Mxx, Mxw], [Mwx, Mww]]: row-major Mxx^-1, X = -Mxx^-1 Mxw, the Schur
+        complement S = Mww + Mwx X, P = Mwx Mxx^-1, then a_x and a_w, so that
+        xdot = Mxx^-1 (g1 - a_x) + X omega and g2 = P (g1 - a_x) + S omega + a_w.
+        """
+        b = self.__dict__.get("_elim")
+        if b is None:
+            m = self.mass_matrix()
+            mi = np.linalg.inv(m[:3, :3])  # LinAlgError, a ValueError, when singular
+            x = -mi @ m[:3, 3:]
+            b = [mi, x, m[3:, 3:] + m[3:, :3] @ x, m[3:, :3] @ mi, self.a_x, self.a_w]
+            if not np.isfinite(np.concatenate([a.ravel() for a in b])).all():
+                raise ValueError("non-finite coefficients")
+            b = tuple([tuple(a.ravel().tolist()) for a in b])
+            object.__setattr__(self, "_elim", b)
+        return b
 
     def velocity_inverse(self) -> Array:
         """Cached inverse of the mass matrix, for momentum-to-velocity recovery."""

@@ -8,10 +8,13 @@ Conventions used throughout the package:
 * exp_map(t) = (cos|t|, sin|t| * t/|t|), so the 1/2 of a half-angle rotation
   lives in the caller's argument, not in the map
 
-All functions take and return float64 arrays and never mutate their inputs.
+Public functions take and return float64 arrays and never mutate their inputs;
+the private _*_f kernels return tuples of Python floats, for scalar hot paths.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -29,18 +32,21 @@ def identity_quat() -> Array:
     return np.array([1.0, 0.0, 0.0, 0.0])
 
 
-def quat_mul(a: Array, b: Array) -> Array:
-    """Hamilton product a (x) b, both shape (4,)."""
+def _mul_f(a, b) -> tuple[float, float, float, float]:
+    """Hamilton product a (x) b of two 4-sequences, evaluated on their scalars."""
     aw, ax, ay, az = a
     bw, bx, by, bz = b
-    return np.array(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ]
+    return (
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
     )
+
+
+def quat_mul(a: Array, b: Array) -> Array:
+    """Hamilton product a (x) b, both shape (4,)."""
+    return np.array(_mul_f(a, b))
 
 
 def conj(q: Array) -> Array:
@@ -62,24 +68,32 @@ def _check_unit(q: Array, where: str) -> None:
         raise ValueError(f"{where}: quaternion norm {n!r} is not 1 within {UNIT_TOL}")
 
 
+def _exp_f(theta) -> tuple[float, float, float, float]:
+    """exp_map on a 3-sequence of Python floats; an overflowed or NaN angle gives NaNs, not an exception."""
+    x, y, z = theta
+    t2 = x * x + y * y + z * z
+    t = math.sqrt(t2)
+    if t < SMALL_ANGLE:
+        w = 1.0 - 0.5 * t2
+        s = 1.0 - t2 / 6.0
+    elif t < math.inf:
+        w = math.cos(t)
+        s = math.sin(t) / t
+    else:
+        w = s = math.nan
+    return (w, s * x, s * y, s * z)
+
+
 def exp_map(theta: Array) -> Array:
     """Exponential map of a rotation vector, shape (3,) -> unit quaternion.
 
     exp_map(theta) = (cos|theta|, sin|theta| * theta/|theta|). Series below
     SMALL_ANGLE avoids 0/0 at the origin.
     """
-    t2 = float(theta @ theta)
-    t = np.sqrt(t2)
-    if t < SMALL_ANGLE:
-        w = 1.0 - 0.5 * t2
-        s = 1.0 - t2 / 6.0
-    else:
-        w = np.cos(t)
-        s = np.sin(t) / t
-    return np.array([w, s * theta[0], s * theta[1], s * theta[2]])
+    return np.array(_exp_f(theta.tolist()))
 
 
-def _rotate(q: Array, v: Array) -> Array:
+def _rotate_f(q, v) -> tuple[float, float, float]:
     """Unchecked q (x) v (x) q* for unit q, expanded to avoid two full products."""
     w, x, y, z = q
     vx, vy, vz = v
@@ -88,25 +102,39 @@ def _rotate(q: Array, v: Array) -> Array:
     ty = 2.0 * (z * vx - x * vz)
     tz = 2.0 * (x * vy - y * vx)
     # v' = v + w t + q_vec x t
-    return np.array(
-        [
-            vx + w * tx + y * tz - z * ty,
-            vy + w * ty + z * tx - x * tz,
-            vz + w * tz + x * ty - y * tx,
-        ]
+    return (
+        vx + w * tx + y * tz - z * ty,
+        vy + w * ty + z * tx - x * tz,
+        vz + w * tz + x * ty - y * tx,
     )
 
 
-def _rotation_matrix(q: Array) -> Array:
-    """Matrix of _rotate(q, .) for unit q: the body-to-earth rotation matrix."""
-    w, x, y, z = q.tolist()
-    return np.array(
-        [
-            [1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)],
-            [2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x)],
-            [2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)],
-        ]
-    )
+def _rotate(q: Array, v: Array) -> Array:
+    return np.array(_rotate_f(q, v))
+
+
+def _right_jacobian(phi: tuple[float, float, float]) -> tuple[float, ...]:
+    """SO(3) right Jacobian J_r: Exp(phi + d) = Exp(phi) Exp(J_r(phi) d) to first order in d.
+
+    J_r = I - a phi^ + b phi^ phi^ = (1 - b t^2) I - a phi^ + b phi phi^T, t = |phi|.
+    """
+    x, y, z = phi
+    t2 = x * x + y * y + z * z
+    t = math.sqrt(t2)
+    if t < SMALL_ANGLE:
+        a, b = 0.5, 1.0 / 6.0
+    elif t < math.inf:
+        s = math.sin(0.5 * t) / t
+        a = 2.0 * s * s  # (1 - cos t) / t^2 without cancellation
+        b = (t - math.sin(t)) / (t2 * t)  # its cancellation is O(eps) in b t^2
+    else:
+        a = b = math.nan
+    d, bx, by, bz = 1.0 - b * t2, b * x, b * y, b * z
+    return (
+        d + bx * x, bx * y + a * z, bx * z - a * y,
+        by * x - a * z, d + by * y, by * z + a * x,
+        bz * x + a * y, bz * y - a * x, d + bz * z,
+    )  # fmt: skip
 
 
 def rotate_to_earth(q: Array, v_body: Array) -> Array:

@@ -245,6 +245,19 @@ def test_huge_but_finite_blow_up_is_warning_free(tmp_path, capsys, scenario, h):
     assert np.isfinite(np.loadtxt(errs, delimiter=",", skiprows=1)).all()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", ["left", "mid", "rk"])
+def test_non_finite_initial_energy_exits_three_without_nan(tmp_path, capsys, method):
+    # a valid config whose initial energy overflows: the run stops at t = 0
+    # with exit code 3 and says why; the undefined e_T prints as n/a
+    cfg = parse_config(f"method = {method}\nomega0_x = 1e200\nt_end = 0.1\nout_dir = {tmp_path}")
+    assert run(cfg) == 3
+    captured = capsys.readouterr()
+    assert "(diverged: non-finite initial energy or momentum)" in captured.err
+    assert "steps accepted: 0 (truncated)" in captured.out
+    assert "nan" not in captured.out and "e_T=n/a" in captured.out
+
+
 def test_singular_jacobian_truncates_with_partial_output(tmp_path, capsys, monkeypatch):
     solve = integrators.newton_solve
     calls = []
