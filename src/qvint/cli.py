@@ -235,7 +235,7 @@ def read_trajectory_csv(path: Path) -> dict[str, Array]:
 
 
 def _execute(cfg: RunConfig, tag: str = ""):
-    """Run one config, write its CSVs, return (record, report, wall, label, code)."""
+    """Run one config, write its CSVs, return (record, report, wall, code)."""
     initial, sched, scfg, rp = build_scenario(cfg)
     start = time.perf_counter()
     rec = integrate(initial, sched, scfg, cfg.method, cfg.t_end, rigid_params=rp)
@@ -250,7 +250,7 @@ def _execute(cfg: RunConfig, tag: str = ""):
         write_error_csv(rec, errs)
     except OSError as exc:
         print(f"output failed: {exc}", file=sys.stderr)
-        return None, None, 0.0, "", 4
+        return None, None, 0.0, 4
     report = summarize(rec)
     print(f"wrote: {traj} {errs}")
     if rec.truncated:
@@ -259,8 +259,7 @@ def _execute(cfg: RunConfig, tag: str = ""):
             f"({rec.stop_reason}); partial output written",
             file=sys.stderr,
         )
-        return rec, report, wall, stem, 3
-    return rec, report, wall, stem, 0
+    return rec, report, wall, 3 if rec.truncated else 0
 
 
 def _error_strings(rec: TrajectoryRecord, report) -> tuple[str, str, str]:
@@ -279,7 +278,7 @@ def _error_strings(rec: TrajectoryRecord, report) -> tuple[str, str, str]:
 
 def run(cfg: RunConfig) -> int:
     """Execute one config and print a one-screen summary."""
-    rec, report, wall, _, code = _execute(cfg)
+    rec, report, wall, code = _execute(cfg)
     if rec is None:
         return code
     ex, ew, et = _error_strings(rec, report)
@@ -308,7 +307,7 @@ def compare(cfgs: list[RunConfig]) -> int:
         raise ConfigError("compare requires all configs to share a scenario")
     rows = []
     for i, cfg in enumerate(cfgs, start=1):
-        rec, report, wall, _, code = _execute(cfg, tag=str(i))
+        rec, report, wall, code = _execute(cfg, tag=str(i))
         if code != 0:
             return code
         _, ew_series = momentum_errors(rec, running=True)

@@ -129,16 +129,14 @@ def energy_error(rec: TrajectoryRecord, running: bool = True) -> Array:
     return running_max(e) if running else e
 
 
-def drift_slope(t: Array, series: Array, window_frac: float = 0.5) -> float:
-    """Least-squares slope of a series over its trailing window (default last half)."""
+def drift_slope(t: Array, series: Array) -> float:
+    """Least-squares slope of a series over its last half (at least two samples; 0 for one)."""
     t = np.asarray(t, dtype=float)
-    series = np.asarray(series, dtype=float)
     n = t.shape[0]
-    start = int(np.floor(n * (1.0 - window_frac)))
-    start = min(max(start, 0), n - 2) if n >= 2 else 0
     if n < 2:
         return 0.0
-    return float(np.polyfit(t[start:], series[start:], 1)[0])
+    start = min(n // 2, n - 2)
+    return float(np.polyfit(t[start:], np.asarray(series, dtype=float)[start:], 1)[0])
 
 
 @dataclass

@@ -512,8 +512,10 @@ def integrate(
         return np.concatenate(parts)
 
     # the initial state enters as a zero-iteration step; of the steps only the last is kept whole
-    left_seed = np.concatenate(canonical_momenta(initial, c0, -h))  # left's outgoing momentum: canonical at step -h
-    history0 = left_seed if method == "left" else initial_midpoint_history(initial, c0)
+    if method == "left":  # left's outgoing momentum: canonical at step -h
+        history0 = np.concatenate(canonical_momenta(initial, c0, -h))
+    else:
+        history0 = initial_midpoint_history(initial, c0)
     last = StepResult(initial, 0, 0.0, True, (initial.q, initial.xdot_b, initial.omega_b), c0, None, history0)
     states, iterations = [initial], [0]
     stop_reason = ""

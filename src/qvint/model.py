@@ -34,7 +34,7 @@ WING_LENGTH = 0.8
 #: mass of each synthetic wing point mass [kg]
 WING_MASS = 0.5
 
-#: default linear rotational damping coefficient for the morphing preset
+#: linear rotational damping coefficient of the damped morphing preset
 DAMPING_BETA = 0.05
 
 _SYM_TOL = 1e-12
@@ -285,15 +285,6 @@ def _physical_momenta_v(
     return rp.m * _rotate(q, xdot + _cross(omega, rp.c)), _rotate(q, i_com @ omega)
 
 
-def physical_momenta(s: BodyState, rp: RigidParams) -> tuple[Array, Array]:
-    """Physical momenta of a rigid body: (P_x earth axes, P_w earth axes).
-
-    P_x = m v_com on earth axes; P_w is the angular momentum about the center
-    of mass, excluding the orbital contribution of the reference point.
-    """
-    return _physical_momenta_v(s.q, s.xdot_b, s.omega_b, rp, rp.com_inertia())
-
-
 def rigid_coefficients(rp: RigidParams) -> CoefficientSet:
     """Energy coefficients of a single rigid body about its reference point."""
     return CoefficientSet(
@@ -303,53 +294,16 @@ def rigid_coefficients(rp: RigidParams) -> CoefficientSet:
     )
 
 
-def identify_rigid_params(c: CoefficientSet, tol: float = 1e-9) -> RigidParams:
-    """Invert rigid_coefficients; rejects sets that are not a single rigid body."""
-    m = 2.0 * float(np.trace(c.a_xx)) / 3.0
-    scale = 1.0 + float(np.linalg.norm(c.A_xw))
-    if np.linalg.norm(c.a_xx - 0.5 * m * np.eye(3)) > tol * (1.0 + abs(m)):
-        raise ValueError("a_xx is not a scalar multiple of the identity")
-    com = (
-        np.array(
-            [
-                c.A_xw[1, 2] - c.A_xw[2, 1],
-                c.A_xw[2, 0] - c.A_xw[0, 2],
-                c.A_xw[0, 1] - c.A_xw[1, 0],
-            ]
-        )
-        / (2.0 * m)
-    )
-    if np.linalg.norm(c.A_xw - m * skew(com).T) > tol * scale:
-        raise ValueError("A_xw is not m skew(c)^T for any offset c")
-    if np.linalg.norm(c.a_x) > tol * scale or np.linalg.norm(c.a_w) > tol * scale:
-        raise ValueError("rigid bodies have vanishing a_x and a_w")
-    return RigidParams(m=m, c=com, I_ref=2.0 * c.A_ww)
-
-
 def preset_free_body() -> tuple[CoefficientSet, RigidParams]:
     """Rigid biomimetic-aircraft fixture used by the free-body scenario.
 
-    The rigid parameters are recovered from the coefficient table by the
-    identification above (m = 8 kg, c = (0.79375, 0, 0.005) m) and satisfy
-    m skew(c)^T = A_xw exactly.
+    m = 8 kg, c = (0.79375, 0, 0.005) m and I_ref = 2 A_ww, so
+    rigid_coefficients gives a_xx = 4 I and A_xw = m skew(c)^T, whose nonzero
+    entries are +-0.04 and +-6.35.
     """
-    a_xx = 4.0 * np.eye(3)
-    A_xw = np.array(
-        [
-            [0.0, 0.0400, 0.0],
-            [-0.0400, 0.0, 6.350],
-            [0.0, -6.350, 0.0],
-        ]
-    )
-    A_ww = np.array(
-        [
-            [0.2342, 0.0, -6.4761e-5],
-            [0.0, 3.0539, 0.0],
-            [-6.4761e-5, 0.0, 3.2699],
-        ]
-    )
-    cset = CoefficientSet(a_xx=a_xx, A_xw=A_xw, A_ww=A_ww)
-    return cset, identify_rigid_params(cset)
+    A_ww = np.array([[0.2342, 0.0, -6.4761e-5], [0.0, 3.0539, 0.0], [-6.4761e-5, 0.0, 3.2699]])
+    rp = RigidParams(m=8.0, c=(0.79375, 0.0, 0.005), I_ref=2.0 * A_ww)
+    return rigid_coefficients(rp), rp
 
 
 ForceFn = Callable[[BodyState, float], tuple[Array, Array]]
@@ -425,13 +379,13 @@ def wing_motion(t: float) -> tuple[Array, Array, Array, Array]:
     return r_p, rdot_p, r_m, rdot_m
 
 
-def preset_morphing(damping: bool = False, beta: float = DAMPING_BETA) -> MorphingSchedule:
+def preset_morphing(damping: bool = False) -> MorphingSchedule:
     """Synthetic morphing-wing model: rigid fuselage plus two moving point masses.
 
     The fuselage reuses the free-body fixture; each wing is a point mass of
     WING_MASS at the wing_motion positions. With damping enabled the force
-    callback applies the body torque -beta omega, standing in for aerodynamic
-    dissipation; otherwise the schedule is force free.
+    callback applies the body torque -DAMPING_BETA omega, standing in for
+    aerodynamic dissipation; otherwise the schedule is force free.
     """
     fuselage, _ = preset_free_body()
 
@@ -444,7 +398,7 @@ def preset_morphing(damping: bool = False, beta: float = DAMPING_BETA) -> Morphi
         )
 
     def damped(s: BodyState, t: float) -> tuple[Array, Array]:
-        return np.zeros(3), -beta * s.omega_b
+        return np.zeros(3), -DAMPING_BETA * s.omega_b
 
     return MorphingSchedule(
         name="morphing",

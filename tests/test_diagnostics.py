@@ -161,8 +161,11 @@ def test_drift_slope_recovers_linear_trend():
     t = np.linspace(0.0, 10.0, 201)
     assert drift_slope(t, 1.0 + 0.3 * t) == pytest.approx(0.3, rel=1e-9)
     flat_then_ramp = np.where(t < 5.0, 1.0, 1.0 + 0.5 * (t - 5.0))
-    assert drift_slope(t, flat_then_ramp, window_frac=0.5) == pytest.approx(0.5, rel=1e-6)
+    assert drift_slope(t, flat_then_ramp) == pytest.approx(0.5, rel=1e-6)  # the last half only
     assert drift_slope(t[:1], np.ones(1)) == 0.0
+    # the window keeps at least two samples: both of two, the last two of three
+    assert drift_slope(np.array([0.0, 2.0]), np.array([1.0, 2.0])) == pytest.approx(0.5, rel=1e-12)
+    assert drift_slope(np.array([0.0, 1.0, 2.0]), np.array([5.0, 0.0, 3.0])) == pytest.approx(3.0, rel=1e-12)
 
 
 def test_pitch_213_closed_forms():

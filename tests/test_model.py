@@ -8,14 +8,15 @@ from qvint import (
     BodyState,
     CoefficientSet,
     RigidParams,
+    SolverConfig,
     canonical_momenta,
+    constant_schedule,
     energy_grad_omega,
     energy_grad_xdot,
     exp_map,
-    identify_rigid_params,
     identity_quat,
+    integrate,
     kinetic_energy,
-    physical_momenta,
     point_mass_coefficients,
     preset_free_body,
     preset_morphing,
@@ -29,6 +30,10 @@ from qvint import (
 RNG = np.random.default_rng(905)
 
 CSET, RP = preset_free_body()
+
+#: the documented free-body coefficient table
+TABLE_A_XW = np.array([[0.0, 0.0400, 0.0], [-0.0400, 0.0, 6.350], [0.0, -6.350, 0.0]])
+TABLE_A_WW = np.array([[0.2342, 0.0, -6.4761e-5], [0.0, 3.0539, 0.0], [-6.4761e-5, 0.0, 3.2699]])
 
 
 def random_state(rng, t=0.0):
@@ -180,6 +185,13 @@ def test_canonical_px_isometry_and_frame_consistency():
         assert_allclose(p_x_rot, rotate_to_earth(r, p_x), atol=1e-12 * (1 + np.linalg.norm(p_x)))
 
 
+def physical_momenta(s, rp):
+    """(P_x, P_w) of s: row 0 of a one-step record of the rigid body rp."""
+    sched = constant_schedule(rigid_coefficients(rp))
+    rec = integrate(s, sched, SolverConfig(h=0.01), "rk", s.t + 0.01, rigid_params=rp)
+    return rec.P_x[0], rec.P_w[0]
+
+
 def test_physical_momenta_closed_forms():
     s = random_state(RNG)
     no_spin = BodyState(s.t, s.q, s.x_e, s.xdot_b, np.zeros(3))
@@ -194,12 +206,11 @@ def test_physical_momenta_closed_forms():
 
 
 def test_rigid_coefficients_identification():
-    # solving m skew(c)^T = A_xw for the fixture gives m = 8, c = (0.79375, 0, 0.005)
-    rp = identify_rigid_params(CSET)
-    assert_allclose(rp.m, 8.0, rtol=1e-12)
-    assert_allclose(rp.c, [0.79375, 0.0, 0.005], atol=1e-12)
-    assert_allclose(rp.I_ref, 2.0 * CSET.A_ww, atol=0.0)
-    rebuilt = rigid_coefficients(rp)
+    # the fixture's mass properties m = 8, c = (0.79375, 0, 0.005) give m skew(c)^T = A_xw
+    assert_allclose(RP.m, 8.0, rtol=1e-12)
+    assert_allclose(RP.c, [0.79375, 0.0, 0.005], atol=1e-12)
+    assert_allclose(RP.I_ref, 2.0 * CSET.A_ww, atol=0.0)
+    rebuilt = rigid_coefficients(RP)
     assert_allclose(rebuilt.a_xx, CSET.a_xx, atol=1e-12)
     assert_allclose(rebuilt.A_xw, CSET.A_xw, atol=1e-12)
     assert rebuilt.A_xw[0, 1] == pytest.approx(0.0400, abs=1e-15)
@@ -217,27 +228,19 @@ def test_rigid_coefficients_decoupled_and_round_trip():
         assert_allclose(d1, rp.m * (s.xdot_b + np.cross(s.omega_b, rp.c)), rtol=1e-12, atol=1e-12)
 
 
-def test_identify_rigid_params_rejections():
-    with pytest.raises(ValueError):
-        identify_rigid_params(CoefficientSet(a_xx=np.diag([1.0, 2.0, 3.0]), A_xw=0.0, A_ww=1.0))
-    bad_coupling = CoefficientSet(a_xx=4.0, A_xw=np.eye(3), A_ww=1.0)  # symmetric part breaks skew form
-    with pytest.raises(ValueError):
-        identify_rigid_params(bad_coupling)
-    with pytest.raises(ValueError):
-        identify_rigid_params(CoefficientSet(a_xx=4.0, A_xw=0.0, A_ww=1.0, a_x=(1.0, 0, 0)))
-
-
 def test_preset_free_body_table():
+    # built forward from the mass properties, the coefficients equal the table exactly
+    # (A_xw[0, 2] is -0.0, which == compares equal to the table's 0.0)
     c, rp = preset_free_body()
-    assert_allclose(c.a_xx, 4.0 * np.eye(3), atol=0.0)
-    assert c.A_ww[0, 0] == 0.2342
-    assert c.A_ww[0, 2] == -6.4761e-5
-    assert c.A_ww[2, 0] == -6.4761e-5
-    assert_allclose(c.a_x, np.zeros(3), atol=0.0)
-    assert_allclose(c.a_w, np.zeros(3), atol=0.0)
+    assert np.array_equal(c.a_xx, 4.0 * np.eye(3))
+    assert np.array_equal(c.A_xw, TABLE_A_XW)
+    assert np.array_equal(c.A_ww, TABLE_A_WW)
+    assert np.array_equal(c.a_x, np.zeros(3)) and np.array_equal(c.a_w, np.zeros(3))
     assert c.a_0 == 0.0
     assert np.linalg.eigvalsh(c.mass_matrix()).min() > 0.0
-    assert rp.m == pytest.approx(8.0)
+    assert rp.m == 8.0
+    assert np.array_equal(rp.c, [0.79375, 0.0, 0.005])
+    assert np.array_equal(rp.I_ref, 2.0 * TABLE_A_WW)
 
 
 def test_point_mass_energy_brute_force():
