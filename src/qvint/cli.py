@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import TrajectoryRecord, energy_error, momentum_errors, net_pitch, summarize
-from .integrators import _METHODS, SolverConfig, integrate
+from .integrators import _METHODS, SolverConfig, _step_count, integrate
 from .model import BodyState, constant_schedule, preset_free_body, preset_morphing
 
 Array = np.ndarray
@@ -155,6 +155,10 @@ def parse_config(text: str) -> RunConfig:
         vals[key] = parsed
         lines[key] = ln
 
+    try:  # build_scenario starts every run at t = 0
+        _step_count(0.0, vals["t_end"], vals["h"])
+    except ValueError as exc:
+        raise ConfigError(str(exc), max(lines.get("h", 0), lines.get("t_end", 0)) or None) from None
     q0 = _vector(vals, "q0")
     norm = float(np.linalg.norm(q0))
     if norm == 0.0:
@@ -262,18 +266,21 @@ def _execute(cfg: RunConfig, tag: str = ""):
     return rec, report, wall, 3 if rec.truncated else 0
 
 
+def _final_e_w(rec: TrajectoryRecord, report) -> tuple[float, str]:
+    """Final e_w and its label, which marks a torque-driven e_w as a diagnostic, not a conservation error."""
+    if report.e_w is None:
+        return float(momentum_errors(rec, running=True)[1][-1]), " (diagnostic; external moments act)"
+    return report.final_e_w, ""
+
+
 def _error_strings(rec: TrajectoryRecord, report) -> tuple[str, str, str]:
     def fmt(e: float, note: str) -> str:  # undefined against a non-finite initial value
         return f"{e:.3e}{note}" if math.isfinite(e) else "n/a"
 
+    ew, ew_note = _final_e_w(rec, report)
     ex = fmt(report.final_e_x, " (abs)" if report.e_x_absolute else "")
     et = fmt(report.final_e_T, " (abs)" if report.e_T_absolute else "")
-    if report.e_w is None:
-        _, ew_series = momentum_errors(rec, running=True)
-        ew = fmt(float(ew_series[-1]), " (diagnostic; external moments act)")
-    else:
-        ew = fmt(report.final_e_w, " (abs)" if report.e_w_absolute else "")
-    return ex, ew, et
+    return ex, fmt(ew, ew_note + (" (abs)" if report.e_w_absolute else "")), et
 
 
 def run(cfg: RunConfig) -> int:
@@ -310,21 +317,20 @@ def compare(cfgs: list[RunConfig]) -> int:
         rec, report, wall, code = _execute(cfg, tag=str(i))
         if code != 0:
             return code
-        _, ew_series = momentum_errors(rec, running=True)
-        label = f"{cfg.method} h={cfg.h:g}"
-        rows.append((label, report.final_e_x, float(ew_series[-1]), report.final_e_T))
+        ew, ew_note = _final_e_w(rec, report)  # one scenario, so one note for every row
+        rows.append((f"{cfg.method} h={cfg.h:g}", report.final_e_x, ew, report.final_e_T))
     width = max(len(r[0]) for r in rows)
     print(f"\n{'config'.ljust(width)}  {'e_x':>12}  {'e_w':>12}  {'e_T':>12}")
     for label, ex, ew, et in rows:
         print(f"{label.ljust(width)}  {ex:12.4e}  {ew:12.4e}  {et:12.4e}")
-    print()
+    print(f"e_w{ew_note}\n" if ew_note else "")
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
             la, *va = rows[i]
             lb, *vb = rows[j]
             for name, a, b in zip(("e_x", "e_w", "e_T"), va, vb):
                 ratio = a / b if b != 0.0 else float("inf")
-                print(f"{name}({la}) / {name}({lb}) = {ratio:.3g}")
+                print(f"{name}({la}) / {name}({lb}) = {ratio:.3g}" + (ew_note if name == "e_w" else ""))
     return 0
 
 

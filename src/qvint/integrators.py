@@ -461,6 +461,14 @@ def _midpoint_step_velocities(v: Array) -> Array:
     return out
 
 
+def _step_count(t0: float, t_end: float, h: float) -> int:
+    """round((t_end - t0)/h), at least 1; past 2**53 steps the times t0 + k h stop being distinct."""
+    n = (t_end - t0) / h
+    if not (math.isfinite(n) and round(n) <= 2**53):
+        raise ValueError(f"(t_end - t0)/h = {n:g} is not finite or exceeds 2**53 steps")
+    return max(1, round(n))
+
+
 def integrate(
     initial: BodyState,
     sched: MorphingSchedule,
@@ -474,9 +482,10 @@ def integrate(
     method is one of left, mid, rk. The step count is n = round((t_end - t)/h)
     (nearest integer, halves to even), at least 1, so the run ends at t + n h,
     off t_end when t_end - t is not a multiple of h; the record's last time is
-    the time reached. Step k's time is t + k h, computed from k, so rounding
-    does not accumulate over the run. Every accepted state is recorded. A
-    step that fails (Newton does not converge, the Jacobian is singular, or
+    the time reached; a count that is not finite or exceeds 2**53 raises
+    ValueError. Step k's time is t + k h, computed from k, so rounding does
+    not accumulate over the run. Every accepted state is recorded. A step
+    that fails (Newton does not converge, the Jacobian is singular, or
     the state goes non-finite) truncates the record, flags it and names the
     cause in stop_reason; so does an initial state whose energy or momentum
     is non-finite, with a one-row record. Physical momentum columns are
@@ -491,8 +500,7 @@ def integrate(
     if not t_end > initial.t:
         raise ValueError("t_end must exceed the initial time")
     h = cfg.h
-    n_steps = max(1, int(round((t_end - initial.t) / h)))
-    times = initial.t + h * np.arange(n_steps + 1)
+    n_steps = _step_count(initial.t, t_end, h)
     c0 = sched.coefficients(initial.t)
     take_step = {
         "left": lambda r: step_left(r.state, r.history, sched, cfg, scale),
@@ -526,8 +534,8 @@ def integrate(
         rows = [conserved(last)]
         if not np.isfinite(rows[0]).all():
             stop_reason = "diverged: non-finite initial energy or momentum"
-            times = times[:1]
-        for t_k in times[1:].tolist():
+            n_steps = 0
+        for k in range(1, n_steps + 1):
             try:
                 res = take_step(last)
             except (SingularJacobianError, ValueError) as exc:
@@ -541,7 +549,7 @@ def integrate(
                 stop_reason = "diverged: non-finite energy or momentum"
                 break
             # the stepper reached prev.t + h; its fresh state moves onto the grid
-            object.__setattr__(res.state, "t", t_k)
+            object.__setattr__(res.state, "t", initial.t + h * k)
             last = res
             states.append(res.state)
             iterations.append(res.iterations)
@@ -556,7 +564,7 @@ def integrate(
         diag[0] = diag[1]
 
     return TrajectoryRecord(
-        t=times[: len(states)],
+        t=initial.t + h * np.arange(len(states)),
         q=np.array([s.q for s in states]),
         x_e=np.array([s.x_e for s in states]),
         xdot_b=xd_arr,

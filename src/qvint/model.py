@@ -315,13 +315,14 @@ class MorphingSchedule:
 
     coefficients(t) returns the CoefficientSet at time t; force(s, t) returns
     (F earth axes, torque body axes). force_free marks schedules whose force
-    callback is identically zero, which lets integrators skip it.
+    callback is identically zero, which lets integrators skip it. It has no
+    default: a schedule marked force free never has its force called.
     """
 
     name: str
     coefficients: Callable[[float], CoefficientSet]
     force: ForceFn
-    force_free: bool = True
+    force_free: bool
 
 
 def _zero_force(s: BodyState, t: float) -> tuple[Array, Array]:

@@ -308,6 +308,36 @@ def test_compare_table_and_ratios(tmp_path, capsys):
     assert (tmp_path / "free_body_mid_2_trajectory.csv").is_file()
 
 
+@pytest.mark.parametrize("scenario", ["free_body", "morphing", "custom"])
+def test_compare_marks_a_torque_driven_e_w(tmp_path, capsys, scenario):
+    # the damped morphing e_w is a diagnostic, as in run; the rigid scenarios print as before
+    text = f"scenario = {scenario}\nt_end = 0.1\nout_dir = {tmp_path}\nmethod = "
+    cfgs = [parse_config(text + method) for method in ("left", "mid")]
+    assert compare(cfgs) == 0
+    lines = capsys.readouterr().out.splitlines()
+    below_table = lines[next(k for k, line in enumerate(lines) if line.startswith("config")) + 3]
+    ratios = [line for line in lines if " / " in line]
+    note = " (diagnostic; external moments act)"
+    assert len(ratios) == 3
+    if scenario == "morphing":
+        assert below_table == "e_w" + note
+        assert all(line.endswith(note) == line.startswith("e_w(") for line in ratios)
+    else:
+        assert below_table == "" and "diagnostic" not in "\n".join(lines)
+        assert all(re.fullmatch(r"(e_[xwT])\(.+\) / \1\(.+\) = \S+", line) for line in ratios)
+
+
+@pytest.mark.parametrize("t_end", ["1e300", "1"])
+def test_step_count_past_2_pow_53_is_a_config_error(tmp_path, capsys, t_end):
+    # an infinite (t_end - t0)/h, or a finite one past 2**53 steps, once ended in a traceback
+    cfg = tmp_path / "tiny_h.cfg"
+    cfg.write_text(f"h = 1e-300\nt_end = {t_end}\nout_dir = {tmp_path}")
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: line 2:" in err and "2**53" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_compare_guards():
     with pytest.raises(ConfigError):
         compare([parse_config("")])

@@ -662,6 +662,13 @@ def test_record_times_lie_on_the_exact_grid(method):
     assert np.array_equal(rec.t, start.t + CFG.h * np.arange(len(rec)))
 
 
+@pytest.mark.parametrize("t_end", [1e300, 1.0])
+def test_step_counts_past_2_pow_53_are_rejected(t_end):
+    # (t_end - t0)/h is infinite, or finite but past the count where the times t0 + k h stay distinct
+    with pytest.raises(ValueError, match=r"2\*\*53"):
+        integrate(SPIN, SCHED, SolverConfig(h=1e-300), "mid", t_end)
+
+
 def test_long_run_ends_on_the_grid():
     # summing h 5000 times would end at 49.99999999999862
     rec = integrate(SPIN, SCHED, CFG, "rk", 50.0)

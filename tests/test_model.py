@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from qvint import (
     BodyState,
     CoefficientSet,
+    MorphingSchedule,
     RigidParams,
     SolverConfig,
     canonical_momenta,
@@ -351,6 +352,12 @@ def test_morphing_damping_flag_and_force():
     f, tau = damped.force(s, 0.0)
     assert_allclose(f, np.zeros(3), atol=0.0)
     assert_allclose(tau, [-0.1, 0.0, 0.05], atol=1e-15)
+
+
+def test_morphing_schedule_requires_force_free():
+    # with a default of True, a 3-argument schedule would never have its force called
+    with pytest.raises(TypeError):
+        MorphingSchedule("damped", lambda t: CSET, lambda s, t: (np.zeros(3), -s.omega_b))
 
 
 def test_morphing_schedule_metadata():
