@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import TrajectoryRecord, energy_error, momentum_errors, net_pitch, summarize
+from .diagnostics import TrajectoryRecord, _momenta, energy_error, momentum_errors, net_pitch, summarize
 from .integrators import _METHODS, SolverConfig, _step_count, integrate
 from .model import BodyState, constant_schedule, preset_free_body, preset_morphing
 
@@ -190,52 +190,38 @@ def build_scenario(cfg: RunConfig):
     return initial, sched, scfg, rp
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _write_csv(path: Path, header: str, columns, fmt: str | list[str] = "%.17g") -> None:
+    with open(path, "w", encoding="utf-8") as fh:  # savetxt given a name opens the file twice
+        np.savetxt(fh, np.column_stack(columns), fmt=fmt, delimiter=",", header=header, comments="")
 
 
 def write_trajectory_csv(rec: TrajectoryRecord, path: Path) -> None:
     """Emit the fixed-schema trajectory CSV (physical momenta when available)."""
-    px = rec.P_x if rec.P_x is not None else rec.p_x
-    pw = rec.P_w if rec.P_w is not None else rec.p_w
-    out = [_TRAJ_HEADER]
-    for k in range(len(rec)):
-        floats = (
-            rec.t[k],
-            *rec.q[k],
-            *rec.x_e[k],
-            *rec.xdot_b[k],
-            *rec.omega_b[k],
-            rec.energy[k],
-            *px[k],
-            *pw[k],
-        )
-        out.append(",".join(_fmt(v) for v in floats) + f",{int(rec.newton_iters[k])}")
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    px, pw, _ = _momenta(rec)
+    cols = (rec.t, rec.q, rec.x_e, rec.xdot_b, rec.omega_b, rec.energy, px, pw, rec.newton_iters)
+    _write_csv(path, _TRAJ_HEADER, cols, ["%.17g"] * _TRAJ_HEADER.count(",") + ["%d"])
 
 
 def write_error_csv(rec: TrajectoryRecord, path: Path) -> None:
     """Emit instantaneous deviation series (not running maxima) for plotting."""
     e_x, e_w = momentum_errors(rec, running=False)
-    e_t = energy_error(rec, running=False)
-    out = [_ERR_HEADER]
-    for k in range(len(rec)):
-        out.append(",".join(_fmt(v) for v in (rec.t[k], e_x[k], e_w[k], e_t[k])))
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    _write_csv(path, _ERR_HEADER, (rec.t, e_x, e_w, energy_error(rec, running=False)))
 
 
 def read_trajectory_csv(path: Path) -> dict[str, Array]:
-    """Parse an emitted trajectory CSV back into column arrays."""
-    rows = [line for line in Path(path).read_text(encoding="utf-8").splitlines() if line]
-    names = rows[0].split(",")
-    cols: dict[str, list[float]] = {name: [] for name in names}
-    for row in rows[1:]:
-        for name, cell in zip(names, row.split(",")):
-            cols[name].append(float(cell))
-    out: dict[str, Array] = {}
-    for name, values in cols.items():
-        out[name] = np.array(values, dtype=int if name == "newton_iters" else float)
-    return out
+    """Parse an emitted trajectory CSV back into column arrays.
+
+    Raises ValueError unless the file has at least one data row and every row
+    has one cell per header name.
+    """
+    header, _, body = Path(path).read_text(encoding="utf-8").partition("\n")
+    names = header.split(",")
+    if not body.strip():  # loadtxt would only warn
+        raise ValueError(f"{path}: no data rows")
+    cols = np.loadtxt(body.splitlines(), delimiter=",", comments=None, ndmin=2).T
+    if len(cols) != len(names):
+        raise ValueError(f"{path}: {len(names)} header names but {len(cols)} cells per row")
+    return {name: col.astype(int if name == "newton_iters" else float) for name, col in zip(names, cols)}
 
 
 def _execute(cfg: RunConfig, tag: str = ""):
@@ -329,8 +315,8 @@ def compare(cfgs: list[RunConfig]) -> int:
             la, *va = rows[i]
             lb, *vb = rows[j]
             for name, a, b in zip(("e_x", "e_w", "e_T"), va, vb):
-                ratio = a / b if b != 0.0 else float("inf")
-                print(f"{name}({la}) / {name}({lb}) = {ratio:.3g}" + (ew_note if name == "e_w" else ""))
+                ratio = f"{a / b:.3g}" if b != 0.0 else "inf" if a != 0.0 else "n/a"  # 0/0 is undefined
+                print(f"{name}({la}) / {name}({lb}) = {ratio}" + (ew_note if name == "e_w" else ""))
     return 0
 
 

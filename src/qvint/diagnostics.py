@@ -25,6 +25,7 @@ class TrajectoryRecord:
     the scheme's midpoint quadrature states, where its discrete conservation
     law lives; velocity columns are the averaged step-point reconstruction.
     A truncated record names the step failure that ended it in stop_reason.
+    P_x and P_w (physical momenta) are given together or not at all.
     """
 
     t: Array
@@ -57,9 +58,10 @@ class TrajectoryRecord:
         self.energy = np.asarray(self.energy, dtype=float).reshape(n)
         self.p_x = np.asarray(self.p_x, dtype=float).reshape(n, 3)
         self.p_w = np.asarray(self.p_w, dtype=float).reshape(n, 3)
+        if (self.P_x is None) != (self.P_w is None):
+            raise ValueError("TrajectoryRecord needs both of P_x and P_w or neither")
         if self.P_x is not None:
             self.P_x = np.asarray(self.P_x, dtype=float).reshape(n, 3)
-        if self.P_w is not None:
             self.P_w = np.asarray(self.P_w, dtype=float).reshape(n, 3)
         self.newton_iters = np.asarray(self.newton_iters, dtype=int).reshape(n)
         if n > 1 and not np.all(np.diff(self.t) > 0.0):
@@ -102,6 +104,13 @@ def _row_norms(v: Array) -> Array:
     return np.ldexp(np.linalg.norm(np.ldexp(v, -exp2[:, None]), axis=1), exp2)
 
 
+def _momenta(rec: TrajectoryRecord) -> tuple[Array, Array, bool]:
+    """(px, pw, physical): the physical momenta when recorded, the canonical ones otherwise."""
+    if rec.P_x is not None:
+        return rec.P_x, rec.P_w, True
+    return rec.p_x, rec.p_w, False
+
+
 def momentum_errors(rec: TrajectoryRecord, running: bool = True) -> tuple[Array, Array]:
     """Translational and rotational momentum error series (e_x, e_w).
 
@@ -110,8 +119,7 @@ def momentum_errors(rec: TrajectoryRecord, running: bool = True) -> tuple[Array,
     deviations (see summarize for the flag). running=False returns the
     instantaneous deviations instead of the running max.
     """
-    px = rec.P_x if rec.P_x is not None else rec.p_x
-    pw = rec.P_w if rec.P_w is not None else rec.p_w
+    px, pw, _ = _momenta(rec)
     e_x, _ = _deviation_series(px)
     e_w, _ = _deviation_series(pw)
     if running:
@@ -179,14 +187,10 @@ def summarize(rec: TrajectoryRecord) -> ErrorReport:
     rotational series is kept for force-free runs and omitted otherwise, since
     applied torques legitimately change p_w.
     """
-    physical = rec.P_x is not None and rec.P_w is not None
-    px = rec.P_x if physical else rec.p_x
-    pw = rec.P_w if physical else rec.p_w
+    px, pw, physical = _momenta(rec)
     raw_x, abs_x = _deviation_series(px)
-    include_w = physical or rec.force_free
-    e_w = None
-    abs_w = False
-    if include_w:
+    e_w, abs_w = None, False
+    if physical or rec.force_free:
         raw_w, abs_w = _deviation_series(pw)
         e_w = running_max(raw_w)
     raw_T, abs_T = _deviation_series(rec.energy)
@@ -202,19 +206,21 @@ def summarize(rec: TrajectoryRecord) -> ErrorReport:
     )
 
 
-def pitch_213(q: Array) -> float:
+def pitch_213(q: Array) -> float | Array:
     """Pitch angle of the 2-1-3 Euler factorization of q (display convention).
 
     For q = R_y(pitch) R_x(roll) R_z(yaw) the body-to-earth matrix gives
-    pitch = atan2(R13, R33).
+    pitch = atan2(R13, R33). One quaternion gives a float, an (n, 4) stack
+    an array of n angles.
     """
-    w, x, y, z = np.asarray(q, dtype=float)
+    w, x, y, z = np.asarray(q, dtype=float).T
     r13 = 2.0 * (x * z + w * y)
     r33 = 1.0 - 2.0 * (x * x + y * y)
-    return float(np.arctan2(r13, r33))
+    pitch = np.arctan2(r13, r33)
+    return float(pitch) if pitch.ndim == 0 else pitch
 
 
 def net_pitch(rec: TrajectoryRecord) -> float:
     """Unwrapped pitch change over a record [rad]."""
-    angles = np.unwrap(np.array([pitch_213(qi) for qi in rec.q]))
+    angles = np.unwrap(pitch_213(rec.q))
     return float(angles[-1] - angles[0])

@@ -511,7 +511,13 @@ def integrate(
     i_com = None if rigid_params is None else rigid_params.com_inertia()
 
     def conserved(r: StepResult) -> Array:
-        """Row [T, p_x, p_w] (then P_x, P_w with rigid_params) at the step's diagnostics point."""
+        """Row [T, p_x, p_w] (then P_x, P_w with rigid_params) at the step's diagnostics point.
+
+        The momenta are recomputed from the recorded velocities, not read from
+        the solve's terms: for both schemes the solve's R(q) g1 equals the
+        carried p_x by construction, so an e_x taken from it would hold by
+        construction and check nothing.
+        """
         q, xdot, omega = r.point
         v = np.concatenate((xdot, omega))
         parts = [(_energy_v(v, r.coeffs),), *_canonical_momenta_v(q, v, r.coeffs, h)]

@@ -124,13 +124,21 @@ def test_build_scenario_branches():
 
 def test_trajectory_csv_round_trip(tmp_path):
     rec = short_record()
+    rec.x_e[1] = [-0.0, 5e-324, 1e300]  # a signed zero, a subnormal, a huge value
+    rec.xdot_b[2] = [np.inf, -np.inf, np.nan]  # non-finite values
     path = tmp_path / "traj.csv"
     write_trajectory_csv(rec, path)
-    text = path.read_text()
-    assert text.splitlines()[0] == TRAJ_HEADER
+    # every float cell is format(v, ".17g") and newton_iters an integer
+    rows = zip(rec.t, rec.q, rec.x_e, rec.xdot_b, rec.omega_b, rec.energy, rec.P_x, rec.P_w, rec.newton_iters)
+    want = [",".join(format(v, ".17g") for v in np.hstack(row[:-1])) + f",{row[-1]}" for row in rows]
+    assert path.read_text() == "\n".join([TRAJ_HEADER, *want]) + "\n"
     cols = read_trajectory_csv(path)
     assert list(cols) == TRAJ_HEADER.split(",")
     # 17 significant digits make the round trip exact
+    for i, c in enumerate("xyz"):
+        assert np.array_equal(cols[f"xe_{c}"], rec.x_e[:, i])
+        assert np.array_equal(cols[f"xdotb_{c}"], rec.xdot_b[:, i], equal_nan=True)
+    assert np.signbit(cols["xe_x"][1])
     assert np.array_equal(cols["t"], rec.t)
     assert np.array_equal(cols["qw"], rec.q[:, 0])
     assert np.array_equal(cols["xdotb_y"], rec.xdot_b[:, 1])
@@ -140,6 +148,25 @@ def test_trajectory_csv_round_trip(tmp_path):
     assert np.array_equal(cols["Pw_z"], rec.P_w[:, 2])
     assert np.array_equal(cols["newton_iters"], rec.newton_iters)
     assert cols["newton_iters"].dtype.kind == "i"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "t,qw,newton_iters\n0,1,0\n0.01,1\n0.02,1,3\n",  # a short row
+        "t,qw,newton_iters\n0,1,0\n0.01,1,0,5\n",  # a long row
+        "t,qw\n0,1,0\n0.01,1,0\n",  # fewer names than cells
+        "t,qw,newton_iters,T\n0,1,0\n0.01,1,0\n",  # more names than cells
+        "t,qw,newton_iters\n",  # no data rows
+    ],
+    ids=["short-row", "long-row", "few-names", "many-names", "header-only"],
+)
+def test_read_trajectory_csv_rejects_malformed_files(tmp_path, text):
+    # each of these once parsed into silently misaligned or empty columns
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        read_trajectory_csv(path)
 
 
 def test_error_csv_matches_instantaneous_series(tmp_path):
@@ -325,6 +352,18 @@ def test_compare_marks_a_torque_driven_e_w(tmp_path, capsys, scenario):
     else:
         assert below_table == "" and "diagnostic" not in "\n".join(lines)
         assert all(re.fullmatch(r"(e_[xwT])\(.+\) / \1\(.+\) = \S+", line) for line in ratios)
+
+
+def test_compare_prints_n_a_for_a_zero_over_zero_ratio(tmp_path, capsys):
+    # a start at rest has zero error on every leg: 0/0 is undefined, x/0 stays inf
+    rest = "omega0_x = 0\nomega0_y = 0\nomega0_z = 0\n"
+    text = f"t_end = 0.1\nout_dir = {tmp_path}\nmethod = "
+    cfgs = [parse_config(text + "left"), parse_config(text + "mid\n" + rest), parse_config(text + "rk\n" + rest)]
+    assert compare(cfgs) == 0
+    ratios = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines() if " / " in line)
+    assert ratios["e_T(left h=0.01) / e_T(mid h=0.01)"] == "inf"
+    for leg in ("e_x", "e_w", "e_T"):
+        assert ratios[f"{leg}(mid h=0.01) / {leg}(rk h=0.01)"] == "n/a"
 
 
 @pytest.mark.parametrize("t_end", ["1e300", "1"])

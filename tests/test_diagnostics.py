@@ -1,5 +1,7 @@
 """Error-series conventions, report assembly, pitch extraction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -72,6 +74,13 @@ def test_record_validation_and_state_access():
             newton_iters=rec.newton_iters, method="left", h=0.1,
         )
     assert len(rec) == 4
+
+
+@pytest.mark.parametrize("dropped", ["P_x", "P_w"])
+def test_record_needs_both_physical_momenta_or_neither(dropped):
+    # with one of them, momentum_errors once read it while summarize fell back to canonical
+    with pytest.raises(ValueError, match="P_x and P_w"):
+        dataclasses.replace(make_record(physical=True), **{dropped: None})
 
 
 def test_constant_momenta_give_zero_series():
@@ -170,9 +179,12 @@ def test_drift_slope_recovers_linear_trend():
 
 def test_pitch_213_closed_forms():
     assert pitch_213(identity_quat()) == 0.0
-    for theta in (0.3, 1.2, 2.5, -0.7):
-        q = exp_map(np.array([0.0, 0.5 * theta, 0.0]))
+    thetas = (0.3, 1.2, 2.5, -0.7)
+    qs = np.array([exp_map(np.array([0.0, 0.5 * theta, 0.0])) for theta in thetas])
+    for q, theta in zip(qs, thetas):
         assert pitch_213(q) == pytest.approx(theta, abs=1e-12)
+    # a stack of quaternions gives the same angles, row by row
+    assert np.array_equal(pitch_213(qs), [pitch_213(q) for q in qs])
 
 
 def test_net_pitch_unwraps_across_branch_cut():
