@@ -190,16 +190,16 @@ def build_scenario(cfg: RunConfig):
     return initial, sched, scfg, rp
 
 
-def _write_csv(path: Path, header: str, columns, fmt: str | list[str] = "%.17g") -> None:
+def _write_csv(path: Path, header: str, columns) -> None:
     with open(path, "w", encoding="utf-8") as fh:  # savetxt given a name opens the file twice
-        np.savetxt(fh, np.column_stack(columns), fmt=fmt, delimiter=",", header=header, comments="")
+        np.savetxt(fh, np.column_stack(columns), fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 def write_trajectory_csv(rec: TrajectoryRecord, path: Path) -> None:
     """Emit the fixed-schema trajectory CSV (physical momenta when available)."""
     px, pw, _ = _momenta(rec)
     cols = (rec.t, rec.q, rec.x_e, rec.xdot_b, rec.omega_b, rec.energy, px, pw, rec.newton_iters)
-    _write_csv(path, _TRAJ_HEADER, cols, ["%.17g"] * _TRAJ_HEADER.count(",") + ["%d"])
+    _write_csv(path, _TRAJ_HEADER, cols)
 
 
 def write_error_csv(rec: TrajectoryRecord, path: Path) -> None:
@@ -214,11 +214,11 @@ def read_trajectory_csv(path: Path) -> dict[str, Array]:
     Raises ValueError unless the file has at least one data row and every row
     has one cell per header name.
     """
-    header, _, body = Path(path).read_text(encoding="utf-8").partition("\n")
+    header, *rows = Path(path).read_text(encoding="utf-8").splitlines() or [""]
     names = header.split(",")
-    if not body.strip():  # loadtxt would only warn
+    if not any(row.strip() for row in rows):  # loadtxt would only warn
         raise ValueError(f"{path}: no data rows")
-    cols = np.loadtxt(body.splitlines(), delimiter=",", comments=None, ndmin=2).T
+    cols = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2).T
     if len(cols) != len(names):
         raise ValueError(f"{path}: {len(names)} header names but {len(cols)} cells per row")
     return {name: col.astype(int if name == "newton_iters" else float) for name, col in zip(names, cols)}
@@ -315,8 +315,9 @@ def compare(cfgs: list[RunConfig]) -> int:
             la, *va = rows[i]
             lb, *vb = rows[j]
             for name, a, b in zip(("e_x", "e_w", "e_T"), va, vb):
-                ratio = f"{a / b:.3g}" if b != 0.0 else "inf" if a != 0.0 else "n/a"  # 0/0 is undefined
-                print(f"{name}({la}) / {name}({lb}) = {ratio}" + (ew_note if name == "e_w" else ""))
+                ratio = a / b if b != 0.0 else math.inf if a > 0.0 else math.nan  # 0/0 and NaN/0 are undefined
+                shown = "n/a" if math.isnan(ratio) else f"{ratio:.3g}"
+                print(f"{name}({la}) / {name}({lb}) = {shown}" + (ew_note if name == "e_w" else ""))
     return 0
 
 

@@ -25,7 +25,7 @@ from qvint.cli import (
     write_error_csv,
     write_trajectory_csv,
 )
-from qvint.diagnostics import energy_error, momentum_errors
+from qvint.diagnostics import energy_error, momentum_errors, summarize
 
 TRAJ_HEADER = (
     "t,qw,qx,qy,qz,xe_x,xe_y,xe_z,xdotb_x,xdotb_y,xdotb_z,"
@@ -148,6 +148,12 @@ def test_trajectory_csv_round_trip(tmp_path):
     assert np.array_equal(cols["Pw_z"], rec.P_w[:, 2])
     assert np.array_equal(cols["newton_iters"], rec.newton_iters)
     assert cols["newton_iters"].dtype.kind == "i"
+    # a CRLF copy (a Windows editor, a git autocrlf checkout) reads back the same names and values
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    crlf_cols = read_trajectory_csv(crlf)
+    assert list(crlf_cols) == list(cols)
+    assert all(np.array_equal(crlf_cols[k], v, equal_nan=True) for k, v in cols.items())
 
 
 @pytest.mark.parametrize(
@@ -354,14 +360,23 @@ def test_compare_marks_a_torque_driven_e_w(tmp_path, capsys, scenario):
         assert all(re.fullmatch(r"(e_[xwT])\(.+\) / \1\(.+\) = \S+", line) for line in ratios)
 
 
-def test_compare_prints_n_a_for_a_zero_over_zero_ratio(tmp_path, capsys):
-    # a start at rest has zero error on every leg: 0/0 is undefined, x/0 stays inf
+@pytest.mark.parametrize("left_e_T, want", [(None, "inf"), (np.nan, "n/a")], ids=["x-over-0", "nan-over-0"])
+def test_compare_prints_n_a_for_a_zero_over_zero_ratio(tmp_path, capsys, monkeypatch, left_e_T, want):
+    # a start at rest has zero error on every leg: 0/0 is undefined, x/0 stays inf;
+    # a NaN error (undefined against a non-finite initial value) over 0 is undefined too
+    def summarize_left(rec):
+        report = summarize(rec)
+        if rec.method == "left" and left_e_T is not None:
+            report.e_T[-1] = left_e_T
+        return report
+
+    monkeypatch.setattr("qvint.cli.summarize", summarize_left)
     rest = "omega0_x = 0\nomega0_y = 0\nomega0_z = 0\n"
     text = f"t_end = 0.1\nout_dir = {tmp_path}\nmethod = "
     cfgs = [parse_config(text + "left"), parse_config(text + "mid\n" + rest), parse_config(text + "rk\n" + rest)]
     assert compare(cfgs) == 0
     ratios = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines() if " / " in line)
-    assert ratios["e_T(left h=0.01) / e_T(mid h=0.01)"] == "inf"
+    assert ratios["e_T(left h=0.01) / e_T(mid h=0.01)"] == want
     for leg in ("e_x", "e_w", "e_T"):
         assert ratios[f"{leg}(mid h=0.01) / {leg}(rk h=0.01)"] == "n/a"
 
