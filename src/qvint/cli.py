@@ -40,6 +40,9 @@ _TRAJ_HEADER = (
 )
 _ERR_HEADER = "t,e_x,e_w,e_T"
 
+#: marks a torque-driven e_w: a diagnostic, not a conservation error
+_DIAGNOSTIC = " (diagnostic; external moments act)"
+
 
 class ConfigError(ValueError):
     """Invalid run configuration; carries the offending line number when known."""
@@ -252,21 +255,12 @@ def _execute(cfg: RunConfig, tag: str = ""):
     return rec, report, wall, 3 if rec.truncated else 0
 
 
-def _final_e_w(rec: TrajectoryRecord, report) -> tuple[float, str]:
-    """Final e_w and its label, which marks a torque-driven e_w as a diagnostic, not a conservation error."""
-    if report.e_w is None:
-        return float(momentum_errors(rec, running=True)[1][-1]), " (diagnostic; external moments act)"
-    return report.final_e_w, ""
+def _error_strings(report) -> tuple[str, str, str]:
+    def fmt(e: float, absolute: bool, note: str) -> str:  # undefined against a non-finite initial value
+        return f"{e:.3e}{note}{' (abs)' if absolute else ''}" if math.isfinite(e) else "n/a"
 
-
-def _error_strings(rec: TrajectoryRecord, report) -> tuple[str, str, str]:
-    def fmt(e: float, note: str) -> str:  # undefined against a non-finite initial value
-        return f"{e:.3e}{note}" if math.isfinite(e) else "n/a"
-
-    ew, ew_note = _final_e_w(rec, report)
-    ex = fmt(report.final_e_x, " (abs)" if report.e_x_absolute else "")
-    et = fmt(report.final_e_T, " (abs)" if report.e_T_absolute else "")
-    return ex, fmt(ew, ew_note + (" (abs)" if report.e_w_absolute else "")), et
+    ew = fmt(report.final_e_w, report.e_w_absolute, _DIAGNOSTIC if report.e_w_diagnostic else "")
+    return fmt(report.final_e_x, report.e_x_absolute, ""), ew, fmt(report.final_e_T, report.e_T_absolute, "")
 
 
 def run(cfg: RunConfig) -> int:
@@ -274,7 +268,7 @@ def run(cfg: RunConfig) -> int:
     rec, report, wall, code = _execute(cfg)
     if rec is None:
         return code
-    ex, ew, et = _error_strings(rec, report)
+    ex, ew, et = _error_strings(report)
     accepted = len(rec) - 1
     # integrate takes round(t_end / h) steps, so a run can end off t_end
     t_end, reached = f"{cfg.t_end:g}", f"{rec.t[-1]:g}"
@@ -303,8 +297,8 @@ def compare(cfgs: list[RunConfig]) -> int:
         rec, report, wall, code = _execute(cfg, tag=str(i))
         if code != 0:
             return code
-        ew, ew_note = _final_e_w(rec, report)  # one scenario, so one note for every row
-        rows.append((f"{cfg.method} h={cfg.h:g}", report.final_e_x, ew, report.final_e_T))
+        ew_note = _DIAGNOSTIC if report.e_w_diagnostic else ""  # one scenario, so one note for every row
+        rows.append((f"{cfg.method} h={cfg.h:g}", report.final_e_x, report.final_e_w, report.final_e_T))
     width = max(len(r[0]) for r in rows)
     print(f"\n{'config'.ljust(width)}  {'e_x':>12}  {'e_w':>12}  {'e_T':>12}")
     for label, ex, ew, et in rows:

@@ -86,12 +86,10 @@ def _deviation_series(values: Array, /) -> tuple[Array, bool]:
     v = np.asarray(values, dtype=float)
     if v.ndim == 1:
         v = v[:, None]
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         dev = _row_norms(v - v[0])
-    base = float(_row_norms(v[:1])[0])
-    if base == 0.0:
-        return dev, True
-    return dev / base, False
+        base = float(_row_norms(v[:1])[0])
+        return (dev, True) if base == 0.0 else (dev / base, False)
 
 
 def _row_norms(v: Array) -> Array:
@@ -116,7 +114,7 @@ def momentum_errors(rec: TrajectoryRecord, running: bool = True) -> tuple[Array,
 
     Uses physical momenta when present, canonical otherwise. Relative to the
     first sample; zero first-sample momentum degrades that series to absolute
-    deviations (see summarize for the flag). running=False returns the
+    deviations (see summarize for the flags). running=False returns the
     instantaneous deviations instead of the running max.
     """
     px, pw, _ = _momenta(rec)
@@ -153,27 +151,29 @@ class ErrorReport:
 
     Series are running-max and share the record's time base. momentum_source
     says whether physical or canonical momenta were used; *_absolute flags
-    mark series degraded to absolute deviations by a zero baseline. e_w is
-    None when the rotational series is not meaningful for the run (canonical
-    momenta under nonzero applied torques).
+    mark series degraded to absolute deviations by a zero baseline.
+    e_w_diagnostic marks an e_w that is a diagnostic, not a conservation
+    error: canonical momenta under applied forces, which legitimately change
+    p_w.
     """
 
     t: Array
     e_x: Array
-    e_w: Array | None
+    e_w: Array
     e_T: Array
     momentum_source: str
     e_x_absolute: bool
     e_w_absolute: bool
     e_T_absolute: bool
+    e_w_diagnostic: bool
 
     @property
     def final_e_x(self) -> float:
         return float(self.e_x[-1])
 
     @property
-    def final_e_w(self) -> float | None:
-        return None if self.e_w is None else float(self.e_w[-1])
+    def final_e_w(self) -> float:
+        return float(self.e_w[-1])
 
     @property
     def final_e_T(self) -> float:
@@ -184,25 +184,22 @@ def summarize(rec: TrajectoryRecord) -> ErrorReport:
     """Build the ErrorReport for a record.
 
     Physical momenta are used when recorded. With only canonical momenta the
-    rotational series is kept for force-free runs and omitted otherwise, since
-    applied torques legitimately change p_w.
+    rotational series of a run under applied forces is marked a diagnostic.
     """
     px, pw, physical = _momenta(rec)
     raw_x, abs_x = _deviation_series(px)
-    e_w, abs_w = None, False
-    if physical or rec.force_free:
-        raw_w, abs_w = _deviation_series(pw)
-        e_w = running_max(raw_w)
+    raw_w, abs_w = _deviation_series(pw)
     raw_T, abs_T = _deviation_series(rec.energy)
     return ErrorReport(
         t=rec.t.copy(),
         e_x=running_max(raw_x),
-        e_w=e_w,
+        e_w=running_max(raw_w),
         e_T=running_max(raw_T),
         momentum_source="physical" if physical else "canonical",
         e_x_absolute=abs_x,
         e_w_absolute=abs_w,
         e_T_absolute=abs_T,
+        e_w_diagnostic=not (physical or rec.force_free),
     )
 
 

@@ -104,8 +104,8 @@ def newton_solve(
     residual: Callable[[Vec3], tuple[Sequence[float], object]],
     jacobian: Callable[[Vec3, object], Sequence[float]],
     guess,
-    cfg: SolverConfig,
-    tol_abs: float | None = None,
+    tol: float,
+    max_iter: int,
 ) -> NewtonResult:
     """Damped Newton iteration on a residual in three unknowns, on Python floats.
 
@@ -120,15 +120,15 @@ def newton_solve(
     many steps stay at machine precision. Raises SingularJacobianError for a
     non-finite residual or an unusable Jacobian (non-finite entries, a zero
     or non-finite determinant, a step beyond 1e12 (1 + |x|)); a stalled line
-    search returns converged=False.
+    search returns converged=False. tol is the absolute tolerance on the
+    residual norm; at most max_iter iterations run.
     """
-    tol = cfg.residual_tol if tol_abs is None else tol_abs
     x = tuple([float(v) for v in guess])
     r, terms = residual(x)
     rn = math.hypot(*r)
     iterations = 0
     polish_left = 1
-    while iterations < cfg.max_iter:
+    while iterations < max_iter:
         if rn <= tol:
             if polish_left == 0 or rn == 0.0:
                 break
@@ -177,8 +177,8 @@ def newton_solve(
 
 def _blocks(c: CoefficientSet) -> tuple:
     try:
-        return c.elimination_blocks()
-    except ValueError as exc:  # np.linalg.LinAlgError is one
+        return c.elimination_blocks
+    except np.linalg.LinAlgError as exc:
         raise SingularJacobianError(f"translational mass block 2 a_xx: {exc}") from exc
 
 
@@ -240,9 +240,7 @@ def jacobian_left(q_k: Array, omega: Array, c_k: CoefficientSet, h: float, carri
     return np.array(_left_jacobian(k, w, _left_eval(k, w)[1])).reshape(3, 3)
 
 
-def step_left(
-    prev: BodyState, history: Array, sched: MorphingSchedule, cfg: SolverConfig, scale: float = 1.0
-) -> StepResult:
+def step_left(prev: BodyState, history: Array, sched: MorphingSchedule, cfg: SolverConfig, scale: float) -> StepResult:
     """Advance one left-rectangle step from prev and the history of the previous one.
 
     Kinematics first (exponential orientation update and position quadrature
@@ -264,8 +262,8 @@ def step_left(
         lambda w: _left_eval(k, w),
         lambda w, terms: _left_jacobian(k, w, terms),
         prev.omega_b.tolist(),
-        cfg,
-        tol_abs=cfg.residual_tol * scale,
+        cfg.residual_tol * scale,
+        cfg.max_iter,
     )
     (xd, g2), om, hh = sol.terms, sol.x, 0.5 * h
     m = _cx(om, g2)
@@ -348,9 +346,7 @@ def initial_midpoint_history(state: BodyState, c0: CoefficientSet) -> Array:
     return np.concatenate((_rotate(state.q, g[:3]), _rotate(state.q, g[3:])))
 
 
-def step_mid(
-    prev: BodyState, history: Array, sched: MorphingSchedule, cfg: SolverConfig, scale: float = 1.0
-) -> StepResult:
+def step_mid(prev: BodyState, history: Array, sched: MorphingSchedule, cfg: SolverConfig, scale: float) -> StepResult:
     """Advance one midpoint step from prev and the history of the previous one.
 
     Solves for the midpoint rate (the midpoint velocity follows in closed
@@ -377,8 +373,8 @@ def step_mid(
         lambda w: _mid_eval(k, w),
         lambda w, terms: _mid_jacobian(k, w, terms),
         prev.omega_b.tolist(),
-        cfg,
-        tol_abs=cfg.residual_tol * scale,
+        cfg.residual_tol * scale,
+        cfg.max_iter,
     )
     (e, g1, xd, _), om = sol.terms, sol.x
     q_t = _mul_f(q_k, e)
@@ -412,7 +408,7 @@ def step_rk_baseline(
 
     def rate(q_s, x_s, d, c, t_s):
         """Stage velocities v and the rates of x and d = (D1, D2)."""
-        v = c.velocity_inverse() @ (d - c.momentum_offset())
+        v = c.velocity_inverse @ (d - c.momentum_offset)
         xd, om, d1 = v[:3], v[3:], d[:3]
         dd = np.concatenate((-_cross(om, d1), -_cross(om, d[3:]) - _cross(xd, d1)))
         if not sched.force_free:
@@ -432,7 +428,7 @@ def step_rk_baseline(
 
     sixth = h / 6.0
     q_new = normalize(quat_mul(prev.q, exp_map((0.5 * h) * (weighted(0)[3:] / 6.0))))
-    v_new = c_end.velocity_inverse() @ (d0 + sixth * weighted(2) - c_end.momentum_offset())
+    v_new = c_end.velocity_inverse @ (d0 + sixth * weighted(2) - c_end.momentum_offset)
     state = BodyState(t + h, q_new, prev.x_e + sixth * weighted(1), v_new[:3], v_new[3:])
     return StepResult(state, 0, 0.0, True, (state.q, state.xdot_b, state.omega_b), c_end, None)
 
@@ -525,17 +521,18 @@ def integrate(
             parts += _physical_momenta_v(q, xdot, omega, rigid_params, i_com)
         return np.concatenate(parts)
 
-    # the initial state enters as a zero-iteration step; of the steps only the last is kept whole
-    if method == "left":  # left's outgoing momentum: canonical at step -h
-        history0 = np.concatenate(canonical_momenta(initial, c0, -h))
-    else:
-        history0 = initial_midpoint_history(initial, c0)
-    last = StepResult(initial, 0, 0.0, True, (initial.q, initial.xdot_b, initial.omega_b), c0, None, history0)
     states, iterations = [initial], [0]
     stop_reason = ""
     # a diverging run surfaces as a non-finite state or conserved-quantity row,
-    # reported once as its stop reason; row 0 is held to the same rule
+    # reported once as its stop reason; row 0 and the seed are held to the same rule
     with np.errstate(over="ignore", invalid="ignore"):
+        history0 = None  # rk carries no history
+        if method == "left":  # left's outgoing momentum: canonical at step -h
+            history0 = np.concatenate(canonical_momenta(initial, c0, -h))
+        elif method == "mid":
+            history0 = initial_midpoint_history(initial, c0)
+        # the initial state enters as a zero-iteration step; of the steps only the last is kept whole
+        last = StepResult(initial, 0, 0.0, True, (initial.q, initial.xdot_b, initial.omega_b), c0, None, history0)
         scale = momentum_scale(initial, c0, h)
         rows = [conserved(last)]
         if not np.isfinite(rows[0]).all():

@@ -20,6 +20,7 @@ through time-dependent coefficients produced by a :class:`MorphingSchedule`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -89,6 +90,11 @@ def _as_matrix(m, name: str) -> Array:
     return a
 
 
+def _read_only(a: Array) -> Array:
+    a.flags.writeable = False
+    return a
+
+
 def _check_symmetric(a: Array, name: str) -> None:
     dev = float(np.linalg.norm(a - a.T))
     if dev > _SYM_TOL * (1.0 + float(np.linalg.norm(a))):
@@ -101,7 +107,8 @@ class CoefficientSet:
 
     a_xx and A_ww must be symmetric; A_xw carries the translation-rotation
     coupling and is unrestricted. Scalars passed for the matrix blocks are
-    promoted to multiples of the identity.
+    promoted to multiples of the identity. The derived forms are computed once
+    per set (cached_property writes the instance __dict__, which frozen allows).
     """
 
     a_xx: Array
@@ -131,53 +138,41 @@ class CoefficientSet:
             self.a_0 + other.a_0,
         )
 
+    @cached_property
     def mass_matrix(self) -> Array:
-        """Cached, read-only 6x6 velocity-to-momentum map [[2 a_xx, A_xw], [A_xw^T, 2 A_ww]]."""
-        m = self.__dict__.get("_mass")
-        if m is None:
-            m = np.block([[2.0 * self.a_xx, self.A_xw], [self.A_xw.T, 2.0 * self.A_ww]])
-            m.flags.writeable = False
-            object.__setattr__(self, "_mass", m)
-        return m
+        """Read-only 6x6 velocity-to-momentum map [[2 a_xx, A_xw], [A_xw^T, 2 A_ww]]."""
+        return _read_only(np.block([[2.0 * self.a_xx, self.A_xw], [self.A_xw.T, 2.0 * self.A_ww]]))
 
+    @cached_property
     def momentum_offset(self) -> Array:
-        """Cached, read-only 6-vector a = (a_x, a_w): the momenta M v + a at rest."""
-        a = self.__dict__.get("_offset")
-        if a is None:
-            a = np.concatenate((self.a_x, self.a_w))
-            a.flags.writeable = False
-            object.__setattr__(self, "_offset", a)
-        return a
+        """Read-only 6-vector a = (a_x, a_w): the momenta M v + a at rest."""
+        return _read_only(np.concatenate((self.a_x, self.a_w)))
 
+    @cached_property
     def elimination_blocks(self) -> tuple:
-        """Cached Python-float blocks that eliminate xdot from the momenta g = M v + a.
+        """Python-float blocks that eliminate xdot from the momenta g = M v + a.
 
         With M = [[Mxx, Mxw], [Mwx, Mww]]: row-major Mxx^-1, X = -Mxx^-1 Mxw, the Schur
         complement S = Mww + Mwx X, P = Mwx Mxx^-1, then a_x and a_w, so that
         xdot = Mxx^-1 (g1 - a_x) + X omega and g2 = P (g1 - a_x) + S omega + a_w.
+        Raises np.linalg.LinAlgError for a singular Mxx and ValueError for
+        non-finite blocks.
         """
-        b = self.__dict__.get("_elim")
-        if b is None:
-            m = self.mass_matrix()
-            mi = np.linalg.inv(m[:3, :3])  # LinAlgError, a ValueError, when singular
-            x = -mi @ m[:3, 3:]
-            b = [mi, x, m[3:, 3:] + m[3:, :3] @ x, m[3:, :3] @ mi, self.a_x, self.a_w]
-            if not np.isfinite(np.concatenate([a.ravel() for a in b])).all():
-                raise ValueError("non-finite coefficients")
-            b = tuple([tuple(a.ravel().tolist()) for a in b])
-            object.__setattr__(self, "_elim", b)
-        return b
+        m = self.mass_matrix
+        mi = np.linalg.inv(m[:3, :3])
+        x = -mi @ m[:3, 3:]
+        b = [mi, x, m[3:, 3:] + m[3:, :3] @ x, m[3:, :3] @ mi, self.a_x, self.a_w]
+        if not np.isfinite(np.concatenate([a.ravel() for a in b])).all():
+            raise ValueError("non-finite coefficients")
+        return tuple([tuple(a.ravel().tolist()) for a in b])
 
+    @cached_property
     def velocity_inverse(self) -> Array:
-        """Cached inverse of the mass matrix, for momentum-to-velocity recovery."""
-        inv = self.__dict__.get("_vinv")
-        if inv is None:
-            m = self.mass_matrix()
-            if np.linalg.cond(m) > 1e12:
-                raise ValueError("velocity-recovery matrix is singular or near singular")
-            inv = np.linalg.inv(m)
-            object.__setattr__(self, "_vinv", inv)
-        return inv
+        """Read-only inverse of the mass matrix, for momentum-to-velocity recovery."""
+        m = self.mass_matrix
+        if np.linalg.cond(m) > 1e12:
+            raise ValueError("velocity-recovery matrix is singular or near singular")
+        return _read_only(np.linalg.inv(m))
 
 
 @dataclass(frozen=True)
@@ -215,12 +210,12 @@ class BodyState:
 
 def _energy_v(v: Array, c: CoefficientSet) -> float:
     """T = (1/2) v.M v + a.v + a_0 at the stacked velocities v = (xdot, omega)."""
-    return float(0.5 * (v @ (c.mass_matrix() @ v)) + c.momentum_offset() @ v + c.a_0)
+    return float(0.5 * (v @ (c.mass_matrix @ v)) + c.momentum_offset @ v + c.a_0)
 
 
 def _momenta_v(v: Array, c: CoefficientSet) -> Array:
     """Momenta g = M v + a = (D1, D2) at the stacked velocities v = (xdot, omega)."""
-    return c.mass_matrix() @ v + c.momentum_offset()
+    return c.mass_matrix @ v + c.momentum_offset
 
 
 def kinetic_energy(s: BodyState, c: CoefficientSet) -> float:
@@ -329,16 +324,9 @@ def _zero_force(s: BodyState, t: float) -> tuple[Array, Array]:
     return np.zeros(3), np.zeros(3)
 
 
-def constant_schedule(
-    c: CoefficientSet, name: str = "free_body", force: ForceFn | None = None
-) -> MorphingSchedule:
-    """Schedule with fixed coefficients and an optional force callback."""
-    return MorphingSchedule(
-        name=name,
-        coefficients=lambda t: c,
-        force=force if force is not None else _zero_force,
-        force_free=force is None,
-    )
+def constant_schedule(c: CoefficientSet, name: str = "free_body") -> MorphingSchedule:
+    """Force-free schedule with fixed coefficients."""
+    return MorphingSchedule(name=name, coefficients=lambda t: c, force=_zero_force, force_free=True)
 
 
 def point_mass_coefficients(m: float, r: Array, rdot: Array) -> CoefficientSet:

@@ -242,6 +242,14 @@ def test_run_truncation_exit_code_and_partial_output(tmp_path, capsys):
     assert len(lines) >= 2  # header plus at least the initial sample
 
 
+def test_torque_driven_e_w_from_rest_is_marked_absolute(tmp_path, capsys):
+    # left's row-0 p_w is exactly zero at rest, so the diagnostic e_w is an absolute deviation
+    rest = "omega0_x = 0\nomega0_y = 0\nomega0_z = 0"
+    cfg = parse_config(f"scenario = morphing\nmethod = left\n{rest}\nt_end = 0.5\nout_dir = {tmp_path}")
+    assert run(cfg) == 0
+    assert re.search(r" e_w=\S+ \(diagnostic; external moments act\) \(abs\)  e_T=", capsys.readouterr().out)
+
+
 def test_start_at_rest_exits_zero_with_absolute_errors(tmp_path, capsys):
     cfg = parse_config(f"omega0_x = 0\nomega0_y = 0\nomega0_z = 0\nt_end = 0.1\nout_dir = {tmp_path}")
     assert run(cfg) == 0
@@ -282,13 +290,15 @@ def test_huge_but_finite_blow_up_is_warning_free(tmp_path, capsys, scenario, h):
 @pytest.mark.parametrize("method", ["left", "mid", "rk"])
 def test_non_finite_initial_energy_exits_three_without_nan(tmp_path, capsys, method):
     # a valid config whose initial energy overflows: the run stops at t = 0
-    # with exit code 3 and says why; the undefined e_T prints as n/a
-    cfg = parse_config(f"method = {method}\nomega0_x = 1e200\nt_end = 0.1\nout_dir = {tmp_path}")
-    assert run(cfg) == 3
-    captured = capsys.readouterr()
-    assert "(diverged: non-finite initial energy or momentum)" in captured.err
-    assert "steps accepted: 0 (truncated)" in captured.out
-    assert "nan" not in captured.out and "e_T=n/a" in captured.out
+    # with exit code 3 and says why; the undefined e_T prints as n/a. At 1e308
+    # the seed history overflows too, and must do so quietly
+    for rate in ("omega0_x = 1e200", "omega0_y = 1e308"):
+        cfg = parse_config(f"method = {method}\n{rate}\nt_end = 0.1\nout_dir = {tmp_path}")
+        assert run(cfg) == 3
+        captured = capsys.readouterr()
+        assert "(diverged: non-finite initial energy or momentum)" in captured.err
+        assert "steps accepted: 0 (truncated)" in captured.out
+        assert "nan" not in captured.out and "e_T=n/a" in captured.out
 
 
 def test_singular_jacobian_truncates_with_partial_output(tmp_path, capsys, monkeypatch):
@@ -339,6 +349,16 @@ def test_compare_table_and_ratios(tmp_path, capsys):
     # per-config tags keep the four output files apart
     assert (tmp_path / "free_body_mid_1_trajectory.csv").is_file()
     assert (tmp_path / "free_body_mid_2_trajectory.csv").is_file()
+
+
+def test_compare_exits_with_a_later_configs_failure_code(tmp_path, capsys):
+    # the second config's Newton is starved: the first config's CSVs are written and no table is printed
+    text = f"t_end = 0.1\nout_dir = {tmp_path}\n"
+    assert compare([parse_config(text), parse_config(text + "max_iter = 1")]) == 3
+    out = capsys.readouterr().out
+    assert not any(line.startswith("config") or " / " in line for line in out.splitlines())
+    for kind in ("trajectory", "errors"):
+        assert len((tmp_path / f"free_body_mid_1_{kind}.csv").read_text().splitlines()) == 12
 
 
 @pytest.mark.parametrize("scenario", ["free_body", "morphing", "custom"])
@@ -421,8 +441,8 @@ WARNING_LINE = re.compile(r"WARNING: integration stopped early at t=\S+ \(.+\); 
     method=st.sampled_from(["left", "mid", "rk"]),
     h=st.floats(0.005, 0.5),
     t_end=st.floats(0.001, 0.5),
-    omega0=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
-    xdot0=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+    omega0=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
+    xdot0=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
 )
 def test_random_valid_configs_end_in_a_documented_way(scenario, method, h, t_end, omega0, xdot0):
     # every valid config exits 0 or 3, writes nothing to stderr but the

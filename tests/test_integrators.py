@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose
 from qvint import (
     BodyState,
     CoefficientSet,
+    MorphingSchedule,
     canonical_momenta,
     SingularJacobianError,
     SolverConfig,
@@ -72,7 +73,7 @@ def diag3(d):
 
 
 def test_newton_linear():
-    res = newton_solve(lambda v: (tuple(x - 2.0 for x in v), None), lambda v, _: diag3((1.0, 1.0, 1.0)), (5.0, -1.0, 0.5), CFG)
+    res = newton_solve(lambda v: (tuple(x - 2.0 for x in v), None), lambda v, _: diag3((1.0, 1.0, 1.0)), (5.0, -1.0, 0.5), 1e-12, 50)
     assert res.converged
     assert res.x == (2.0, 2.0, 2.0)
     assert res.residual_norm == 0.0
@@ -86,7 +87,8 @@ def test_newton_quadratic():
         lambda v: (tuple(x * x - 4.0 for x in v), tuple(2.0 * x for x in v)),
         lambda v, d: diag3(d),
         np.array([3.0, 2.5, 5.0]),
-        CFG,
+        1e-12,
+        50,
     )
     assert res.converged
     assert res.iterations <= 8
@@ -96,12 +98,13 @@ def test_newton_quadratic():
 
 def test_newton_singular_vs_starved():
     with pytest.raises(SingularJacobianError):
-        newton_solve(lambda v: ((1.0, 1.0, 1.0), None), lambda v, _: (0.0,) * 9, (0.0, 0.0, 0.0), CFG)
+        newton_solve(lambda v: ((1.0, 1.0, 1.0), None), lambda v, _: (0.0,) * 9, (0.0, 0.0, 0.0), 1e-12, 50)
     res = newton_solve(
         lambda v: (tuple(x * x - 4.0 for x in v), None),
         lambda v, _: diag3([2.0 * x for x in v]),
         (100.0, 100.0, 100.0),
-        SolverConfig(h=0.01, max_iter=1),
+        1e-12,
+        1,
     )
     assert not res.converged
     assert res.residual_norm > 1.0
@@ -114,7 +117,8 @@ def test_newton_multidimensional():
         lambda v: (tuple(x**3 - b for x, b in zip(v, a)), tuple(x**2 for x in v)),
         lambda v, v2: diag3([3.0 * x for x in v2]),
         guess,
-        CFG,
+        1e-12,
+        50,
     )
     assert res.converged
     assert_allclose(res.x, np.cbrt(a), rtol=1e-12)
@@ -127,7 +131,7 @@ def test_newton_couples_the_three_unknowns():
     m = np.array([[4.0, 1.0, -2.0], [1.0, 3.0, 0.5], [-2.0, 0.5, 5.0]])
     rhs = np.array([1.0, -2.0, 3.0])
     res = newton_solve(
-        lambda v: (tuple((m @ np.array(v) - rhs).tolist()), None), lambda v, _: tuple(m.ravel()), (0.0, 0.0, 0.0), CFG
+        lambda v: (tuple((m @ np.array(v) - rhs).tolist()), None), lambda v, _: tuple(m.ravel()), (0.0, 0.0, 0.0), 1e-12, 50
     )
     assert res.converged and res.iterations <= 2
     assert_allclose(res.x, np.linalg.solve(m, rhs), rtol=1e-14)
@@ -146,13 +150,13 @@ def test_newton_couples_the_three_unknowns():
 )
 def test_newton_rejects_unusable_jacobians(jac, match):
     with pytest.raises(SingularJacobianError, match=match):
-        newton_solve(lambda v: ((1.0, 1.0, 1.0), None), lambda v, _: jac, (0.0, 0.0, 0.0), CFG)
+        newton_solve(lambda v: ((1.0, 1.0, 1.0), None), lambda v, _: jac, (0.0, 0.0, 0.0), 1e-12, 50)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_newton_rejects_a_non_finite_residual(bad):
     with pytest.raises(SingularJacobianError, match="residual is non-finite"):
-        newton_solve(lambda v: ((1.0, bad, 1.0), None), lambda v, _: diag3((1.0, 1.0, 1.0)), (0.0, 0.0, 0.0), CFG)
+        newton_solve(lambda v: ((1.0, bad, 1.0), None), lambda v, _: diag3((1.0, 1.0, 1.0)), (0.0, 0.0, 0.0), 1e-12, 50)
 
 
 def test_newton_line_search_steps_back_from_a_non_finite_trial():
@@ -160,7 +164,7 @@ def test_newton_line_search_steps_back_from_a_non_finite_trial():
     def residual(v):
         return (tuple(math.nan if x > 1.5 else x - 1.0 for x in v), None)
 
-    res = newton_solve(residual, lambda v, _: diag3((0.5, 0.5, 0.5)), (0.0, 0.0, 0.0), CFG)
+    res = newton_solve(residual, lambda v, _: diag3((0.5, 0.5, 0.5)), (0.0, 0.0, 0.0), 1e-12, 50)
     assert res.converged
     assert_allclose(res.x, (1.0, 1.0, 1.0), rtol=0.0, atol=1e-12)
 
@@ -377,14 +381,14 @@ def test_one_balance_evaluation_per_newton_residual(sched, monkeypatch):
     solves = []
     solve = integrators.newton_solve
 
-    def recording_solve(residual, jacobian, guess, cfg, tol_abs=None):
+    def recording_solve(residual, jacobian, guess, tol, max_iter):
         calls = []
 
         def counted_residual(x):
             calls.append(1)
             return residual(x)
 
-        sol = solve(counted_residual, jacobian, guess, cfg, tol_abs)
+        sol = solve(counted_residual, jacobian, guess, tol, max_iter)
         solves.append((sol, jacobian, len(calls)))
         return sol
 
@@ -430,13 +434,13 @@ def test_coefficients_evaluated_once_per_new_time(method, per_step):
 
 def test_rest_state_is_fixed_point():
     rest = BodyState(0.0, identity_quat(), np.array([1.0, -2.0, 3.0]), np.zeros(3), np.zeros(3))
-    res = step_left(rest, left_outgoing(rest, CSET, CFG.h), SCHED, CFG)
+    res = step_left(rest, left_outgoing(rest, CSET, CFG.h), SCHED, CFG, 1.0)
     assert res.converged
     assert res.iterations == 0
     assert np.all(res.state.xdot_b == 0.0) and np.all(res.state.omega_b == 0.0)
     assert np.all(res.state.x_e == rest.x_e)
     assert np.all(res.state.q == rest.q)
-    res = step_mid(rest, initial_midpoint_history(rest, CSET), SCHED, CFG)
+    res = step_mid(rest, initial_midpoint_history(rest, CSET), SCHED, CFG, 1.0)
     assert res.converged
     assert np.all(res.state.xdot_b == 0.0) and np.all(res.state.omega_b == 0.0)
     assert np.all(res.state.x_e == rest.x_e)
@@ -605,7 +609,7 @@ def test_rk_damped_spherical_body_decays_exponentially():
     # 2 d(omega)/dt = -beta omega, so omega(t) = omega0 exp(-beta t / 2)
     beta = 0.5
     c = CoefficientSet(a_xx=1.0, A_xw=0.0, A_ww=1.0)
-    sched = constant_schedule(c, name="damped_sphere", force=lambda s, t: (np.zeros(3), -beta * s.omega_b))
+    sched = MorphingSchedule("damped_sphere", lambda t: c, lambda s, t: (np.zeros(3), -beta * s.omega_b), force_free=False)
     omega0 = np.array([0.4, -0.3, 0.8])
     start = BodyState(0.0, identity_quat(), np.zeros(3), np.zeros(3), omega0)
     rec = integrate(start, sched, SolverConfig(h=0.01), "rk", 1.0)
@@ -632,7 +636,7 @@ def test_velocities_from_momenta_round_trip():
         xd, om = RNG.standard_normal(3), RNG.standard_normal(3)
         s = BodyState(0.0, identity_quat(), np.zeros(3), xd, om)
         g = np.concatenate((energy_grad_xdot(s, c), energy_grad_omega(s, c)))
-        v = c.velocity_inverse() @ (g - c.momentum_offset())
+        v = c.velocity_inverse @ (g - c.momentum_offset)
         assert_allclose(v[:3], xd, rtol=1e-10, atol=1e-10)
         assert_allclose(v[3:], om, rtol=1e-10, atol=1e-10)
 
@@ -758,7 +762,7 @@ def test_huge_rates_fail_with_a_solver_reason(rate, h, method, sched):
         carried = seed_history(method, start, c0, h)
     k = setup(start.q.tolist(), c0, h, carried)
     with pytest.raises(SingularJacobianError) as err:
-        newton_solve(lambda w: ev(k, w), lambda w, t: jac(k, w, t), start.omega_b, cfg)
+        newton_solve(lambda w: ev(k, w), lambda w, t: jac(k, w, t), start.omega_b, cfg.residual_tol, cfg.max_iter)
     assert str(err.value) in SOLVER_REASONS
 
 
@@ -771,4 +775,14 @@ def test_singular_translational_mass_block_is_a_solver_failure(method):
     assert rec.stop_reason.startswith("translational mass block 2 a_xx")
     step = step_left if method == "left" else step_mid
     with pytest.raises(SingularJacobianError, match="translational mass block"):
-        step(SPIN, seed_history(method, SPIN, c, CFG.h), sched, CFG)
+        step(SPIN, seed_history(method, SPIN, c, CFG.h), sched, CFG, momentum_scale(SPIN, c, CFG.h))
+
+
+@pytest.mark.parametrize("method", ["left", "mid"])
+def test_non_finite_coefficients_do_not_blame_the_mass_block(method):
+    # a_w turns infinite after t = 0.05 while the translational mass block stays regular
+    bad = CoefficientSet(a_xx=CSET.a_xx, A_xw=CSET.A_xw, A_ww=CSET.A_ww, a_w=(math.inf, 0.0, 0.0))
+    sched = dataclasses.replace(SCHED, coefficients=lambda t: CSET if t < 0.05 else bad)
+    rec = integrate(SPIN, sched, CFG, method, 0.1)
+    assert rec.truncated and len(rec) > 1
+    assert rec.stop_reason == "non-finite coefficients"

@@ -54,9 +54,14 @@ def test_coefficient_set_validation():
         CoefficientSet(a_xx=np.array([[1.0, 0.5, 0], [0, 1, 0], [0, 0, 1]]), A_xw=0.0, A_ww=1.0)
     with pytest.raises(ValueError):
         CoefficientSet(a_xx=1.0, A_xw=0.0, A_ww=np.array([[1.0, 0, 0], [0.5, 1, 0], [0, 0, 1]]))
+    with pytest.raises(ValueError, match="3x3"):
+        CoefficientSet(a_xx=np.eye(2), A_xw=0.0, A_ww=1.0)
     c = CoefficientSet(a_xx=2.0, A_xw=0.0, A_ww=3.0)  # scalars promote to Id multiples
     assert_allclose(c.a_xx, 2.0 * np.eye(3), atol=0.0)
-    assert np.linalg.eigvalsh(c.mass_matrix()).min() > 0.0
+    assert np.linalg.eigvalsh(c.mass_matrix).min() > 0.0
+    for m in (0.0, -1.0):
+        with pytest.raises(ValueError, match="positive"):
+            RigidParams(m=m, c=np.zeros(3), I_ref=1.0)
 
 
 def test_coefficient_set_add_and_inverse():
@@ -65,14 +70,15 @@ def test_coefficient_set_add_and_inverse():
     s = c1 + c2
     assert_allclose(s.a_xx, 3.0 * np.eye(3), atol=0.0)
     assert s.a_0 == 0.5
-    inv = CSET.velocity_inverse()
-    assert_allclose(inv @ CSET.mass_matrix(), np.eye(6), atol=1e-12)
-    assert CSET.velocity_inverse() is inv  # cached
-    m = CSET.mass_matrix()
-    assert CSET.mass_matrix() is m and not m.flags.writeable  # cached, read-only
+    inv = CSET.velocity_inverse
+    assert_allclose(inv @ CSET.mass_matrix, np.eye(6), atol=1e-12)
+    for name in ("mass_matrix", "momentum_offset", "velocity_inverse"):
+        a = getattr(CSET, name)
+        assert getattr(CSET, name) is a and not a.flags.writeable, name  # cached, read-only
+    assert CSET.elimination_blocks is CSET.elimination_blocks
     degenerate = CoefficientSet(a_xx=0.0, A_xw=0.0, A_ww=0.0)
     with pytest.raises(ValueError):
-        degenerate.velocity_inverse()
+        degenerate.velocity_inverse
 
 
 def test_body_state_validation():
@@ -238,7 +244,7 @@ def test_preset_free_body_table():
     assert np.array_equal(c.A_ww, TABLE_A_WW)
     assert np.array_equal(c.a_x, np.zeros(3)) and np.array_equal(c.a_w, np.zeros(3))
     assert c.a_0 == 0.0
-    assert np.linalg.eigvalsh(c.mass_matrix()).min() > 0.0
+    assert np.linalg.eigvalsh(c.mass_matrix).min() > 0.0
     assert rp.m == 8.0
     assert np.array_equal(rp.c, [0.79375, 0.0, 0.005])
     assert np.array_equal(rp.I_ref, 2.0 * TABLE_A_WW)
@@ -312,7 +318,7 @@ def test_morphing_particle_oracle():
 def test_morphing_positive_definite_sweep():
     sched = preset_morphing()
     for t in np.linspace(0.0, 2 * np.pi, 49):
-        assert np.linalg.eigvalsh(sched.coefficients(t).mass_matrix()).min() > 0.0
+        assert np.linalg.eigvalsh(sched.coefficients(t).mass_matrix).min() > 0.0
 
 
 def test_morphing_coefficients_continuous():
