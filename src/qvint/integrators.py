@@ -32,8 +32,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .diagnostics import TrajectoryRecord
-from .model import BodyState, CoefficientSet, MorphingSchedule, RigidParams, _canonical_momenta_v, _cross, _energy_v
-from .model import _cx, _mm, _momenta_v, _mv, _physical_momenta_v, _skew, canonical_momenta
+from .model import BodyState, CoefficientSet, MorphingSchedule, RigidParams, _canonical_f, _cross, _cx
+from .model import _energy_momenta, _mm, _mv, _skew, canonical_momenta
 from .quat import _exp_f, _mul_f, _right_jacobian, _rotate, _rotate_f, conj, exp_map, normalize, quat_mul
 
 Array = np.ndarray
@@ -342,8 +342,8 @@ def initial_midpoint_history(state: BodyState, c0: CoefficientSet) -> Array:
     shifted by exp((h/4) omega) instead conserves a momentum O(h) away from
     the true one, which degrades the whole run to first order.)
     """
-    g = _momenta_v(np.concatenate((state.xdot_b, state.omega_b)), c0)
-    return np.concatenate((_rotate(state.q, g[:3]), _rotate(state.q, g[3:])))
+    _, d1, d2 = _energy_momenta(c0, state.xdot_b.tolist(), state.omega_b.tolist())
+    return np.array((*_rotate_f(state.q.tolist(), d1), *_rotate_f(state.q.tolist(), d2)))
 
 
 def step_mid(prev: BodyState, history: Array, sched: MorphingSchedule, cfg: SolverConfig, scale: float) -> StepResult:
@@ -404,7 +404,7 @@ def step_rk_baseline(
     t = prev.t
     c_half = sched.coefficients(t + 0.5 * h)
     c_end = sched.coefficients(t + h)
-    d0 = _momenta_v(np.concatenate((prev.xdot_b, prev.omega_b)), c_prev)
+    d0 = np.concatenate(_energy_momenta(c_prev, prev.xdot_b.tolist(), prev.omega_b.tolist())[1:])
 
     def rate(q_s, x_s, d, c, t_s):
         """Stage velocities v and the rates of x and d = (D1, D2)."""
@@ -438,8 +438,8 @@ def step_rk_baseline(
 
 def momentum_scale(state: BodyState, c: CoefficientSet, h: float) -> float:
     """Absolute scale for Newton tolerances: initial canonical momentum norm, floored at 1."""
-    p_x, p_w = _canonical_momenta_v(state.q, np.concatenate((state.xdot_b, state.omega_b)), c, h)
-    return max(1.0, math.hypot(*p_x.tolist(), *p_w.tolist()))
+    _, p_x, p_w = _canonical_f(state.q.tolist(), state.xdot_b.tolist(), state.omega_b.tolist(), c, h)
+    return max(1.0, math.hypot(*p_x, *p_w))
 
 
 def _midpoint_step_velocities(v: Array) -> Array:
@@ -504,22 +504,22 @@ def integrate(
         "rk": lambda r: step_rk_baseline(r.state, r.coeffs, sched, h),
     }[method]
 
-    i_com = None if rigid_params is None else rigid_params.com_inertia()
+    i_com = None if rigid_params is None else rigid_params.com_inertia().ravel().tolist()
 
     def conserved(r: StepResult) -> Array:
-        """Row [T, p_x, p_w] (then P_x, P_w with rigid_params) at the step's diagnostics point.
+        """Row [T, p_x, p_w, and given rigid_params P_x = m R (xdot + omega x c), P_w = R I_com omega] at r.point.
 
         The momenta are recomputed from the recorded velocities, not read from
         the solve's terms: for both schemes the solve's R(q) g1 equals the
         carried p_x by construction, so an e_x taken from it would hold by
         construction and check nothing.
         """
-        q, xdot, omega = r.point
-        v = np.concatenate((xdot, omega))
-        parts = [(_energy_v(v, r.coeffs),), *_canonical_momenta_v(q, v, r.coeffs, h)]
-        if rigid_params is not None:
-            parts += _physical_momenta_v(q, xdot, omega, rigid_params, i_com)
-        return np.concatenate(parts)
+        q, xdot, omega = [a.tolist() for a in r.point]
+        t, p_x, p_w = _canonical_f(q, xdot, omega, r.coeffs, h)
+        if i_com is None:
+            return np.array((t, *p_x, *p_w))
+        v_com = _rotate_f(q, [u + v for u, v in zip(xdot, _cx(omega, rigid_params.c.tolist()))])
+        return np.array((t, *p_x, *p_w, *[rigid_params.m * v for v in v_com], *_rotate_f(q, _mv(i_com, omega))))
 
     states, iterations = [initial], [0]
     stop_reason = ""

@@ -19,13 +19,15 @@ through time-dependent coefficients produced by a :class:`MorphingSchedule`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Callable
 
 import numpy as np
 
-from .quat import _rotate
+from .quat import _rotate_f
 
 Array = np.ndarray
 
@@ -39,6 +41,9 @@ WING_MASS = 0.5
 DAMPING_BETA = 0.05
 
 _SYM_TOL = 1e-12
+
+#: CoefficientSet's fields, in order
+_FIELDS = ("a_xx", "A_xw", "A_ww", "a_x", "a_w", "a_0")
 
 
 def skew(v: Array) -> Array:
@@ -74,6 +79,25 @@ def _cx(a, b) -> tuple[float, float, float]:
 def _skew(v) -> tuple[float, ...]:
     x, y, z = v
     return (0.0, -z, y, z, 0.0, -x, -y, x, 0.0)
+
+
+def _solve3(m, *rhs) -> list[tuple[float, ...]]:
+    """m^-1 r for each row-major 3x3 r in rhs, by the adjugate of m / max |m_ij|, then x + m^-1 (r - m x) once.
+
+    The scaling keeps the determinant from overflowing or underflowing at any finite scale. The refinement
+    step wins back what the cofactors lose to cancellation (up to 50x at condition number 1e3). Raises
+    np.linalg.LinAlgError for a singular m; a non-finite m gives non-finite solutions.
+    """
+    s = max(map(abs, m)) if all(map(math.isfinite, m)) else math.nan  # max would skip a NaN
+    a, b, c, d, e, f, g, h, i = [v / s for v in m] if s else m  # s = 0: m is zero, and singular
+    c0, c1, c2 = e * i - f * h, f * g - d * i, d * h - e * g
+    det = a * c0 + b * c1 + c * c2
+    if det == 0.0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    adj = (c0, c * h - b * i, b * f - c * e, c1, a * i - c * g, c * d - a * f, c2, b * g - a * h, a * e - b * d)
+    mi = [v / det / s for v in adj]
+    xs = [_mm(mi, r) for r in rhs]
+    return [tuple([u + v for u, v in zip(x, _mm(mi, [p - q for p, q in zip(r, _mm(m, x))]))]) for x, r in zip(xs, rhs)]
 
 
 def _cross(a: Array, b: Array) -> Array:
@@ -119,24 +143,29 @@ class CoefficientSet:
     a_0: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "a_xx", _as_matrix(self.a_xx, "a_xx"))
-        object.__setattr__(self, "A_xw", _as_matrix(self.A_xw, "A_xw"))
-        object.__setattr__(self, "A_ww", _as_matrix(self.A_ww, "A_ww"))
-        object.__setattr__(self, "a_x", np.array(self.a_x, dtype=float).reshape(3))
-        object.__setattr__(self, "a_w", np.array(self.a_w, dtype=float).reshape(3))
+        for f in _FIELDS[:3]:
+            object.__setattr__(self, f, _as_matrix(getattr(self, f), f))
+        for f in _FIELDS[3:5]:
+            object.__setattr__(self, f, np.array(getattr(self, f), dtype=float).reshape(3))
         object.__setattr__(self, "a_0", float(self.a_0))
         _check_symmetric(self.a_xx, "a_xx")
         _check_symmetric(self.A_ww, "A_ww")
 
+    @classmethod
+    def _trusted(cls, a_xx, A_xw, A_ww, a_x, a_w, a_0: float) -> "CoefficientSet":
+        """Set from validated row-major float 9-tuples and 3-tuples: no checks, and _flat is seeded."""
+        c, flat = cls.__new__(cls), (a_xx, A_xw, A_ww, a_x, a_w, a_0)
+        blocks = [np.array(v).reshape(3, 3) for v in flat[:3]]
+        vars(c).update(zip(_FIELDS, blocks + [np.array(a_x), np.array(a_w), a_0]), _flat=flat)
+        return c
+
     def __add__(self, other: "CoefficientSet") -> "CoefficientSet":
-        return CoefficientSet(
-            self.a_xx + other.a_xx,
-            self.A_xw + other.A_xw,
-            self.A_ww + other.A_ww,
-            self.a_x + other.a_x,
-            self.a_w + other.a_w,
-            self.a_0 + other.a_0,
-        )
+        return CoefficientSet(*[getattr(self, f) + getattr(other, f) for f in _FIELDS])
+
+    @cached_property
+    def _flat(self) -> tuple:
+        """Python-float view (a_xx, A_xw, A_ww as row-major 9-tuples, a_x, a_w, a_0)."""
+        return (*[tuple(getattr(self, f).ravel().tolist()) for f in _FIELDS[:5]], self.a_0)
 
     @cached_property
     def mass_matrix(self) -> Array:
@@ -158,13 +187,13 @@ class CoefficientSet:
         Raises np.linalg.LinAlgError for a singular Mxx and ValueError for
         non-finite blocks.
         """
-        m = self.mass_matrix
-        mi = np.linalg.inv(m[:3, :3])
-        x = -mi @ m[:3, 3:]
-        b = [mi, x, m[3:, 3:] + m[3:, :3] @ x, m[3:, :3] @ mi, self.a_x, self.a_w]
-        if not np.isfinite(np.concatenate([a.ravel() for a in b])).all():
+        xx, xw, ww, a_x, a_w, _ = self._flat
+        mxx, wx = [2.0 * v for v in xx], xw[0::3] + xw[1::3] + xw[2::3]
+        mi, x = _solve3(mxx, (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0), [-v for v in xw])
+        b = (mi, x, tuple([2.0 * u + v for u, v in zip(ww, _mm(wx, x))]), _mm(wx, mi), a_x, a_w)
+        if not all(map(math.isfinite, chain(*b))):
             raise ValueError("non-finite coefficients")
-        return tuple([tuple(a.ravel().tolist()) for a in b])
+        return b
 
     @cached_property
     def velocity_inverse(self) -> Array:
@@ -208,35 +237,39 @@ class BodyState:
 # velocity-level kernels shared with the integrators (hot path, no BodyState)
 
 
-def _energy_v(v: Array, c: CoefficientSet) -> float:
-    """T = (1/2) v.M v + a.v + a_0 at the stacked velocities v = (xdot, omega)."""
-    return float(0.5 * (v @ (c.mass_matrix @ v)) + c.momentum_offset @ v + c.a_0)
+def _energy_momenta(c: CoefficientSet, xd, om) -> tuple[float, list[float], list[float]]:
+    """T = (1/2) v.M v + a.v + a_0 and (D1, D2) = M v + a at v = (xd, om); each row of M v sums in column order."""
+    xx, xw, ww, a_x, a_w, a_0 = c._flat
+    (x, y, z), (u, v, w) = xd, om
+    m = [2.0 * xx[i] * x + 2.0 * xx[i + 1] * y + 2.0 * xx[i + 2] * z + xw[i] * u + xw[i + 1] * v + xw[i + 2] * w
+         for i in (0, 3, 6)]  # fmt: skip
+    m += [xw[i] * x + xw[i + 3] * y + xw[i + 6] * z + 2.0 * ww[3 * i] * u + 2.0 * ww[3 * i + 1] * v
+          + 2.0 * ww[3 * i + 2] * w for i in (0, 1, 2)]  # fmt: skip
+    t = (0.5 * (x * m[0] + y * m[1] + z * m[2] + u * m[3] + v * m[4] + w * m[5])
+         + (a_x[0] * x + a_x[1] * y + a_x[2] * z + a_w[0] * u + a_w[1] * v + a_w[2] * w) + a_0)  # fmt: skip
+    return t, [m[i] + a_x[i] for i in range(3)], [m[i + 3] + a_w[i] for i in range(3)]
 
 
-def _momenta_v(v: Array, c: CoefficientSet) -> Array:
-    """Momenta g = M v + a = (D1, D2) at the stacked velocities v = (xdot, omega)."""
-    return c.mass_matrix @ v + c.momentum_offset
+def _canonical_f(q, xd, om, c: CoefficientSet, h: float) -> tuple[float, tuple, list[float]]:
+    """T and the discrete canonical momenta (p_x, p_w) of canonical_momenta, on Python floats."""
+    t, d1, d2 = _energy_momenta(c, xd, om)
+    m = _cx(om, d2)
+    return t, _rotate_f(q, d1), [d2[i] + 0.5 * h * m[i] for i in range(3)]
 
 
 def kinetic_energy(s: BodyState, c: CoefficientSet) -> float:
     """Kinetic energy of a state under a coefficient set [J]."""
-    return _energy_v(np.concatenate((s.xdot_b, s.omega_b)), c)
+    return _energy_momenta(c, s.xdot_b.tolist(), s.omega_b.tolist())[0]
 
 
 def energy_grad_xdot(s: BodyState, c: CoefficientSet) -> Array:
     """dT/dxdot, the body-frame translational momentum block."""
-    return _momenta_v(np.concatenate((s.xdot_b, s.omega_b)), c)[:3]
+    return np.array(_energy_momenta(c, s.xdot_b.tolist(), s.omega_b.tolist())[1])
 
 
 def energy_grad_omega(s: BodyState, c: CoefficientSet) -> Array:
     """dT/domega, the body-frame rotational momentum block."""
-    return _momenta_v(np.concatenate((s.xdot_b, s.omega_b)), c)[3:]
-
-
-def _canonical_momenta_v(q: Array, v: Array, c: CoefficientSet, h: float) -> tuple[Array, Array]:
-    g = _momenta_v(v, c)
-    g2 = g[3:]
-    return _rotate(q, g[:3]), g2 + (0.5 * h) * _cross(v[3:], g2)
+    return np.array(_energy_momenta(c, s.xdot_b.tolist(), s.omega_b.tolist())[2])
 
 
 def canonical_momenta(s: BodyState, c: CoefficientSet, h: float) -> tuple[Array, Array]:
@@ -245,7 +278,8 @@ def canonical_momenta(s: BodyState, c: CoefficientSet, h: float) -> tuple[Array,
     p_x = q (x) D1 (x) q* and p_w = D2 + (h/2) omega x D2; the h term is the
     discrete left-rectangle correction, so p_w depends on the step size.
     """
-    return _canonical_momenta_v(s.q, np.concatenate((s.xdot_b, s.omega_b)), c, h)
+    _, p_x, p_w = _canonical_f(s.q.tolist(), s.xdot_b.tolist(), s.omega_b.tolist(), c, h)
+    return np.array(p_x), np.array(p_w)
 
 
 @dataclass(frozen=True)
@@ -272,12 +306,6 @@ class RigidParams:
         """Inertia tensor about the center of mass (parallel axis theorem)."""
         c = self.c
         return self.I_ref - self.m * (float(c @ c) * np.eye(3) - np.outer(c, c))
-
-
-def _physical_momenta_v(
-    q: Array, xdot: Array, omega: Array, rp: RigidParams, i_com: Array
-) -> tuple[Array, Array]:
-    return rp.m * _rotate(q, xdot + _cross(omega, rp.c)), _rotate(q, i_com @ omega)
 
 
 def rigid_coefficients(rp: RigidParams) -> CoefficientSet:
@@ -347,25 +375,23 @@ def point_mass_coefficients(m: float, r: Array, rdot: Array) -> CoefficientSet:
     )
 
 
+def _wing_state(t: float) -> tuple[float, float, float, float]:
+    """(a, b, adot, bdot): the + wing sits at (0, a, b) and moves at (0, adot, bdot), the - wing mirrors y."""
+    th, ph, thd, phd = math.sin(t), -0.5 * math.cos(t), math.cos(t), 0.5 * math.sin(t)
+    a, b = WING_LENGTH * math.cos(th) * math.cos(ph), WING_LENGTH * math.sin(th)
+    ad = WING_LENGTH * (-math.sin(th) * thd * math.cos(ph) - math.cos(th) * math.sin(ph) * phd)
+    bd = WING_LENGTH * math.cos(th) * thd
+    return a, b, ad, bd
+
+
 def wing_motion(t: float) -> tuple[Array, Array, Array, Array]:
     """Positions and velocities (r+, rdot+, r-, rdot-) of the synthetic wing pair.
 
     Sweep theta = sin(t) and incidence phi = -0.5 cos(t) move each wing tip to
     (0, +-L cos(theta) cos(phi), L sin(theta)) on body axes.
     """
-    th = np.sin(t)
-    ph = -0.5 * np.cos(t)
-    thd = np.cos(t)
-    phd = 0.5 * np.sin(t)
-    a = WING_LENGTH * np.cos(th) * np.cos(ph)
-    b = WING_LENGTH * np.sin(th)
-    ad = WING_LENGTH * (-np.sin(th) * thd * np.cos(ph) - np.cos(th) * np.sin(ph) * phd)
-    bd = WING_LENGTH * np.cos(th) * thd
-    r_p = np.array([0.0, a, b])
-    r_m = np.array([0.0, -a, b])
-    rdot_p = np.array([0.0, ad, bd])
-    rdot_m = np.array([0.0, -ad, bd])
-    return r_p, rdot_p, r_m, rdot_m
+    a, b, ad, bd = _wing_state(t)
+    return np.array([0.0, a, b]), np.array([0.0, ad, bd]), np.array([0.0, -a, b]), np.array([0.0, -ad, bd])
 
 
 def preset_morphing(damping: bool = False) -> MorphingSchedule:
@@ -375,16 +401,22 @@ def preset_morphing(damping: bool = False) -> MorphingSchedule:
     WING_MASS at the wing_motion positions. With damping enabled the force
     callback applies the body torque -DAMPING_BETA omega, standing in for
     aerodynamic dissipation; otherwise the schedule is force free.
+
+    coefficients(t) adds the mirrored pair in closed form, equal to the sum of
+    its two point_mass_coefficients sets; with r = (0, +-a, b), a_w cancels.
     """
-    fuselage, _ = preset_free_body()
+    xx, xw, ww, f_x, f_w, f_0 = preset_free_body()[0]._flat
+    m = WING_MASS
 
     def coefficients(t: float) -> CoefficientSet:
-        r_p, rdot_p, r_m, rdot_m = wing_motion(t)
-        return (
-            fuselage
-            + point_mass_coefficients(WING_MASS, r_p, rdot_p)
-            + point_mass_coefficients(WING_MASS, r_m, rdot_m)
-        )
+        a, b, ad, bd = _wing_state(t)
+        rr, mb = a * a + b * b, 2.0 * m * b
+        return CoefficientSet._trusted(
+            (xx[0] + m, *xx[1:4], xx[4] + m, *xx[5:8], xx[8] + m),
+            (xw[0], xw[1] + mb, xw[2], xw[3] - mb, *xw[4:]),
+            (ww[0] + m * rr, *ww[1:4], ww[4] + m * (rr - a * a), *ww[5:8], ww[8] + m * (rr - b * b)),
+            (*f_x[:2], f_x[2] + 2.0 * m * bd), f_w, f_0 + m * (ad * ad + bd * bd),
+        )  # fmt: skip
 
     def damped(s: BodyState, t: float) -> tuple[Array, Array]:
         return np.zeros(3), -DAMPING_BETA * s.omega_b

@@ -592,6 +592,27 @@ def test_refinement_reduces_conservation_errors():
         assert fine[1] < coarse[1]
 
 
+def test_intermediate_axis_spin_is_held_by_rk_and_departed_later_by_mid_as_h_shrinks():
+    # omega0 = (0, 2, 0) spins the free body about its intermediate principal axis through the
+    # centre of mass (moments 0.467 / 1.067 / 1.500): a relative equilibrium, unstable with growth
+    # rate lam = |omega| sqrt((I2 - I1)(I3 - I2) / (I1 I3)) ~ 1.2/s. rk keeps omega on the axis;
+    # mid is put O(h^2) off it, so each halving of h delays its departure by ln(4) / lam
+    q0 = np.array([0.0, 0.0, 0.0, 1.0])
+    start = BodyState(0.0, q0, np.zeros(3), np.array([1.0, 1.0, 0.0]), np.array([0.0, 2.0, 0.0]))
+    rk = integrate(start, SCHED, SolverConfig(h=0.01), "rk", 6.0)
+    assert not rk.truncated and np.abs(rk.omega_b - start.omega_b).max() <= 1e-9
+    i1, i2, i3 = np.linalg.eigvalsh(RP.com_inertia())
+    lam = 2.0 * math.sqrt((i2 - i1) * (i3 - i2) / (i1 * i3))
+    departures = []
+    for h in (0.005, 0.0025, 0.00125):
+        rec = integrate(start, SCHED, SolverConfig(h=h), "mid", 6.0)
+        off = np.abs(rec.omega_b - start.omega_b).max(axis=1) > 1e-3
+        assert not rec.truncated and off.any(), h
+        departures.append(rec.t[np.argmax(off)])
+    assert departures[0] < departures[1] < departures[2]
+    assert_allclose(np.diff(departures), math.log(4.0) / lam, rtol=0.1)
+
+
 def test_rk_spherical_body_is_exact():
     # for a spherical inertia the momentum equations are trivially constant
     c = CoefficientSet(a_xx=1.0, A_xw=0.0, A_ww=1.0)

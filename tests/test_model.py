@@ -1,8 +1,10 @@
 """Energy model: frozen fixture values, gradient oracles, preset assembly."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from qvint import (
     BodyState,
@@ -27,6 +29,7 @@ from qvint import (
     skew,
     wing_motion,
 )
+from qvint.model import WING_MASS
 
 RNG = np.random.default_rng(905)
 
@@ -79,6 +82,59 @@ def test_coefficient_set_add_and_inverse():
     degenerate = CoefficientSet(a_xx=0.0, A_xw=0.0, A_ww=0.0)
     with pytest.raises(ValueError):
         degenerate.velocity_inverse
+
+
+def exact_elimination_blocks(c):
+    """Mxx^-1, X, S and P of elimination_blocks, in exact rational arithmetic on the set's floats."""
+
+    def frac(m, k):
+        return np.array([[Fraction(v) * k for v in row] for row in m.tolist()], dtype=object)
+
+    mxx, mxw, mww = frac(c.a_xx, 2), frac(c.A_xw, 1), frac(c.A_ww, 2)
+    (a, b, d), (e, f, g), (h, i, j) = mxx
+    adj = np.array(
+        [[f * j - g * i, d * i - b * j, b * g - d * f],
+         [g * h - e * j, a * j - d * h, d * e - a * g],
+         [e * i - f * h, b * h - a * i, a * f - b * e]],
+        dtype=object,
+    )  # fmt: skip
+    mi = adj / (a * adj[0, 0] + b * adj[1, 0] + d * adj[2, 0])
+    x = -(mi @ mxw)
+    return [blk.astype(float) for blk in (mi, x, mww + mxw.T @ x, mxw.T @ mi)]
+
+
+def random_spd_set(rng, scale):
+    """A set whose 6x6 mass matrix is symmetric positive definite with condition number <= 1e3."""
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    m = (q * 10.0 ** rng.uniform(0.0, 3.0, 6)) @ q.T * scale
+    m = 0.5 * (m + m.T)
+    return CoefficientSet(a_xx=0.5 * m[:3, :3], A_xw=m[:3, 3:], A_ww=0.5 * m[3:, 3:])
+
+
+def test_elimination_blocks_match_references_at_every_scale():
+    # the float adjugate inverse scales Mxx by its largest entry, so 1e+-120 neither
+    # overflows nor underflows its determinant, and refines once to LU accuracy
+    rng = np.random.default_rng(1103)
+    scales = [10.0 ** rng.uniform(-3.0, 3.0) for _ in range(400)] + [1e120, 1e-120] * 5
+    sets = [random_spd_set(rng, k) for k in scales]
+    sets += [CoefficientSet(a_xx=k, A_xw=0.0, A_ww=1.0) for k in (1e120, 1e-120)]
+    for c in sets:
+        mi = np.linalg.inv(2.0 * c.a_xx)
+        got = [np.array(b).reshape(3, 3) for b in c.elimination_blocks[:4]]
+        assert np.abs(got[0] - mi).max() <= 1e-13 * np.abs(mi).max()
+        # X, S and P against exact arithmetic: a float reference built on np.linalg.inv
+        # is itself up to 1e-12 off in S, whose terms cancel
+        for name, g, want in zip(("Mxx^-1", "X", "S", "P"), got, exact_elimination_blocks(c)):
+            assert np.abs(g - want).max() <= 1e-13 * np.abs(want).max(), name
+        assert c.elimination_blocks[4:] == (tuple(c.a_x), tuple(c.a_w))
+
+
+def test_nan_in_a_zero_translational_block_is_non_finite_not_singular():
+    # the scaling divisor is the largest |entry|, which max() finds past a NaN as 0
+    with np.errstate(invalid="ignore"):  # the symmetry check subtracts NaNs
+        c = CoefficientSet(a_xx=[[0.0, np.nan, 0.0], [np.nan, 0.0, 0.0], [0.0, 0.0, 0.0]], A_xw=0.0, A_ww=1.0)
+    with pytest.raises(ValueError, match="non-finite coefficients"):
+        c.elimination_blocks
 
 
 def test_body_state_validation():
@@ -313,6 +369,26 @@ def test_morphing_particle_oracle():
         got = kinetic_energy(s, sched.coefficients(t))
         worst = max(worst, abs(got - expect) / max(1.0, abs(expect)))
     assert worst <= 1e-10
+
+
+def test_morphing_closed_form_matches_the_point_mass_sum():
+    # coefficients(t) adds the mirrored wing pair in closed form; the general path adds
+    # two point_mass_coefficients sets through the validating constructor
+    sched = preset_morphing()
+    fuselage, _ = preset_free_body()
+    fields = ("a_xx", "A_xw", "A_ww", "a_x", "a_w", "a_0")
+    for t in np.linspace(0.0, 7.0, 200):
+        c = sched.coefficients(t)
+        r_p, rdot_p, r_m, rdot_m = wing_motion(t)
+        ref = fuselage + point_mass_coefficients(WING_MASS, r_p, rdot_p) + point_mass_coefficients(WING_MASS, r_m, rdot_m)
+        for name in fields:
+            assert_allclose(getattr(c, name), getattr(ref, name), rtol=0.0, atol=1e-14, err_msg=name)
+        for got, want in zip(c.elimination_blocks, ref.elimination_blocks):
+            assert_allclose(got, want, rtol=0.0, atol=1e-14)
+        rebuilt = CoefficientSet(*[getattr(c, name) for name in fields])  # passes validation
+        for name in fields:
+            assert_array_equal(getattr(rebuilt, name), getattr(c, name))
+        assert rebuilt.elimination_blocks == c.elimination_blocks
 
 
 def test_morphing_positive_definite_sweep():
