@@ -20,7 +20,8 @@ translational momentum it received forward unchanged. Each scheme's residual
 jacobian_mid) wrap one balance evaluation (_left_eval, _mid_eval): Newton
 calls it once per iterate and the Jacobian reuses its terms. A classical RK4
 baseline on the momentum form of the equations of motion is included for
-accuracy comparisons; it is not structure preserving.
+accuracy comparisons; it is not structure preserving, but it shares their
+elimination blocks (velocity recovery) and _advance (orientation update).
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .diagnostics import TrajectoryRecord
-from .model import BodyState, CoefficientSet, MorphingSchedule, RigidParams, _canonical_f, _cross, _cx
+from .model import BodyState, CoefficientSet, MorphingSchedule, RigidParams, _canonical_f, _cx
 from .model import _energy_momenta, _mm, _mv, _skew, canonical_momenta
-from .quat import _exp_f, _mul_f, _right_jacobian, _rotate, _rotate_f, conj, exp_map, normalize, quat_mul
+from .quat import _exp_f, _mul_f, _right_jacobian, _rotate_f
 
 Array = np.ndarray
 Vec3 = tuple[float, float, float]
@@ -182,8 +183,16 @@ def _blocks(c: CoefficientSet) -> tuple:
         raise SingularJacobianError(f"translational mass block 2 a_xx: {exc}") from exc
 
 
+def _velocities(c: CoefficientSet, d) -> tuple[list[float], Vec3]:
+    """(xdot, omega) with momenta M v + a = d = (D1, D2): omega = S^-1 (D2 - a_w - P e), xdot = Mxx^-1 e + X omega."""
+    mi, xc, _, p, a_x, a_w = _blocks(c)
+    e = [u - v for u, v in zip(d, a_x)]
+    om = _mv(c.schur_inverse, [u - v - w for u, v, w in zip(d[3:], a_w, _mv(p, e))])
+    return [u + v for u, v in zip(_mv(mi, e), _mv(xc, om))], om
+
+
 def _advance(q, omega, h: float) -> tuple[float, float, float, float]:
-    """q (x) exp((h/2) omega), sign-matched to q and renormalized."""
+    """q (x) exp((h/2) omega), sign-matched to q and renormalized: every scheme's orientation update."""
     p = _mul_f(q, _exp_f([0.5 * h * w for w in omega]))
     if p[0] * q[0] + p[1] * q[1] + p[2] * q[2] + p[3] * q[3] < 0.0:
         p = (-p[0], -p[1], -p[2], -p[3])
@@ -248,7 +257,7 @@ def step_left(prev: BodyState, history: Array, sched: MorphingSchedule, cfg: Sol
     """
     h = cfg.h
     q_k = _advance(prev.q.tolist(), prev.omega_b.tolist(), h)
-    x_k = prev.x_e + h * _rotate(prev.q, prev.xdot_b)
+    x_k = prev.x_e + h * np.array(_rotate_f(prev.q.tolist(), prev.xdot_b.tolist()))
     t_k = prev.t + h
     c_k = sched.coefficients(t_k)
     carried = history
@@ -362,8 +371,8 @@ def step_mid(prev: BodyState, history: Array, sched: MorphingSchedule, cfg: Solv
     q_k = prev.q.tolist()
     carried = history
     if not sched.force_free:
-        q_pred = normalize(quat_mul(q_k, exp_map((0.25 * h) * prev.omega_b)))
-        x_pred = prev.x_e + (0.5 * h) * _rotate(q_pred, prev.xdot_b)
+        q_pred = _advance(q_k, prev.omega_b.tolist(), 0.5 * h)
+        x_pred = prev.x_e + (0.5 * h) * np.array(_rotate_f(q_pred, prev.xdot_b.tolist()))
         probe = BodyState(t_mid, q_pred, x_pred, prev.xdot_b, prev.omega_b)
         f_earth, tau_body = sched.force(probe, t_mid)
         carried = carried + h * np.concatenate((f_earth, tau_body))  # step impulse
@@ -393,43 +402,39 @@ def step_mid(prev: BodyState, history: Array, sched: MorphingSchedule, cfg: Solv
 def step_rk_baseline(
     prev: BodyState, c_prev: CoefficientSet, sched: MorphingSchedule, h: float
 ) -> StepResult:
-    """One classical RK4 step on the body-frame momentum equations.
+    """One classical RK4 step on the body-frame momentum equations, on Python floats.
 
-    d/dt D1 = -omega x D1 + f on body axes, d/dt D2 = -omega x D2
-    - xdot x D1 + tau; velocities are recovered from the momenta through the
-    (time-dependent) mass matrix at every stage, and the orientation advances
-    by a first-order exponential update per stage. c_prev is the coefficient
-    set at prev.t.
+    d/dt D1 = -omega x D1 + f on body axes, d/dt D2 = -omega x D2 - xdot x D1 + tau.
+    Each stage recovers its velocities with _velocities and advances orientation from
+    prev.q by _advance at its rate. c_prev is the coefficient set at prev.t.
     """
-    t = prev.t
-    c_half = sched.coefficients(t + 0.5 * h)
-    c_end = sched.coefficients(t + h)
-    d0 = np.concatenate(_energy_momenta(c_prev, prev.xdot_b.tolist(), prev.omega_b.tolist())[1:])
+    t, q0, x0 = prev.t, prev.q.tolist(), prev.x_e.tolist()
+    c_half, c_end = sched.coefficients(t + 0.5 * h), sched.coefficients(t + h)
+    d0 = [v for d in _energy_momenta(c_prev, prev.xdot_b.tolist(), prev.omega_b.tolist())[1:] for v in d]
 
     def rate(q_s, x_s, d, c, t_s):
-        """Stage velocities v and the rates of x and d = (D1, D2)."""
-        v = c.velocity_inverse @ (d - c.momentum_offset)
-        xd, om, d1 = v[:3], v[3:], d[:3]
-        dd = np.concatenate((-_cross(om, d1), -_cross(om, d[3:]) - _cross(xd, d1)))
+        """Stage rate omega and the rates of x and d = (D1, D2)."""
+        xd, om = _velocities(c, d)
+        m, n, o = _cx(om, d[:3]), _cx(om, d[3:]), _cx(xd, d[:3])
+        dd = [-m[0], -m[1], -m[2], -n[0] - o[0], -n[1] - o[1], -n[2] - o[2]]
         if not sched.force_free:
-            probe = BodyState(t_s, normalize(q_s), x_s, xd, om)
-            f_e, tau = sched.force(probe, t_s)
-            dd = dd + np.concatenate((_rotate(conj(probe.q), f_e), tau))
-        return v, _rotate(q_s, xd), dd
+            f_e, tau = sched.force(BodyState(t_s, q_s, x_s, xd, om), t_s)
+            dd = [u + float(v) for u, v in zip(dd, (*_rotate_f((q_s[0], -q_s[1], -q_s[2], -q_s[3]), f_e), *tau))]
+        return om, _rotate_f(q_s, xd), dd
 
-    k = [rate(prev.q, prev.x_e, d0, c_prev, t)]
+    k = [rate(q0, x0, d0, c_prev, t)]
     for a, c in ((0.5, c_half), (0.5, c_half), (1.0, c_end)):
-        v, dx, dd = k[-1]
-        q_s = quat_mul(prev.q, exp_map((0.5 * a * h) * v[3:]))
-        k.append(rate(q_s, prev.x_e + (a * h) * dx, d0 + (a * h) * dd, c, t + a * h))
+        om, dx, dd = k[-1]
+        x_s, d_s = [u + a * h * v for u, v in zip(x0, dx)], [u + a * h * v for u, v in zip(d0, dd)]
+        k.append(rate(_advance(q0, om, a * h), x_s, d_s, c, t + a * h))
 
     def weighted(i):
-        return k[0][i] + 2.0 * k[1][i] + 2.0 * k[2][i] + k[3][i]
+        return [p + 2.0 * q + 2.0 * r + s for p, q, r, s in zip(*[ki[i] for ki in k])]
 
     sixth = h / 6.0
-    q_new = normalize(quat_mul(prev.q, exp_map((0.5 * h) * (weighted(0)[3:] / 6.0))))
-    v_new = c_end.velocity_inverse @ (d0 + sixth * weighted(2) - c_end.momentum_offset)
-    state = BodyState(t + h, q_new, prev.x_e + sixth * weighted(1), v_new[:3], v_new[3:])
+    xd, om = _velocities(c_end, [u + sixth * v for u, v in zip(d0, weighted(2))])
+    x_new = [u + sixth * v for u, v in zip(x0, weighted(1))]
+    state = BodyState(t + h, _advance(q0, [w / 6.0 for w in weighted(0)], h), x_new, xd, om)
     return StepResult(state, 0, 0.0, True, (state.q, state.xdot_b, state.omega_b), c_end, None)
 
 

@@ -100,22 +100,12 @@ def _solve3(m, *rhs) -> list[tuple[float, ...]]:
     return [tuple([u + v for u, v in zip(x, _mm(mi, [p - q for p, q in zip(r, _mm(m, x))]))]) for x, r in zip(xs, rhs)]
 
 
-def _cross(a: Array, b: Array) -> Array:
-    """Hand-rolled 3-vector cross product (np.cross is slow on (3,) inputs)."""
-    return np.array(_cx(a.tolist(), b.tolist()))
-
-
 def _as_matrix(m, name: str) -> Array:
     a = np.array(m, dtype=float)
     if a.shape == ():
         a = a * np.eye(3)
     if a.shape != (3, 3):
         raise ValueError(f"{name} must be a scalar or 3x3 matrix, got shape {a.shape}")
-    return a
-
-
-def _read_only(a: Array) -> Array:
-    a.flags.writeable = False
     return a
 
 
@@ -168,16 +158,6 @@ class CoefficientSet:
         return (*[tuple(getattr(self, f).ravel().tolist()) for f in _FIELDS[:5]], self.a_0)
 
     @cached_property
-    def mass_matrix(self) -> Array:
-        """Read-only 6x6 velocity-to-momentum map [[2 a_xx, A_xw], [A_xw^T, 2 A_ww]]."""
-        return _read_only(np.block([[2.0 * self.a_xx, self.A_xw], [self.A_xw.T, 2.0 * self.A_ww]]))
-
-    @cached_property
-    def momentum_offset(self) -> Array:
-        """Read-only 6-vector a = (a_x, a_w): the momenta M v + a at rest."""
-        return _read_only(np.concatenate((self.a_x, self.a_w)))
-
-    @cached_property
     def elimination_blocks(self) -> tuple:
         """Python-float blocks that eliminate xdot from the momenta g = M v + a.
 
@@ -196,12 +176,23 @@ class CoefficientSet:
         return b
 
     @cached_property
-    def velocity_inverse(self) -> Array:
-        """Read-only inverse of the mass matrix, for momentum-to-velocity recovery."""
-        m = self.mass_matrix
-        if np.linalg.cond(m) > 1e12:
-            raise ValueError("velocity-recovery matrix is singular or near singular")
-        return _read_only(np.linalg.inv(m))
+    def schur_inverse(self) -> tuple[float, ...]:
+        """Row-major S^-1 for elimination_blocks' Schur complement S, which recovers omega from the momenta.
+
+        Raises ValueError naming the block for a singular S, or for Mxx = 2 a_xx or S with a 1-norm
+        condition estimate |m|_1 |m^-1|_1 above 1e12.
+        """
+        mi, _, s, _, _, _ = self.elimination_blocks
+        try:
+            (si,) = _solve3(s, (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0))
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(f"Schur complement S: {exc}") from exc
+        mxx = [2.0 * v for v in self._flat[0]]
+        for name, m, inv in (("translational mass block 2 a_xx", mxx, mi), ("Schur complement S", s, si)):
+            cond = math.prod(max(abs(a[j]) + abs(a[j + 3]) + abs(a[j + 6]) for j in (0, 1, 2)) for a in (m, inv))
+            if not cond <= 1e12:
+                raise ValueError(f"{name}: condition estimate {cond:.3g} exceeds 1e12")
+        return si
 
 
 @dataclass(frozen=True)
@@ -370,7 +361,7 @@ def point_mass_coefficients(m: float, r: Array, rdot: Array) -> CoefficientSet:
         A_xw=m * skew(r).T,
         A_ww=0.5 * m * (float(r @ r) * np.eye(3) - np.outer(r, r)),
         a_x=m * rdot,
-        a_w=m * _cross(r, rdot),
+        a_w=m * np.cross(r, rdot),
         a_0=0.5 * m * float(rdot @ rdot),
     )
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from qvint import (
     BodyState,
     CoefficientSet,
     MorphingSchedule,
+    RigidParams,
     canonical_momenta,
     SingularJacobianError,
     SolverConfig,
@@ -28,11 +30,13 @@ from qvint import (
     jacobian_left,
     jacobian_mid,
     newton_solve,
+    point_mass_coefficients,
     preset_free_body,
     preset_morphing,
     quat_mul,
     residual_left,
     residual_mid,
+    rigid_coefficients,
     step_left,
     step_mid,
     step_rk_baseline,
@@ -657,9 +661,33 @@ def test_velocities_from_momenta_round_trip():
         xd, om = RNG.standard_normal(3), RNG.standard_normal(3)
         s = BodyState(0.0, identity_quat(), np.zeros(3), xd, om)
         g = np.concatenate((energy_grad_xdot(s, c), energy_grad_omega(s, c)))
-        v = c.velocity_inverse @ (g - c.momentum_offset)
-        assert_allclose(v[:3], xd, rtol=1e-10, atol=1e-10)
-        assert_allclose(v[3:], om, rtol=1e-10, atol=1e-10)
+        xd_r, om_r = integrators._velocities(c, g.tolist())
+        assert_allclose(xd_r, xd, rtol=1e-10, atol=1e-10)
+        assert_allclose(om_r, om, rtol=1e-10, atol=1e-10)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.floats(0.1, 10.0),
+    com=floats(-1.0, 1.0, 3),
+    moments=floats(0.1, 10.0, 3),
+    axes=floats(-1.0, 1.0, 4).filter(lambda q: np.linalg.norm(q) > 0.1),
+    points=st.lists(st.tuples(st.floats(0.0, 5.0), floats(-2.0, 2.0, 3), floats(-2.0, 2.0, 3)), max_size=3),
+    # |v| >= 0.1 keeps M v well above the roundoff of the offset a it is recovered from
+    v=floats(-10.0, 10.0, 6).filter(lambda v: np.linalg.norm(v) >= 0.1),
+)
+def test_velocities_invert_the_momenta_of_random_spd_sets(m, com, moments, axes, points, v):
+    # a rigid body with principal moments about the centre of mass on random axes, plus point masses
+    q = axes / np.linalg.norm(axes)
+    r = np.array([_rotate(q, e) for e in np.eye(3)]).T
+    i_com = r @ np.diag(moments) @ r.T
+    i_ref = 0.5 * (i_com + i_com.T) + m * (float(com @ com) * np.eye(3) - np.outer(com, com))
+    c = rigid_coefficients(RigidParams(m, com, i_ref))
+    for pm, pos, vel in points:
+        c = c + point_mass_coefficients(pm, pos, vel)
+    s = BodyState(0.0, identity_quat(), np.zeros(3), v[:3], v[3:])
+    xd, om = integrators._velocities(c, [*energy_grad_xdot(s, c), *energy_grad_omega(s, c)])
+    assert np.linalg.norm(np.concatenate((xd, om)) - v) <= 1e-10 * np.linalg.norm(v)
 
 
 def test_momentum_scale_floor_and_value():
@@ -787,16 +815,37 @@ def test_huge_rates_fail_with_a_solver_reason(rate, h, method, sched):
     assert str(err.value) in SOLVER_REASONS
 
 
-@pytest.mark.parametrize("method", ["left", "mid"])
+@pytest.mark.parametrize("method", ["left", "mid", "rk"])
 def test_singular_translational_mass_block_is_a_solver_failure(method):
     c = CoefficientSet(a_xx=0.0, A_xw=0.0, A_ww=1.0)
     sched = constant_schedule(c, name="massless")
     rec = integrate(SPIN, sched, CFG, method, 0.1)
     assert rec.truncated and len(rec) == 1
     assert rec.stop_reason.startswith("translational mass block 2 a_xx")
-    step = step_left if method == "left" else step_mid
     with pytest.raises(SingularJacobianError, match="translational mass block"):
-        step(SPIN, seed_history(method, SPIN, c, CFG.h), sched, CFG, momentum_scale(SPIN, c, CFG.h))
+        if method == "rk":
+            step_rk_baseline(SPIN, c, sched, CFG.h)
+        else:
+            step = step_left if method == "left" else step_mid
+            step(SPIN, seed_history(method, SPIN, c, CFG.h), sched, CFG, momentum_scale(SPIN, c, CFG.h))
+
+
+@pytest.mark.parametrize(
+    "a_xx, A_ww, reason",
+    [
+        (1.0, 0.0, "Schur complement S: Singular matrix"),
+        (1.0, np.diag([1.0, 1.0, 1e-14]), "Schur complement S: condition estimate 1e+14 exceeds 1e12"),
+        (np.diag([1.0, 1.0, 1e-14]), 1.0, "translational mass block 2 a_xx: condition estimate 1e+14 exceeds 1e12"),
+    ],
+    ids=["singular_S", "near_singular_S", "near_singular_Mxx"],
+)
+def test_rk_names_a_singular_or_near_singular_recovery_block(a_xx, A_ww, reason):
+    c = CoefficientSet(a_xx=a_xx, A_xw=0.0, A_ww=A_ww)
+    rec = integrate(SPIN, constant_schedule(c), CFG, "rk", 0.1)
+    assert rec.truncated and len(rec) == 1
+    assert rec.stop_reason == reason
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        c.schur_inverse
 
 
 @pytest.mark.parametrize("method", ["left", "mid"])

@@ -40,6 +40,12 @@ TABLE_A_XW = np.array([[0.0, 0.0400, 0.0], [-0.0400, 0.0, 6.350], [0.0, -6.350, 
 TABLE_A_WW = np.array([[0.2342, 0.0, -6.4761e-5], [0.0, 3.0539, 0.0], [-6.4761e-5, 0.0, 3.2699]])
 
 
+def spd_by_schur(c):
+    """M = [[2 a_xx, A_xw], [A_xw^T, 2 A_ww]] is SPD iff 2 a_xx and the Schur complement S are (the Schur criterion)."""
+    s = np.array(c.elimination_blocks[2]).reshape(3, 3)
+    return np.linalg.eigvalsh(2.0 * c.a_xx).min() > 0.0 and np.linalg.eigvalsh(0.5 * (s + s.T)).min() > 0.0
+
+
 def random_state(rng, t=0.0):
     q = rng.standard_normal(4)
     q /= np.linalg.norm(q)
@@ -61,7 +67,7 @@ def test_coefficient_set_validation():
         CoefficientSet(a_xx=np.eye(2), A_xw=0.0, A_ww=1.0)
     c = CoefficientSet(a_xx=2.0, A_xw=0.0, A_ww=3.0)  # scalars promote to Id multiples
     assert_allclose(c.a_xx, 2.0 * np.eye(3), atol=0.0)
-    assert np.linalg.eigvalsh(c.mass_matrix).min() > 0.0
+    assert spd_by_schur(c)
     for m in (0.0, -1.0):
         with pytest.raises(ValueError, match="positive"):
             RigidParams(m=m, c=np.zeros(3), I_ref=1.0)
@@ -73,15 +79,13 @@ def test_coefficient_set_add_and_inverse():
     s = c1 + c2
     assert_allclose(s.a_xx, 3.0 * np.eye(3), atol=0.0)
     assert s.a_0 == 0.5
-    inv = CSET.velocity_inverse
-    assert_allclose(inv @ CSET.mass_matrix, np.eye(6), atol=1e-12)
-    for name in ("mass_matrix", "momentum_offset", "velocity_inverse"):
-        a = getattr(CSET, name)
-        assert getattr(CSET, name) is a and not a.flags.writeable, name  # cached, read-only
-    assert CSET.elimination_blocks is CSET.elimination_blocks
+    s_inv = np.array(CSET.schur_inverse).reshape(3, 3)
+    assert_allclose(s_inv @ np.array(CSET.elimination_blocks[2]).reshape(3, 3), np.eye(3), atol=1e-12)
+    for name in ("elimination_blocks", "schur_inverse"):
+        assert getattr(CSET, name) is getattr(CSET, name), name  # cached
     degenerate = CoefficientSet(a_xx=0.0, A_xw=0.0, A_ww=0.0)
     with pytest.raises(ValueError):
-        degenerate.velocity_inverse
+        degenerate.schur_inverse
 
 
 def exact_elimination_blocks(c):
@@ -300,7 +304,7 @@ def test_preset_free_body_table():
     assert np.array_equal(c.A_ww, TABLE_A_WW)
     assert np.array_equal(c.a_x, np.zeros(3)) and np.array_equal(c.a_w, np.zeros(3))
     assert c.a_0 == 0.0
-    assert np.linalg.eigvalsh(c.mass_matrix).min() > 0.0
+    assert spd_by_schur(c)
     assert rp.m == 8.0
     assert np.array_equal(rp.c, [0.79375, 0.0, 0.005])
     assert np.array_equal(rp.I_ref, 2.0 * TABLE_A_WW)
@@ -394,7 +398,7 @@ def test_morphing_closed_form_matches_the_point_mass_sum():
 def test_morphing_positive_definite_sweep():
     sched = preset_morphing()
     for t in np.linspace(0.0, 2 * np.pi, 49):
-        assert np.linalg.eigvalsh(sched.coefficients(t).mass_matrix).min() > 0.0
+        assert spd_by_schur(sched.coefficients(t))
 
 
 def test_morphing_coefficients_continuous():
