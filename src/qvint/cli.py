@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import TrajectoryRecord, _momenta, energy_error, momentum_errors, net_pitch, summarize
+from .diagnostics import ErrorReport, TrajectoryRecord, _momenta, net_pitch, summarize
 from .integrators import _METHODS, SolverConfig, _step_count, integrate
 from .model import BodyState, constant_schedule, preset_free_body, preset_morphing
 
@@ -200,15 +200,14 @@ def _write_csv(path: Path, header: str, columns) -> None:
 
 def write_trajectory_csv(rec: TrajectoryRecord, path: Path) -> None:
     """Emit the fixed-schema trajectory CSV (physical momenta when available)."""
-    px, pw, _ = _momenta(rec)
+    px, pw = _momenta(rec)
     cols = (rec.t, rec.q, rec.x_e, rec.xdot_b, rec.omega_b, rec.energy, px, pw, rec.newton_iters)
     _write_csv(path, _TRAJ_HEADER, cols)
 
 
-def write_error_csv(rec: TrajectoryRecord, path: Path) -> None:
-    """Emit instantaneous deviation series (not running maxima) for plotting."""
-    e_x, e_w = momentum_errors(rec, running=False)
-    _write_csv(path, _ERR_HEADER, (rec.t, e_x, e_w, energy_error(rec, running=False)))
+def write_error_csv(rec: TrajectoryRecord, path: Path, report: ErrorReport | None = None) -> None:
+    """Emit instantaneous deviation series (not running maxima) for plotting; report is summarize(rec) if not given."""
+    _write_csv(path, _ERR_HEADER, (rec.t, *(summarize(rec) if report is None else report).instantaneous))
 
 
 def read_trajectory_csv(path: Path) -> dict[str, Array]:
@@ -234,17 +233,17 @@ def _execute(cfg: RunConfig, tag: str = ""):
     rec = integrate(initial, sched, scfg, cfg.method, cfg.t_end, rigid_params=rp)
     wall = time.perf_counter() - start
     stem = f"{cfg.scenario}_{cfg.method}" + (f"_{tag}" if tag else "")
+    report = summarize(rec)  # its instantaneous series are the error CSV's
     try:
         out_dir = Path(cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         traj = out_dir / f"{stem}_trajectory.csv"
         errs = out_dir / f"{stem}_errors.csv"
         write_trajectory_csv(rec, traj)
-        write_error_csv(rec, errs)
+        write_error_csv(rec, errs, report)
     except OSError as exc:
         print(f"output failed: {exc}", file=sys.stderr)
         return None, None, 0.0, 4
-    report = summarize(rec)
     print(f"wrote: {traj} {errs}")
     if rec.truncated:
         print(

@@ -102,11 +102,9 @@ def _row_norms(v: Array) -> Array:
     return np.ldexp(np.linalg.norm(np.ldexp(v, -exp2[:, None]), axis=1), exp2)
 
 
-def _momenta(rec: TrajectoryRecord) -> tuple[Array, Array, bool]:
-    """(px, pw, physical): the physical momenta when recorded, the canonical ones otherwise."""
-    if rec.P_x is not None:
-        return rec.P_x, rec.P_w, True
-    return rec.p_x, rec.p_w, False
+def _momenta(rec: TrajectoryRecord) -> tuple[Array, Array]:
+    """(px, pw): the physical momenta when recorded, the canonical ones otherwise."""
+    return (rec.P_x, rec.P_w) if rec.P_x is not None else (rec.p_x, rec.p_w)
 
 
 def momentum_errors(rec: TrajectoryRecord, running: bool = True) -> tuple[Array, Array]:
@@ -117,12 +115,10 @@ def momentum_errors(rec: TrajectoryRecord, running: bool = True) -> tuple[Array,
     deviations (see summarize for the flags). running=False returns the
     instantaneous deviations instead of the running max.
     """
-    px, pw, _ = _momenta(rec)
+    px, pw = _momenta(rec)
     e_x, _ = _deviation_series(px)
     e_w, _ = _deviation_series(pw)
-    if running:
-        return running_max(e_x), running_max(e_w)
-    return e_x, e_w
+    return (running_max(e_x), running_max(e_w)) if running else (e_x, e_w)
 
 
 def energy_error(rec: TrajectoryRecord, running: bool = True) -> Array:
@@ -149,7 +145,8 @@ def drift_slope(t: Array, series: Array) -> float:
 class ErrorReport:
     """Conservation summary of one run.
 
-    Series are running-max and share the record's time base. momentum_source
+    Series are running-max and share the record's time base; instantaneous
+    holds the deviations (e_x, e_w, e_T) they are the maxima of. momentum_source
     says whether physical or canonical momenta were used; *_absolute flags
     mark series degraded to absolute deviations by a zero baseline.
     e_w_diagnostic marks an e_w that is a diagnostic, not a conservation
@@ -161,6 +158,7 @@ class ErrorReport:
     e_x: Array
     e_w: Array
     e_T: Array
+    instantaneous: tuple[Array, Array, Array]
     momentum_source: str
     e_x_absolute: bool
     e_w_absolute: bool
@@ -186,15 +184,17 @@ def summarize(rec: TrajectoryRecord) -> ErrorReport:
     Physical momenta are used when recorded. With only canonical momenta the
     rotational series of a run under applied forces is marked a diagnostic.
     """
-    px, pw, physical = _momenta(rec)
+    px, pw = _momenta(rec)
     raw_x, abs_x = _deviation_series(px)
     raw_w, abs_w = _deviation_series(pw)
     raw_T, abs_T = _deviation_series(rec.energy)
+    physical = rec.P_x is not None
     return ErrorReport(
         t=rec.t.copy(),
         e_x=running_max(raw_x),
         e_w=running_max(raw_w),
         e_T=running_max(raw_T),
+        instantaneous=(raw_x, raw_w, raw_T),
         momentum_source="physical" if physical else "canonical",
         e_x_absolute=abs_x,
         e_w_absolute=abs_w,

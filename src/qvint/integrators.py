@@ -1,8 +1,8 @@
 """Variational timesteppers for the coupled body model.
 
-Two implicit one-step schemes advance a :class:`~qvint.model.BodyState` by a
-fixed step h. Both discretize the same momentum balance and differ only in
-the quadrature of the underlying action sum:
+Two implicit one-step schemes advance a body state by a fixed step h. Both
+discretize the same momentum balance and differ only in the quadrature of the
+underlying action sum:
 
 * left-rectangle: velocities live at step points; orientation advances with
   the explicit exponential update before each solve.
@@ -22,6 +22,11 @@ calls it once per iterate and the Jacobian reuses its terms. A classical RK4
 baseline on the momentum form of the equations of motion is included for
 accuracy comparisons; it is not structure preserving, but it shares their
 elimination blocks (velocity recovery) and _advance (orientation update).
+
+A run is a chain of StepResult links on Python floats: seed_step makes the first
+from the initial BodyState, each stepper takes the previous link and returns the
+next, and integrate builds the record's arrays once, after the loop. A BodyState
+is built only to probe a schedule's force (ForceFn takes one).
 """
 
 from __future__ import annotations
@@ -34,11 +39,12 @@ import numpy as np
 
 from .diagnostics import TrajectoryRecord
 from .model import BodyState, CoefficientSet, MorphingSchedule, RigidParams, _canonical_f, _cx
-from .model import _energy_momenta, _mm, _mv, _skew, canonical_momenta
+from .model import _energy_momenta, _mm, _mv, _skew
 from .quat import _exp_f, _mul_f, _right_jacobian, _rotate_f
 
 Array = np.ndarray
 Vec3 = tuple[float, float, float]
+Quat = tuple[float, float, float, float]
 
 _METHODS = ("left", "mid", "rk")
 
@@ -76,29 +82,31 @@ class NewtonResult(NamedTuple):
     terms: object  # what the residual returned beside r at x
 
 
-@dataclass(frozen=True)
-class StepResult:
-    """Outcome of one step of any scheme.
+class StepResult(NamedTuple):
+    """One link of a run's chain, on Python floats: the state a step reached, and how.
 
-    point (orientation, linear and angular velocity) is where the record
-    evaluates the step's conserved quantities and coeffs is the coefficient
-    set at its time: the new step point for left and rk, the new midpoint for
-    mid. carried is the outgoing momentum plus step impulse that the Newton
-    solve balanced (None for rk). history (left and mid) is the outgoing
-    momentum of the solved balance, which the next step carries: carried[:3]
-    verbatim, since the reduced solve balances it by construction, and a
-    rotational part from the solve's own terms. Not recomputing it from the
-    solved velocities makes the momentum sum telescope to the Newton floor.
+    t, q, x_e, xdot_b, omega_b are BodyState's fields (for mid, the fresh midpoint's velocities).
+    history (left and mid) is the outgoing momentum of the solved balance, which the next step
+    carries: carried[:3] verbatim, since the reduced solve balances it by construction, and a
+    rotational part from the solve's own terms, so the momentum sum telescopes to the Newton
+    floor. carried is the outgoing momentum plus step impulse the solve balanced (None for rk
+    and the seed). point (orientation, linear and angular velocity) is where the record
+    evaluates the step's conserved quantities, and coeffs is the coefficient set at its time:
+    the new step point for left and rk, the new midpoint for mid.
     """
 
-    state: BodyState
+    t: float
+    q: Quat
+    x_e: Vec3
+    xdot_b: Vec3
+    omega_b: Vec3
+    history: tuple | None
+    carried: tuple | None
+    point: tuple[Quat, Vec3, Vec3]
+    coeffs: CoefficientSet
     iterations: int
     residual_norm: float
     converged: bool
-    point: tuple[Array, Array, Array]
-    coeffs: CoefficientSet
-    carried: Array | None
-    history: Array | None = None
 
 
 def newton_solve(
@@ -183,17 +191,17 @@ def _blocks(c: CoefficientSet) -> tuple:
         raise SingularJacobianError(f"translational mass block 2 a_xx: {exc}") from exc
 
 
-def _velocities(c: CoefficientSet, d) -> tuple[list[float], Vec3]:
+def _velocities(c: CoefficientSet, d) -> tuple[Vec3, Vec3]:
     """(xdot, omega) with momenta M v + a = d = (D1, D2): omega = S^-1 (D2 - a_w - P e), xdot = Mxx^-1 e + X omega."""
     mi, xc, _, p, a_x, a_w = _blocks(c)
     e = [u - v for u, v in zip(d, a_x)]
     om = _mv(c.schur_inverse, [u - v - w for u, v, w in zip(d[3:], a_w, _mv(p, e))])
-    return [u + v for u, v in zip(_mv(mi, e), _mv(xc, om))], om
+    return tuple([u + v for u, v in zip(_mv(mi, e), _mv(xc, om))]), om
 
 
 def _advance(q, omega, h: float) -> tuple[float, float, float, float]:
     """q (x) exp((h/2) omega), sign-matched to q and renormalized: every scheme's orientation update."""
-    p = _mul_f(q, _exp_f([0.5 * h * w for w in omega]))
+    p = _mul_f(q, _exp_f((0.5 * h * omega[0], 0.5 * h * omega[1], 0.5 * h * omega[2])))
     if p[0] * q[0] + p[1] * q[1] + p[2] * q[2] + p[3] * q[3] < 0.0:
         p = (-p[0], -p[1], -p[2], -p[3])
     n = math.sqrt(p[0] * p[0] + p[1] * p[1] + p[2] * p[2] + p[3] * p[3])
@@ -202,14 +210,29 @@ def _advance(q, omega, h: float) -> tuple[float, float, float, float]:
     return (p[0] / n, p[1] / n, p[2] / n, p[3] / n)
 
 
+def _link(*fields) -> StepResult:
+    """StepResult(*fields), after BodyState's finiteness test (and its message) on the 13 state components."""
+    r = StepResult(*fields)
+    if not all(map(math.isfinite, r.q + r.x_e + r.xdot_b + r.omega_b)):  # the four are tuples
+        bad = next(n for n in ("q", "x_e", "xdot_b", "omega_b") if not all(map(math.isfinite, getattr(r, n))))
+        raise ValueError(f"BodyState.{bad} has non-finite components")
+    return r
+
+
+def _impulse(sched: MorphingSchedule, h: float, carried, probe: BodyState) -> list[float]:
+    """carried plus the step impulse h (F earth axes, torque body axes) of the schedule's force at probe."""
+    f_earth, tau_body = sched.force(probe, probe.t)
+    return [c + h * float(v) for c, v in zip(carried, (*f_earth, *tau_body), strict=True)]
+
+
 # left-rectangle scheme
 
 
-def _left_setup(q_k, c_k: CoefficientSet, h: float, carried: Array) -> tuple:
+def _left_setup(q_k, c_k: CoefficientSet, h: float, carried) -> tuple:
     """The omega-independent terms of residual_left; g1 = b = R(q_k)^T carried_x is fixed."""
     mi, xc, s, p, a_x, a_w = _blocks(c_k)
-    (w, x, y, z), cl = q_k, carried.tolist()
-    b, c_w = _rotate_f((w, -x, -y, -z), cl[:3]), cl[3:]
+    w, x, y, z = q_k
+    b, c_w = _rotate_f((w, -x, -y, -z), carried[:3]), carried[3:]
     d = (b[0] - a_x[0], b[1] - a_x[1], b[2] - a_x[2])
     g20 = [u + v for u, v in zip(_mv(p, d), a_w)]
     k0 = [u - h * v for u, v in zip(s, _mm(_skew(b), xc))]  # the Jacobian's constant part
@@ -232,7 +255,7 @@ def _left_jacobian(k: tuple, w: Vec3, terms: tuple[Vec3, Vec3]) -> list[float]:
     return [u + hh * (v - g) for u, v, g in zip(k0, _mm(_skew(w), s), _skew(terms[1]))]
 
 
-def residual_left(q_k: Array, omega: Array, c_k: CoefficientSet, h: float, carried: Array) -> Array:
+def residual_left(q_k: Array, omega: Array, c_k: CoefficientSet, h: float, carried: Sequence[float]) -> Array:
     """Left-rectangle momentum balance at step k, reduced to the rate omega (body axes).
 
     carried: outgoing momentum of step k-1 plus step impulse (earth-axes x, body-axes w).
@@ -240,55 +263,53 @@ def residual_left(q_k: Array, omega: Array, c_k: CoefficientSet, h: float, carri
     + X omega and g2 = Mwx xdot + Mww omega + a_w (CoefficientSet.elimination_blocks).
     The residual is the rotational row g2 + (h/2) omega x g2 + h xdot x b - carried_w.
     """
-    return np.array(_left_eval(_left_setup(list(map(float, q_k)), c_k, h, carried), tuple(map(float, omega)))[0])
+    k = _left_setup(list(map(float, q_k)), c_k, h, list(map(float, carried)))
+    return np.array(_left_eval(k, tuple(map(float, omega)))[0])
 
 
-def jacobian_left(q_k: Array, omega: Array, c_k: CoefficientSet, h: float, carried: Array) -> Array:
+def jacobian_left(q_k: Array, omega: Array, c_k: CoefficientSet, h: float, carried: Sequence[float]) -> Array:
     """Exact 3x3 derivative of residual_left in omega: S - h b^ X + (h/2)(omega^ S - g2^), x^ = skew(x)."""
-    k, w = _left_setup(list(map(float, q_k)), c_k, h, carried), tuple(map(float, omega))
+    k, w = _left_setup(list(map(float, q_k)), c_k, h, list(map(float, carried))), tuple(map(float, omega))
     return np.array(_left_jacobian(k, w, _left_eval(k, w)[1])).reshape(3, 3)
 
 
-def step_left(prev: BodyState, history: Array, sched: MorphingSchedule, cfg: SolverConfig, scale: float) -> StepResult:
-    """Advance one left-rectangle step from prev and the history of the previous one.
+def step_left(prev: StepResult, sched: MorphingSchedule, cfg: SolverConfig, scale: float) -> StepResult:
+    """Advance one left-rectangle step from the previous link, carrying its history.
 
     Kinematics first (exponential orientation update and position quadrature
     with step k-1 values), then the implicit solve for the step-k rate.
     """
-    h = cfg.h
-    q_k = _advance(prev.q.tolist(), prev.omega_b.tolist(), h)
-    x_k = prev.x_e + h * np.array(_rotate_f(prev.q.tolist(), prev.xdot_b.tolist()))
+    h, v = cfg.h, _rotate_f(prev.q, prev.xdot_b)
+    q_k = _advance(prev.q, prev.omega_b, h)
+    x_k = (prev.x_e[0] + h * v[0], prev.x_e[1] + h * v[1], prev.x_e[2] + h * v[2])
     t_k = prev.t + h
     c_k = sched.coefficients(t_k)
-    carried = history
+    carried = prev.history
     if not sched.force_free:
-        probe = BodyState(t_k, q_k, x_k, prev.xdot_b, prev.omega_b)
-        f_earth, tau_body = sched.force(probe, t_k)
-        carried = carried + h * np.concatenate((f_earth, tau_body))  # step impulse
+        carried = _impulse(sched, h, carried, BodyState(t_k, q_k, x_k, prev.xdot_b, prev.omega_b))
 
     k = _left_setup(q_k, c_k, h, carried)
     sol = newton_solve(
         lambda w: _left_eval(k, w),
         lambda w, terms: _left_jacobian(k, w, terms),
-        prev.omega_b.tolist(),
+        prev.omega_b,
         cfg.residual_tol * scale,
         cfg.max_iter,
     )
     (xd, g2), om, hh = sol.terms, sol.x, 0.5 * h
     m = _cx(om, g2)
-    history = np.array((*carried[:3].tolist(), g2[0] - hh * m[0], g2[1] - hh * m[1], g2[2] - hh * m[2]))
-    state = BodyState(t_k, q_k, x_k, xd, om)
-    point = (state.q, state.xdot_b, state.omega_b)
-    return StepResult(state, sol.iterations, sol.residual_norm, sol.converged, point, c_k, carried, history)
+    history = (*carried[:3], g2[0] - hh * m[0], g2[1] - hh * m[1], g2[2] - hh * m[2])
+    fields = (t_k, q_k, x_k, xd, om, history, carried, (q_k, xd, om), c_k)
+    return _link(*fields, sol.iterations, sol.residual_norm, sol.converged)
 
 
 # midpoint scheme
 
 
-def _mid_setup(q_k, c: CoefficientSet, h: float, carried: Array) -> tuple:
+def _mid_setup(q_k, c: CoefficientSet, h: float, carried) -> tuple:
     """The omega-independent terms of residual_mid: u = R(q_k)^T carried, both halves."""
-    (w, x, y, z), cl = q_k, carried.tolist()
-    return _rotate_f((w, -x, -y, -z), cl[:3]), _rotate_f((w, -x, -y, -z), cl[3:]), _blocks(c), 0.5 * h
+    w, x, y, z = q_k
+    return _rotate_f((w, -x, -y, -z), carried[:3]), _rotate_f((w, -x, -y, -z), carried[3:]), _blocks(c), 0.5 * h
 
 
 def _mid_eval(k: tuple, w: Vec3) -> tuple[list[float], tuple]:
@@ -319,7 +340,7 @@ def _mid_jacobian(k: tuple, w: Vec3, terms: tuple) -> list[float]:
     ]
 
 
-def residual_mid(q_k: Array, omega: Array, c_mid: CoefficientSet, h: float, carried: Array) -> Array:
+def residual_mid(q_k: Array, omega: Array, c_mid: CoefficientSet, h: float, carried: Sequence[float]) -> Array:
     """Midpoint momentum balance across step point k, reduced to the midpoint rate omega.
 
     carried: outgoing momentum of the previous midpoint (StepResult.history) plus step
@@ -328,89 +349,73 @@ def residual_mid(q_k: Array, omega: Array, c_mid: CoefficientSet, h: float, carr
     g2 = Mwx xdot + Mww omega + a_w. The residual is the rotational row on midpoint body
     axes, g2 + (h/2) xdot x g1 - E^T u_w.
     """
-    return np.array(_mid_eval(_mid_setup(list(map(float, q_k)), c_mid, h, carried), tuple(map(float, omega)))[0])
+    k = _mid_setup(list(map(float, q_k)), c_mid, h, list(map(float, carried)))
+    return np.array(_mid_eval(k, tuple(map(float, omega)))[0])
 
 
-def jacobian_mid(q_k: Array, omega: Array, c_mid: CoefficientSet, h: float, carried: Array) -> Array:
+def jacobian_mid(q_k: Array, omega: Array, c_mid: CoefficientSet, h: float, carried: Sequence[float]) -> Array:
     """Exact 3x3 derivative of residual_mid in omega.
 
     E = Exp(phi), phi = (h/2) omega, so d(E^T u)/d omega = (h/2) (E^T u)^ J_r(phi)
     with J_r the SO(3) right Jacobian. With X = Mxx^-1 ((h/2) g1^ J_r - Mxw):
     Mwx X + Mww + (h/2)(xdot^ (h/2) g1^ J_r - g1^ X) - (h/2) (E^T u_w)^ J_r.
     """
-    k, w = _mid_setup(list(map(float, q_k)), c_mid, h, carried), tuple(map(float, omega))
+    k, w = _mid_setup(list(map(float, q_k)), c_mid, h, list(map(float, carried))), tuple(map(float, omega))
     return np.array(_mid_jacobian(k, w, _mid_eval(k, w)[1])).reshape(3, 3)
 
 
-def initial_midpoint_history(state: BodyState, c0: CoefficientSet) -> Array:
-    """History that seeds the first midpoint step.
-
-    The chain is seeded with the continuous momenta of the initial state, so
-    the quantity the scheme conserves is the true initial momentum and the
-    trajectory stays second-order accurate. (Seeding from a virtual midpoint
-    shifted by exp((h/4) omega) instead conserves a momentum O(h) away from
-    the true one, which degrades the whole run to first order.)
-    """
-    _, d1, d2 = _energy_momenta(c0, state.xdot_b.tolist(), state.omega_b.tolist())
-    return np.array((*_rotate_f(state.q.tolist(), d1), *_rotate_f(state.q.tolist(), d2)))
-
-
-def step_mid(prev: BodyState, history: Array, sched: MorphingSchedule, cfg: SolverConfig, scale: float) -> StepResult:
-    """Advance one midpoint step from prev and the history of the previous one.
+def step_mid(prev: StepResult, sched: MorphingSchedule, cfg: SolverConfig, scale: float) -> StepResult:
+    """Advance one midpoint step from the previous link, carrying its history.
 
     Solves for the midpoint rate (the midpoint velocity follows in closed
     form), then updates orientation and position with the midpoint rule. The
     velocities of prev are the previous midpoint's (the initial state's for
     the first step): they warm-start the solve and probe the force. The
-    returned state carries the fresh midpoint velocities. Reversal negates
-    the state velocities and the history.
+    returned link carries the fresh midpoint velocities. Reversal negates
+    the link's velocities and history.
     """
-    h = cfg.h
+    h, q_k, x = cfg.h, prev.q, prev.x_e
     t_mid = prev.t + 0.5 * h
     c_mid = sched.coefficients(t_mid)
-    q_k = prev.q.tolist()
-    carried = history
+    carried = prev.history
     if not sched.force_free:
-        q_pred = _advance(q_k, prev.omega_b.tolist(), 0.5 * h)
-        x_pred = prev.x_e + (0.5 * h) * np.array(_rotate_f(q_pred, prev.xdot_b.tolist()))
-        probe = BodyState(t_mid, q_pred, x_pred, prev.xdot_b, prev.omega_b)
-        f_earth, tau_body = sched.force(probe, t_mid)
-        carried = carried + h * np.concatenate((f_earth, tau_body))  # step impulse
+        q_pred = _advance(q_k, prev.omega_b, 0.5 * h)
+        v, hh = _rotate_f(q_pred, prev.xdot_b), 0.5 * h
+        x_pred = (x[0] + hh * v[0], x[1] + hh * v[1], x[2] + hh * v[2])
+        carried = _impulse(sched, h, carried, BodyState(t_mid, q_pred, x_pred, prev.xdot_b, prev.omega_b))
 
     k = _mid_setup(q_k, c_mid, h, carried)
     sol = newton_solve(
         lambda w: _mid_eval(k, w),
         lambda w, terms: _mid_jacobian(k, w, terms),
-        prev.omega_b.tolist(),
+        prev.omega_b,
         cfg.residual_tol * scale,
         cfg.max_iter,
     )
-    (e, g1, xd, _), om = sol.terms, sol.x
+    (e, g1, xd, _), om, c = sol.terms, sol.x, carried
     q_t = _mul_f(q_k, e)
     m = _rotate_f(q_t, _cx(xd, g1))  # outgoing = incoming - h R_t (xdot x g1)
-    c = carried.tolist()
-    history = np.array((*c[:3], c[3] - h * m[0], c[4] - h * m[1], c[5] - h * m[2]))
-    x_next = prev.x_e + h * np.array(_rotate_f(q_t, xd))
-    state = BodyState(prev.t + h, _advance(q_k, om, h), x_next, xd, om)
-    point = (np.array(q_t), state.xdot_b, state.omega_b)
-    return StepResult(state, sol.iterations, sol.residual_norm, sol.converged, point, c_mid, carried, history)
+    history = (*c[:3], c[3] - h * m[0], c[4] - h * m[1], c[5] - h * m[2])
+    v = _rotate_f(q_t, xd)
+    x_next = (x[0] + h * v[0], x[1] + h * v[1], x[2] + h * v[2])
+    fields = (prev.t + h, _advance(q_k, om, h), x_next, xd, om, history, carried, (q_t, xd, om), c_mid)
+    return _link(*fields, sol.iterations, sol.residual_norm, sol.converged)
 
 
 # explicit RK4 baseline on the momentum form
 
 
-def step_rk_baseline(
-    prev: BodyState, c_prev: CoefficientSet, sched: MorphingSchedule, h: float
-) -> StepResult:
+def step_rk_baseline(prev: StepResult, sched: MorphingSchedule, h: float) -> StepResult:
     """One classical RK4 step on the body-frame momentum equations, on Python floats.
 
     d/dt D1 = -omega x D1 + f on body axes, d/dt D2 = -omega x D2 - xdot x D1 + tau.
     Each stage recovers its velocities with _velocities and advances orientation from
-    prev.q by _advance at its rate. c_prev is the coefficient set at prev.t.
+    prev.q by _advance at its rate; prev.coeffs is the coefficient set at prev.t.
+    Under a force each stage probes it with one BodyState.
     """
-    t, q0, x0 = prev.t, prev.q.tolist(), prev.x_e.tolist()
+    t, q0, x0 = prev.t, prev.q, prev.x_e
     c_half, c_end = sched.coefficients(t + 0.5 * h), sched.coefficients(t + h)
-    d0 = [v for d in _energy_momenta(c_prev, prev.xdot_b.tolist(), prev.omega_b.tolist())[1:] for v in d]
+    d0 = [v for d in _energy_momenta(prev.coeffs, prev.xdot_b, prev.omega_b)[1:] for v in d]
 
     def rate(q_s, x_s, d, c, t_s):
         """Stage rate omega and the rates of x and d = (D1, D2)."""
@@ -422,7 +427,7 @@ def step_rk_baseline(
             dd = [u + float(v) for u, v in zip(dd, (*_rotate_f((q_s[0], -q_s[1], -q_s[2], -q_s[3]), f_e), *tau))]
         return om, _rotate_f(q_s, xd), dd
 
-    k = [rate(q0, x0, d0, c_prev, t)]
+    k = [rate(q0, x0, d0, prev.coeffs, t)]
     for a, c in ((0.5, c_half), (0.5, c_half), (1.0, c_end)):
         om, dx, dd = k[-1]
         x_s, d_s = [u + a * h * v for u, v in zip(x0, dx)], [u + a * h * v for u, v in zip(d0, dd)]
@@ -433,12 +438,33 @@ def step_rk_baseline(
 
     sixth = h / 6.0
     xd, om = _velocities(c_end, [u + sixth * v for u, v in zip(d0, weighted(2))])
-    x_new = [u + sixth * v for u, v in zip(x0, weighted(1))]
-    state = BodyState(t + h, _advance(q0, [w / 6.0 for w in weighted(0)], h), x_new, xd, om)
-    return StepResult(state, 0, 0.0, True, (state.q, state.xdot_b, state.omega_b), c_end, None)
+    x_new = tuple([u + sixth * v for u, v in zip(x0, weighted(1))])
+    q_new = _advance(q0, [w / 6.0 for w in weighted(0)], h)
+    return _link(t + h, q_new, x_new, xd, om, None, None, (q_new, xd, om), c_end, 0, 0.0, True)
 
 
 # run driver
+
+
+def seed_step(initial: BodyState, c0: CoefficientSet, method: str, h: float) -> StepResult:
+    """The chain's first link: initial as a zero-iteration step, with the history method's first step carries.
+
+    left carries the canonical momenta at step -h. mid carries the continuous momenta
+    of the initial state, so the quantity the scheme conserves is the true initial
+    momentum and the trajectory stays second-order accurate. (Seeding from a virtual
+    midpoint shifted by exp((h/4) omega) instead conserves a momentum O(h) away from the
+    true one, which degrades the whole run to first order.) rk carries none. c0 is the
+    coefficient set at initial.t.
+    """
+    q, x, xd, om = [tuple(a.tolist()) for a in (initial.q, initial.x_e, initial.xdot_b, initial.omega_b)]
+    history = None
+    if method == "left":
+        _, p_x, p_w = _canonical_f(q, xd, om, c0, -h)
+        history = (*p_x, *p_w)
+    elif method == "mid":
+        _, d1, d2 = _energy_momenta(c0, xd, om)
+        history = (*_rotate_f(q, d1), *_rotate_f(q, d2))
+    return StepResult(initial.t, q, x, xd, om, history, None, (q, xd, om), c0, 0, 0.0, True)
 
 
 def momentum_scale(state: BodyState, c: CoefficientSet, h: float) -> float:
@@ -455,10 +481,9 @@ def _midpoint_step_velocities(v: Array) -> Array:
     value would be off by O(h/2) there).
     """
     out = v.copy()
-    mids = v[1:]
-    out[1:-1] = 0.5 * (mids[:-1] + mids[1:])
-    if len(mids) >= 2:
-        out[-1] = 1.5 * mids[-1] - 0.5 * mids[-2]
+    out[1:-1] = 0.5 * (v[1:-1] + v[2:])
+    if len(v) >= 3:
+        out[-1] = 1.5 * v[-1] - 0.5 * v[-2]
     return out
 
 
@@ -500,18 +525,19 @@ def integrate(
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
     if not t_end > initial.t:
         raise ValueError("t_end must exceed the initial time")
-    h = cfg.h
-    n_steps = _step_count(initial.t, t_end, h)
-    c0 = sched.coefficients(initial.t)
+    t0, h = initial.t, cfg.h
+    n_steps = _step_count(t0, t_end, h)
+    c0 = sched.coefficients(t0)
+    # the lambdas look the steppers up at each call, so a wrapper set on this module sees every step
     take_step = {
-        "left": lambda r: step_left(r.state, r.history, sched, cfg, scale),
-        "mid": lambda r: step_mid(r.state, r.history, sched, cfg, scale),
-        "rk": lambda r: step_rk_baseline(r.state, r.coeffs, sched, h),
+        "left": lambda r: step_left(r, sched, cfg, scale),
+        "mid": lambda r: step_mid(r, sched, cfg, scale),
+        "rk": lambda r: step_rk_baseline(r, sched, h),
     }[method]
+    if rigid_params is not None:
+        i_com, c_b, mass = rigid_params.com_inertia().ravel().tolist(), rigid_params.c.tolist(), rigid_params.m
 
-    i_com = None if rigid_params is None else rigid_params.com_inertia().ravel().tolist()
-
-    def conserved(r: StepResult) -> Array:
+    def conserved(r: StepResult) -> tuple[float, ...]:
         """Row [T, p_x, p_w, and given rigid_params P_x = m R (xdot + omega x c), P_w = R I_com omega] at r.point.
 
         The momenta are recomputed from the recorded velocities, not read from
@@ -519,28 +545,21 @@ def integrate(
         carried p_x by construction, so an e_x taken from it would hold by
         construction and check nothing.
         """
-        q, xdot, omega = [a.tolist() for a in r.point]
+        q, xdot, omega = r.point
         t, p_x, p_w = _canonical_f(q, xdot, omega, r.coeffs, h)
-        if i_com is None:
-            return np.array((t, *p_x, *p_w))
-        v_com = _rotate_f(q, [u + v for u, v in zip(xdot, _cx(omega, rigid_params.c.tolist()))])
-        return np.array((t, *p_x, *p_w, *[rigid_params.m * v for v in v_com], *_rotate_f(q, _mv(i_com, omega))))
+        if rigid_params is None:
+            return (t, *p_x, *p_w)
+        v_com = _rotate_f(q, [u + v for u, v in zip(xdot, _cx(omega, c_b))])
+        return (t, *p_x, *p_w, *[mass * v for v in v_com], *_rotate_f(q, _mv(i_com, omega)))
 
-    states, iterations = [initial], [0]
     stop_reason = ""
     # a diverging run surfaces as a non-finite state or conserved-quantity row,
     # reported once as its stop reason; row 0 and the seed are held to the same rule
-    with np.errstate(over="ignore", invalid="ignore"):
-        history0 = None  # rk carries no history
-        if method == "left":  # left's outgoing momentum: canonical at step -h
-            history0 = np.concatenate(canonical_momenta(initial, c0, -h))
-        elif method == "mid":
-            history0 = initial_midpoint_history(initial, c0)
-        # the initial state enters as a zero-iteration step; of the steps only the last is kept whole
-        last = StepResult(initial, 0, 0.0, True, (initial.q, initial.xdot_b, initial.omega_b), c0, None, history0)
+    with np.errstate(over="ignore", invalid="ignore"):  # for a schedule's numpy force
+        last = seed_step(initial, c0, method, h)
         scale = momentum_scale(initial, c0, h)
-        rows = [conserved(last)]
-        if not np.isfinite(rows[0]).all():
+        states, iterations, rows = [last[1:5]], [0], [conserved(last)]
+        if not all(map(math.isfinite, rows[0])):
             stop_reason = "diverged: non-finite initial energy or momentum"
             n_steps = 0
         for k in range(1, n_steps + 1):
@@ -553,40 +572,22 @@ def integrate(
                 stop_reason = "Newton did not converge"
                 break
             row = conserved(res)
-            if not np.isfinite(row).all():
+            if not all(map(math.isfinite, row)):
                 stop_reason = "diverged: non-finite energy or momentum"
                 break
-            # the stepper reached prev.t + h; its fresh state moves onto the grid
-            object.__setattr__(res.state, "t", initial.t + h * k)
-            last = res
-            states.append(res.state)
+            last = StepResult(t0 + h * k, *res[1:])  # the stepper reached prev.t + h; keep the chain on the grid
+            states.append(res[1:5])  # q, x_e, xdot_b, omega_b
             iterations.append(res.iterations)
             rows.append(row)
 
-    xd_arr = np.array([s.xdot_b for s in states])
-    om_arr = np.array([s.omega_b for s in states])
-    diag = np.array(rows)
-    if method == "mid" and len(states) > 1:
-        xd_arr = _midpoint_step_velocities(xd_arr)
-        om_arr = _midpoint_step_velocities(om_arr)
+    q, x_e, xdot_b, omega_b = [np.array(col) for col in zip(*states)]
+    diag, phys = np.array(rows), rigid_params is not None
+    if method == "mid" and len(rows) > 1:
+        xdot_b, omega_b = _midpoint_step_velocities(xdot_b), _midpoint_step_velocities(omega_b)
         diag[0] = diag[1]
-
     return TrajectoryRecord(
-        t=initial.t + h * np.arange(len(states)),
-        q=np.array([s.q for s in states]),
-        x_e=np.array([s.x_e for s in states]),
-        xdot_b=xd_arr,
-        omega_b=om_arr,
-        energy=diag[:, 0],
-        p_x=diag[:, 1:4],
-        p_w=diag[:, 4:7],
-        P_x=None if i_com is None else diag[:, 7:10],
-        P_w=None if i_com is None else diag[:, 10:13],
-        newton_iters=np.array(iterations, dtype=int),
-        method=method,
-        h=h,
-        scenario=sched.name,
-        truncated=bool(stop_reason),
-        stop_reason=stop_reason,
-        force_free=sched.force_free,
+        t0 + h * np.arange(len(rows)), q, x_e, xdot_b, omega_b, energy=diag[:, 0], p_x=diag[:, 1:4], p_w=diag[:, 4:7],
+        P_x=diag[:, 7:10] if phys else None, P_w=diag[:, 10:13] if phys else None,
+        newton_iters=np.array(iterations, dtype=int), method=method, h=h, scenario=sched.name,
+        truncated=bool(stop_reason), stop_reason=stop_reason, force_free=sched.force_free,
     )

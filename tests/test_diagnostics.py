@@ -113,6 +113,10 @@ def test_perturbation_sets_relative_level_and_running_holds():
     assert run_w[0] == 0.0
     assert np.all(np.diff(run_w) >= 0.0)
     assert np.all(run_x == 0.0)
+    # the report carries the instantaneous series its running maxima come from, for the error CSV
+    inst = summarize(rec).instantaneous
+    assert np.array_equal(inst[0], inst_x) and np.array_equal(inst[1], inst_w)
+    assert np.array_equal(inst[2], energy_error(rec, running=False))
 
 
 def test_energy_error_levels_and_zero_baseline():

@@ -25,7 +25,6 @@ from qvint import (
     energy_grad_xdot,
     exp_map,
     identity_quat,
-    initial_midpoint_history,
     integrate,
     jacobian_left,
     jacobian_mid,
@@ -37,6 +36,7 @@ from qvint import (
     residual_left,
     residual_mid,
     rigid_coefficients,
+    seed_step,
     step_left,
     step_mid,
     step_rk_baseline,
@@ -232,7 +232,7 @@ def left_outgoing(s, c, h):
 
 
 def midpoint_rotation(q_k, omega, h):
-    return quat_mul(q_k, exp_map((0.25 * h) * omega))
+    return quat_mul(q_k, exp_map((0.25 * h) * np.asarray(omega)))
 
 
 def mid_balance(q_k, xdot, omega, c, h, carried):
@@ -296,13 +296,12 @@ def test_residual_mid_equilibrium_and_zero_step():
 def test_residual_mid_local_linearity():
     # the residual is smooth in the trial rate: doubling a small
     # perturbation about the solved point doubles the defect
-    history = initial_midpoint_history(SPIN, CSET)
-    res = step_mid(SPIN, history, SCHED, CFG, scale=momentum_scale(SPIN, CSET, CFG.h))
+    res = step_mid(seed_step(SPIN, CSET, "mid", CFG.h), SCHED, CFG, scale=momentum_scale(SPIN, CSET, CFG.h))
 
     def defect(w):
         return residual_mid(SPIN.q, w, CSET, CFG.h, res.carried)
 
-    w_star = res.state.omega_b
+    w_star = np.array(res.omega_b)
     r0 = defect(w_star)
     d = RNG.standard_normal(3)
     d /= np.linalg.norm(d)
@@ -311,8 +310,28 @@ def test_residual_mid_local_linearity():
     assert abs(r2 / r1 - 2.0) <= 0.01
 
 
-def seed_history(method, s, c, h):
-    return left_outgoing(s, c, h) if method == "left" else initial_midpoint_history(s, c)
+def as_state(link):
+    """The BodyState of a chain link (StepResult's first five fields are BodyState's)."""
+    return BodyState(*link[:5])
+
+
+@pytest.mark.parametrize("method", ["left", "mid", "rk"])
+def test_seed_step_is_the_initial_state_with_its_schemes_history(method):
+    # left's chain starts from the canonical momenta at step -h, the midpoint chain from the
+    # continuous momenta on earth axes (its outgoing momentum at h = 0), rk's from none
+    s = BodyState(0.3, random_unit_quat(RNG), RNG.standard_normal(3), RNG.standard_normal(3), RNG.standard_normal(3))
+    seed = seed_step(s, CSET, method, CFG.h)
+    assert seed.t == s.t and seed.coeffs is CSET and seed.carried is None
+    assert (seed.iterations, seed.residual_norm, seed.converged) == (0, 0.0, True)
+    for got, want in zip((*seed[1:5], *seed.point), (s.q, s.x_e, s.xdot_b, s.omega_b, s.q, s.xdot_b, s.omega_b)):
+        assert isinstance(got, tuple) and np.array_equal(got, want)
+    if method == "left":
+        assert np.array_equal(seed.history, left_outgoing(s, CSET, CFG.h))
+    elif method == "mid":
+        want = mid_outgoing(s.q, s.xdot_b, s.omega_b, CSET, 0.0)
+        assert_allclose(seed.history, want, rtol=0.0, atol=1e-15 * np.linalg.norm(want))
+    else:
+        assert seed.history is None
 
 
 @settings(max_examples=30, deadline=None)
@@ -333,20 +352,19 @@ def test_accepted_steps_satisfy_the_full_balance(q0, omega0, xdot0, h, morphing,
     cfg = SolverConfig(h=h)
     c0 = sched.coefficients(0.0)
     scale = momentum_scale(start, c0, h)
-    state, history = start, seed_history(method, start, c0, h)
+    prev = seed_step(start, c0, method, h)
     for _ in range(20):
         if method == "left":
-            res = step_left(state, history, sched, cfg, scale)
-            s = res.state
-            defect = left_balance(s.q, s.xdot_b, s.omega_b, res.coeffs, h, res.carried)
+            res = step_left(prev, sched, cfg, scale)
+            defect = left_balance(res.q, res.xdot_b, res.omega_b, res.coeffs, h, res.carried)
         else:
-            res = step_mid(state, history, sched, cfg, scale)
-            defect = mid_balance(state.q, res.state.xdot_b, res.state.omega_b, res.coeffs, h, res.carried)
+            res = step_mid(prev, sched, cfg, scale)
+            defect = mid_balance(prev.q, res.xdot_b, res.omega_b, res.coeffs, h, res.carried)
         if not res.converged:
             break  # left steps past its stability limit stall; only accepted steps count
         assert np.linalg.norm(defect) <= cfg.residual_tol * scale
         assert np.array_equal(res.history[:3], res.carried[:3])
-        state, history = res.state, res.history
+        prev = res
 
 
 @pytest.mark.parametrize("sched", [SCHED, preset_morphing(damping=True)], ids=["free_body", "morphing"])
@@ -356,17 +374,17 @@ def test_steppers_solve_the_public_residuals(sched):
     c0 = sched.coefficients(0.0)
     scale = momentum_scale(SPIN, c0, CFG.h)
     for method, step, residual in (("left", step_left, residual_left), ("mid", step_mid, residual_mid)):
-        state, history = SPIN, seed_history(method, SPIN, c0, CFG.h)
+        prev = seed_step(SPIN, c0, method, CFG.h)
         for _ in range(5):
-            prev, res = state, step(state, history, sched, CFG, scale)
+            res = step(prev, sched, CFG, scale)
             if sched.force_free:
-                assert np.array_equal(res.carried, history)
-            state, history = res.state, res.history
-            q_k = state.q if method == "left" else prev.q
-            r = residual(q_k, state.omega_b, res.coeffs, CFG.h, res.carried)
+                assert np.array_equal(res.carried, prev.history)
+            q_k = res.q if method == "left" else prev.q
+            r = residual(q_k, res.omega_b, res.coeffs, CFG.h, res.carried)
             assert res.converged and res.iterations > 0
             assert math.hypot(*r) == res.residual_norm
             assert np.array_equal(res.history[:3], res.carried[:3])
+            prev = res
 
 
 @pytest.mark.parametrize("sched", [SCHED, preset_morphing(damping=True)], ids=["free_body", "morphing"])
@@ -399,15 +417,14 @@ def test_one_balance_evaluation_per_newton_residual(sched, monkeypatch):
     monkeypatch.setattr(integrators, "newton_solve", recording_solve)
     c0 = sched.coefficients(0.0)
     scale = momentum_scale(SPIN, c0, CFG.h)
-    res = step_left(SPIN, left_outgoing(SPIN, c0, CFG.h), sched, CFG, scale)
-    res_mid = step_mid(SPIN, initial_midpoint_history(SPIN, c0), sched, CFG, scale)
+    res = step_left(seed_step(SPIN, c0, "left", CFG.h), sched, CFG, scale)
+    res_mid = step_mid(seed_step(SPIN, c0, "mid", CFG.h), sched, CFG, scale)
     (sol, jac, n_left), (sol_mid, jac_mid, n_mid) = solves
     assert evals == {"_left_eval": n_left, "_mid_eval": n_mid}
     assert n_left > sol.iterations > 0 and n_mid > sol_mid.iterations > 0
-    s = res.state
-    want = jacobian_left(s.q, s.omega_b, res.coeffs, CFG.h, res.carried)
+    want = jacobian_left(res.q, res.omega_b, res.coeffs, CFG.h, res.carried)
     assert np.array_equal(np.reshape(jac(sol.x, sol.terms), (3, 3)), want)
-    xd, om = res_mid.state.xdot_b, res_mid.state.omega_b
+    xd, om = res_mid.xdot_b, res_mid.omega_b
     want = jacobian_mid(SPIN.q, om, res_mid.coeffs, CFG.h, res_mid.carried)
     assert np.array_equal(np.reshape(jac_mid(sol_mid.x, sol_mid.terms), (3, 3)), want)
     # the history the step hands on is the outgoing momentum of the balance it solved
@@ -436,20 +453,86 @@ def test_coefficients_evaluated_once_per_new_time(method, per_step):
     assert len(set(calls)) == len(calls)
 
 
+@pytest.mark.parametrize("sched", [SCHED, MORPHING], ids=["free_body", "morphing"])
+@pytest.mark.parametrize("method", ["left", "mid", "rk"])
+def test_integrate_steps_and_solves_through_the_module_globals(method, sched, monkeypatch):
+    # a wrapper set on integrators.step_* and integrators.newton_solve, as a tracer sets one, sees
+    # every step and every solve: integrate looks its stepper up at each call, and the steppers
+    # call newton_solve by its module global with the residual callable as the first argument
+    steps, solves = [], []
+    for name in ("step_left", "step_mid", "step_rk_baseline"):
+
+        def counted_step(*args, _fn=getattr(integrators, name), _name=name):
+            steps.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(integrators, name, counted_step)
+    solve = integrators.newton_solve
+
+    def counted_solve(*args, **kwargs):
+        solves.append(args[0] if args else None)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(integrators, "newton_solve", counted_solve)
+    counted, times = counting(sched)
+    rec = integrate(SPIN, counted, CFG, method, 1.0)
+    assert len(rec) == 101 and not rec.truncated
+    assert steps == [{"left": "step_left", "mid": "step_mid", "rk": "step_rk_baseline"}[method]] * 100
+    assert len(solves) == (0 if method == "rk" else 100) and all(map(callable, solves))
+    assert len(times) == 1 + (2 if method == "rk" else 1) * 100
+
+
+@pytest.mark.parametrize("method", ["left", "mid", "rk"])
+def test_integrate_builds_a_body_state_only_to_probe_a_force(method, monkeypatch):
+    # the chain runs on floats: a force-free run builds no BodyState besides the initial one, a
+    # forced run one probe per left/mid step and one per rk stage, since ForceFn takes a BodyState
+    built = []
+    post_init = BodyState.__post_init__
+
+    def counted(self):
+        built.append(self.t)
+        post_init(self)
+
+    monkeypatch.setattr(BodyState, "__post_init__", counted)
+    for sched, per_step in ((SCHED, 0), (preset_morphing(damping=False), 0), (MORPHING, 4 if method == "rk" else 1)):
+        built.clear()
+        rec = integrate(SPIN, sched, CFG, method, 1.0)
+        assert len(rec) == 101 and not rec.truncated
+        assert len(built) == per_step * 100, sched.name
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("method", ["left", "mid", "rk"])
+def test_a_force_turning_non_finite_stops_the_run_with_a_named_reason(method, bad):
+    # the step impulse is summed on floats: a force that turns non-finite after t = 0.05 stops the
+    # run at the first step that probes it, with a solver reason, and keeps the finite rows before
+    def force(s, t):
+        return np.array([bad if t > 0.05 else 0.0, 0.0, 0.0]), -0.05 * s.omega_b
+
+    rec = integrate(SPIN, dataclasses.replace(MORPHING, force=force), CFG, method, 0.2)
+    want = "BodyState.xdot_b has non-finite components" if method == "rk" else "residual is non-finite"
+    assert rec.truncated and rec.stop_reason == want
+    assert len(rec) == 6 and rec.t[-1] == pytest.approx(0.05)
+    for col in (rec.q, rec.x_e, rec.xdot_b, rec.omega_b, rec.energy, rec.p_x, rec.p_w):
+        assert np.all(np.isfinite(col))
+
+
 def test_rest_state_is_fixed_point():
     rest = BodyState(0.0, identity_quat(), np.array([1.0, -2.0, 3.0]), np.zeros(3), np.zeros(3))
-    res = step_left(rest, left_outgoing(rest, CSET, CFG.h), SCHED, CFG, 1.0)
-    assert res.converged
-    assert res.iterations == 0
-    assert np.all(res.state.xdot_b == 0.0) and np.all(res.state.omega_b == 0.0)
-    assert np.all(res.state.x_e == rest.x_e)
-    assert np.all(res.state.q == rest.q)
-    res = step_mid(rest, initial_midpoint_history(rest, CSET), SCHED, CFG, 1.0)
-    assert res.converged
-    assert np.all(res.state.xdot_b == 0.0) and np.all(res.state.omega_b == 0.0)
-    assert np.all(res.state.x_e == rest.x_e)
-    assert np.all(res.state.q == rest.q)
-    rk = step_rk_baseline(rest, CSET, SCHED, CFG.h).state
+    res_left = step_left(seed_step(rest, CSET, "left", CFG.h), SCHED, CFG, 1.0)
+    res = as_state(res_left)
+    assert res_left.converged
+    assert res_left.iterations == 0
+    assert np.all(res.xdot_b == 0.0) and np.all(res.omega_b == 0.0)
+    assert np.all(res.x_e == rest.x_e)
+    assert np.all(res.q == rest.q)
+    res_mid = step_mid(seed_step(rest, CSET, "mid", CFG.h), SCHED, CFG, 1.0)
+    res = as_state(res_mid)
+    assert res_mid.converged
+    assert np.all(res.xdot_b == 0.0) and np.all(res.omega_b == 0.0)
+    assert np.all(res.x_e == rest.x_e)
+    assert np.all(res.q == rest.q)
+    rk = as_state(step_rk_baseline(seed_step(rest, CSET, "rk", CFG.h), SCHED, CFG.h))
     assert np.all(rk.xdot_b == 0.0) and np.all(rk.omega_b == 0.0)
     assert np.all(rk.x_e == rest.x_e)
 
@@ -460,29 +543,28 @@ def test_left_interstep_balance_holds_at_reported_tolerance():
     # rather than read back from the history, reproduces the solver's defect
     scale = momentum_scale(SPIN, CSET, CFG.h)
     tol_abs = CFG.residual_tol * scale
-    states, history = [SPIN], left_outgoing(SPIN, CSET, CFG.h)
+    states = [seed_step(SPIN, CSET, "left", CFG.h)]
     for _ in range(50):
-        res = step_left(states[-1], history, SCHED, CFG, scale)
+        res = step_left(states[-1], SCHED, CFG, scale)
         assert res.converged
         assert res.residual_norm <= tol_abs
-        states.append(res.state)
-        history = res.history
+        states.append(res)
     for prev, cur in zip(states[:-1], states[1:]):
-        r = residual_left(cur.q, cur.omega_b, CSET, CFG.h, left_outgoing(prev, CSET, CFG.h))
+        r = residual_left(cur.q, cur.omega_b, CSET, CFG.h, left_outgoing(as_state(prev), CSET, CFG.h))
         assert np.linalg.norm(r) <= tol_abs
 
 
 def test_mid_interstep_balance_holds_at_reported_tolerance():
     scale = momentum_scale(SPIN, CSET, CFG.h)
     tol_abs = CFG.residual_tol * scale
-    state, history = SPIN, initial_midpoint_history(SPIN, CSET)
+    state = seed_step(SPIN, CSET, "mid", CFG.h)
     chain = []
     for _ in range(50):
-        res = step_mid(state, history, SCHED, CFG, scale)
+        res = step_mid(state, SCHED, CFG, scale)
         assert res.converged
         assert res.residual_norm <= tol_abs
-        chain.append((state.q, res.state))
-        state, history = res.state, res.history
+        chain.append((state.q, res))
+        state = res
     # the outgoing terms of midpoint k-1 are recomputed from its own step
     # point, not read back from the history
     for (q_prev, prev_m), (q_k, cur_m) in zip(chain[:-1], chain[1:]):
@@ -544,20 +626,18 @@ def test_midpoint_time_reversal_retrace(q0, omega0, xdot0):
     # trajectory backwards through the forward-time stepper
     start = BodyState(0.0, q0 / np.linalg.norm(q0), np.zeros(3), xdot0, omega0)
     scale = momentum_scale(start, CSET, CFG.h)
-    state, history = start, initial_midpoint_history(start, CSET)
+    state = seed_step(start, CSET, "mid", CFG.h)
     first_mid = None
     for _ in range(100):
-        res = step_mid(state, history, SCHED, CFG, scale)
-        assert res.converged
-        state, history = res.state, res.history
+        state = step_mid(state, SCHED, CFG, scale)
+        assert state.converged
         if first_mid is None:
-            first_mid = state
-    state = BodyState(state.t, state.q, state.x_e, -state.xdot_b, -state.omega_b)
-    history = -history
+            first_mid = as_state(state)
+    state = state._replace(**{f: tuple(-v for v in getattr(state, f)) for f in ("xdot_b", "omega_b", "history")})
     for _ in range(100):
-        res = step_mid(state, history, SCHED, CFG, scale)
-        assert res.converged
-        state, history = res.state, res.history
+        state = step_mid(state, SCHED, CFG, scale)
+        assert state.converged
+    state = as_state(state)
     q_err = quat_mul(conj(start.q), state.q)
     q_err = q_err if q_err[0] >= 0.0 else -q_err
     assert np.linalg.norm(q_err - identity_quat()) <= 1e-6
@@ -621,11 +701,11 @@ def test_rk_spherical_body_is_exact():
     # for a spherical inertia the momentum equations are trivially constant
     c = CoefficientSet(a_xx=1.0, A_xw=0.0, A_ww=1.0)
     sched = constant_schedule(c, name="sphere")
-    state = BodyState(0.0, identity_quat(), np.zeros(3), np.zeros(3), np.array([0.4, -0.3, 0.8]))
-    omega0 = state.omega_b.copy()
+    omega0 = np.array([0.4, -0.3, 0.8])
+    state = seed_step(BodyState(0.0, identity_quat(), np.zeros(3), np.zeros(3), omega0), c, "rk", 0.01)
     for _ in range(100):
-        state = step_rk_baseline(state, c, sched, 0.01).state
-        assert np.abs(state.omega_b - omega0).max() <= 1e-12
+        state = step_rk_baseline(state, sched, 0.01)
+        assert np.abs(np.array(state.omega_b) - omega0).max() <= 1e-12
         assert np.abs(state.xdot_b).max() <= 1e-12
 
 
@@ -808,7 +888,7 @@ def test_huge_rates_fail_with_a_solver_reason(rate, h, method, sched):
         "mid": (integrators._mid_setup, integrators._mid_eval, integrators._mid_jacobian),
     }[method]
     with np.errstate(over="ignore", invalid="ignore"):
-        carried = seed_history(method, start, c0, h)
+        carried = seed_step(start, c0, method, h).history
     k = setup(start.q.tolist(), c0, h, carried)
     with pytest.raises(SingularJacobianError) as err:
         newton_solve(lambda w: ev(k, w), lambda w, t: jac(k, w, t), start.omega_b, cfg.residual_tol, cfg.max_iter)
@@ -824,10 +904,10 @@ def test_singular_translational_mass_block_is_a_solver_failure(method):
     assert rec.stop_reason.startswith("translational mass block 2 a_xx")
     with pytest.raises(SingularJacobianError, match="translational mass block"):
         if method == "rk":
-            step_rk_baseline(SPIN, c, sched, CFG.h)
+            step_rk_baseline(seed_step(SPIN, c, "rk", CFG.h), sched, CFG.h)
         else:
             step = step_left if method == "left" else step_mid
-            step(SPIN, seed_history(method, SPIN, c, CFG.h), sched, CFG, momentum_scale(SPIN, c, CFG.h))
+            step(seed_step(SPIN, c, method, CFG.h), sched, CFG, momentum_scale(SPIN, c, CFG.h))
 
 
 @pytest.mark.parametrize(
