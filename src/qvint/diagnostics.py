@@ -107,30 +107,6 @@ def _momenta(rec: TrajectoryRecord) -> tuple[Array, Array]:
     return (rec.P_x, rec.P_w) if rec.P_x is not None else (rec.p_x, rec.p_w)
 
 
-def momentum_errors(rec: TrajectoryRecord, running: bool = True) -> tuple[Array, Array]:
-    """Translational and rotational momentum error series (e_x, e_w).
-
-    Uses physical momenta when present, canonical otherwise. Relative to the
-    first sample; zero first-sample momentum degrades that series to absolute
-    deviations (see summarize for the flags). running=False returns the
-    instantaneous deviations instead of the running max.
-    """
-    px, pw = _momenta(rec)
-    e_x, _ = _deviation_series(px)
-    e_w, _ = _deviation_series(pw)
-    return (running_max(e_x), running_max(e_w)) if running else (e_x, e_w)
-
-
-def energy_error(rec: TrajectoryRecord, running: bool = True) -> Array:
-    """Kinetic-energy error series |T_k - T_1| / |T_1| (running max by default).
-
-    A zero first-sample energy (a start at rest) degrades the series to
-    absolute deviations, as summarize flags.
-    """
-    e, _ = _deviation_series(rec.energy)
-    return running_max(e) if running else e
-
-
 def drift_slope(t: Array, series: Array) -> float:
     """Least-squares slope of a series over its last half (at least two samples; 0 for one)."""
     t = np.asarray(t, dtype=float)
@@ -145,7 +121,7 @@ def drift_slope(t: Array, series: Array) -> float:
 class ErrorReport:
     """Conservation summary of one run.
 
-    Series are running-max and share the record's time base; instantaneous
+    Series are running-max, one sample per record row; instantaneous
     holds the deviations (e_x, e_w, e_T) they are the maxima of. momentum_source
     says whether physical or canonical momenta were used; *_absolute flags
     mark series degraded to absolute deviations by a zero baseline.
@@ -154,7 +130,6 @@ class ErrorReport:
     p_w.
     """
 
-    t: Array
     e_x: Array
     e_w: Array
     e_T: Array
@@ -190,7 +165,6 @@ def summarize(rec: TrajectoryRecord) -> ErrorReport:
     raw_T, abs_T = _deviation_series(rec.energy)
     physical = rec.P_x is not None
     return ErrorReport(
-        t=rec.t.copy(),
         e_x=running_max(raw_x),
         e_w=running_max(raw_w),
         e_T=running_max(raw_T),

@@ -25,8 +25,10 @@ elimination blocks (velocity recovery) and _advance (orientation update).
 
 A run is a chain of StepResult links on Python floats: seed_step makes the first
 from the initial BodyState, each stepper takes the previous link and returns the
-next, and integrate builds the record's arrays once, after the loop. A BodyState
-is built only to probe a schedule's force (ForceFn takes one).
+next, and integrate builds the record's arrays once, after the loop. A forced
+schedule's force reads a probe state's floats through _force, once per left or mid
+step and once per rk stage: left and mid add the impulse h (F, torque) to the
+momentum they carry, rk adds (F, torque) to each stage's momentum rates.
 """
 
 from __future__ import annotations
@@ -219,10 +221,16 @@ def _link(*fields) -> StepResult:
     return r
 
 
-def _impulse(sched: MorphingSchedule, h: float, carried, probe: BodyState) -> list[float]:
-    """carried plus the step impulse h (F earth axes, torque body axes) of the schedule's force at probe."""
-    f_earth, tau_body = sched.force(probe, probe.t)
-    return [c + h * float(v) for c, v in zip(carried, (*f_earth, *tau_body), strict=True)]
+def _force(sched: MorphingSchedule, t: float, *state) -> list[float]:
+    """sched.force at (t, q, x_e, xdot_b, omega_b) as six floats: F on earth axes, then the torque on body axes."""
+    f = sched.force(t, *state)
+    try:
+        out = [float(v) for v in (*f[0], *f[1])] if len(f) == 2 and len(f[0]) == len(f[1]) == 3 else []
+    except (TypeError, ValueError, LookupError):
+        out = []
+    if not (out and all(map(math.isfinite, out))):
+        raise ValueError("force did not return two finite 3-vectors (F earth axes, torque body axes)")
+    return out
 
 
 # left-rectangle scheme
@@ -286,7 +294,8 @@ def step_left(prev: StepResult, sched: MorphingSchedule, cfg: SolverConfig, scal
     c_k = sched.coefficients(t_k)
     carried = prev.history
     if not sched.force_free:
-        carried = _impulse(sched, h, carried, BodyState(t_k, q_k, x_k, prev.xdot_b, prev.omega_b))
+        f = _force(sched, t_k, q_k, x_k, prev.xdot_b, prev.omega_b)
+        carried = [c + h * u for c, u in zip(carried, f)]
 
     k = _left_setup(q_k, c_k, h, carried)
     sol = newton_solve(
@@ -382,7 +391,8 @@ def step_mid(prev: StepResult, sched: MorphingSchedule, cfg: SolverConfig, scale
         q_pred = _advance(q_k, prev.omega_b, 0.5 * h)
         v, hh = _rotate_f(q_pred, prev.xdot_b), 0.5 * h
         x_pred = (x[0] + hh * v[0], x[1] + hh * v[1], x[2] + hh * v[2])
-        carried = _impulse(sched, h, carried, BodyState(t_mid, q_pred, x_pred, prev.xdot_b, prev.omega_b))
+        f = _force(sched, t_mid, q_pred, x_pred, prev.xdot_b, prev.omega_b)
+        carried = [c + h * u for c, u in zip(carried, f)]
 
     k = _mid_setup(q_k, c_mid, h, carried)
     sol = newton_solve(
@@ -411,7 +421,7 @@ def step_rk_baseline(prev: StepResult, sched: MorphingSchedule, h: float) -> Ste
     d/dt D1 = -omega x D1 + f on body axes, d/dt D2 = -omega x D2 - xdot x D1 + tau.
     Each stage recovers its velocities with _velocities and advances orientation from
     prev.q by _advance at its rate; prev.coeffs is the coefficient set at prev.t.
-    Under a force each stage probes it with one BodyState.
+    Under a force each stage probes it once at its own state, and F is rotated to body axes.
     """
     t, q0, x0 = prev.t, prev.q, prev.x_e
     c_half, c_end = sched.coefficients(t + 0.5 * h), sched.coefficients(t + h)
@@ -423,8 +433,8 @@ def step_rk_baseline(prev: StepResult, sched: MorphingSchedule, h: float) -> Ste
         m, n, o = _cx(om, d[:3]), _cx(om, d[3:]), _cx(xd, d[:3])
         dd = [-m[0], -m[1], -m[2], -n[0] - o[0], -n[1] - o[1], -n[2] - o[2]]
         if not sched.force_free:
-            f_e, tau = sched.force(BodyState(t_s, q_s, x_s, xd, om), t_s)
-            dd = [u + float(v) for u, v in zip(dd, (*_rotate_f((q_s[0], -q_s[1], -q_s[2], -q_s[3]), f_e), *tau))]
+            f = _force(sched, t_s, q_s, x_s, xd, om)
+            dd = [u + v for u, v in zip(dd, (*_rotate_f((q_s[0], -q_s[1], -q_s[2], -q_s[3]), f[:3]), *f[3:]))]
         return om, _rotate_f(q_s, xd), dd
 
     k = [rate(q0, x0, d0, prev.coeffs, t)]

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -320,15 +320,18 @@ def preset_free_body() -> tuple[CoefficientSet, RigidParams]:
     return rigid_coefficients(rp), rp
 
 
-ForceFn = Callable[[BodyState, float], tuple[Array, Array]]
+Floats = Sequence[float]
+ForceFn = Callable[[float, Floats, Floats, Floats, Floats], tuple[Floats, Floats]]
 
 
 @dataclass(frozen=True)
 class MorphingSchedule:
     """Time-dependent model: coefficients and applied forces.
 
-    coefficients(t) returns the CoefficientSet at time t; force(s, t) returns
-    (F earth axes, torque body axes). force_free marks schedules whose force
+    coefficients(t) returns the CoefficientSet at time t. force(t, q, x_e,
+    xdot_b, omega_b) takes a state as BodyState's fields, t a float and the
+    rest sequences of Python floats, and returns (F earth axes, torque body
+    axes) as two 3-sequences of numbers. force_free marks schedules whose force
     callback is identically zero, which lets integrators skip it. It has no
     default: a schedule marked force free never has its force called.
     """
@@ -339,8 +342,8 @@ class MorphingSchedule:
     force_free: bool
 
 
-def _zero_force(s: BodyState, t: float) -> tuple[Array, Array]:
-    return np.zeros(3), np.zeros(3)
+def _zero_force(t, q, x_e, xdot_b, omega_b) -> tuple[Floats, Floats]:
+    return (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)
 
 
 def constant_schedule(c: CoefficientSet, name: str = "free_body") -> MorphingSchedule:
@@ -409,8 +412,8 @@ def preset_morphing(damping: bool = False) -> MorphingSchedule:
             (*f_x[:2], f_x[2] + 2.0 * m * bd), f_w, f_0 + m * (ad * ad + bd * bd),
         )  # fmt: skip
 
-    def damped(s: BodyState, t: float) -> tuple[Array, Array]:
-        return np.zeros(3), -DAMPING_BETA * s.omega_b
+    def damped(t, q, x_e, xdot_b, omega_b) -> tuple[Floats, Floats]:
+        return (0.0, 0.0, 0.0), [-DAMPING_BETA * w for w in omega_b]
 
     return MorphingSchedule(
         name="morphing",

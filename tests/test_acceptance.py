@@ -28,7 +28,6 @@ from qvint import (
     identity_quat,
     integrate,
     kinetic_energy,
-    momentum_errors,
     net_pitch,
     preset_free_body,
     preset_morphing,
@@ -102,10 +101,10 @@ def test_criterion_03_midpoint_rotational_drift():
     slopes = {}
     for method in ("left", "mid"):
         rec, _ = free_body_run(method, 0.01)
-        _, ew_run = momentum_errors(rec, running=True)
+        ew_run = summarize(rec).e_w
         slopes[method] = drift_slope(rec.t, ew_run)  # trailing half = t in [25, 50]
     rec, _ = free_body_run("mid", 0.01)
-    _, ew_inst = momentum_errors(rec, running=False)
+    ew_inst = summarize(rec).instantaneous[1]
     window = rec.t >= 25.0
     amplitude = float(ew_inst[window].max() - ew_inst[window].min())
     drift_frac = slopes["mid"] * 25.0 / amplitude

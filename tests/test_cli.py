@@ -25,7 +25,7 @@ from qvint.cli import (
     write_error_csv,
     write_trajectory_csv,
 )
-from qvint.diagnostics import energy_error, momentum_errors, summarize
+from qvint.diagnostics import summarize
 
 TRAJ_HEADER = (
     "t,qw,qx,qy,qz,xe_x,xe_y,xe_z,xdotb_x,xdotb_y,xdotb_z,"
@@ -182,8 +182,7 @@ def test_error_csv_matches_instantaneous_series(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == ERR_HEADER
     assert len(lines) == len(rec) + 1
-    e_x, e_w = momentum_errors(rec, running=False)
-    e_t = energy_error(rec, running=False)
+    e_x, e_w, e_t = summarize(rec).instantaneous
     got = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
     assert np.array_equal(got[:, 0], rec.t)
     assert np.array_equal(got[:, 1], e_x)

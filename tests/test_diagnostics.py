@@ -12,11 +12,9 @@ from qvint import (
     TrajectoryRecord,
     constant_schedule,
     drift_slope,
-    energy_error,
     exp_map,
     identity_quat,
     integrate,
-    momentum_errors,
     net_pitch,
     pitch_213,
     preset_free_body,
@@ -78,35 +76,32 @@ def test_record_validation_and_state_access():
 
 @pytest.mark.parametrize("dropped", ["P_x", "P_w"])
 def test_record_needs_both_physical_momenta_or_neither(dropped):
-    # with one of them, momentum_errors once read it while summarize fell back to canonical
+    # with one of them, one error series once read it while another fell back to canonical
     with pytest.raises(ValueError, match="P_x and P_w"):
         dataclasses.replace(make_record(physical=True), **{dropped: None})
 
 
 def test_constant_momenta_give_zero_series():
-    rec = make_record(n=6)
-    e_x, e_w = momentum_errors(rec)
-    assert np.all(e_x == 0.0)
-    assert np.all(e_w == 0.0)
-    assert np.all(energy_error(rec) == 0.0)
+    rep = summarize(make_record(n=6))
+    for series in (rep.e_x, rep.e_w, rep.e_T, *rep.instantaneous):
+        assert series.shape == (6,) and np.all(series == 0.0)
 
 
 def test_single_sample_record():
-    rec = make_record(n=1)
-    e_x, e_w = momentum_errors(rec)
-    assert e_x.shape == (1,) and e_x[0] == 0.0 and e_w[0] == 0.0
+    rep = summarize(make_record(n=1))
+    assert rep.e_x.shape == (1,) and rep.e_x[0] == 0.0 and rep.e_w[0] == 0.0
     # a non-finite sample leaves its series undefined, quietly: squaring the 1e300
     # beside the infinite entry once overflowed in the baseline norm
-    e_x, e_w = momentum_errors(make_record(n=1, p_w=[[np.inf, 1e300, 0.0]]))
-    assert e_x[0] == 0.0 and np.isnan(e_w[0])
+    rep = summarize(make_record(n=1, p_w=[[np.inf, 1e300, 0.0]]))
+    assert rep.e_x[0] == 0.0 and np.isnan(rep.e_w[0]) and np.isnan(rep.instantaneous[1][0])
 
 
 def test_perturbation_sets_relative_level_and_running_holds():
     p_w = np.tile([0.0, 0.0, 4.0], (6, 1))
     p_w[2] = [0.0, 0.0, 4.0 * 1.01]  # 1 percent excursion, then back
     rec = make_record(n=6, p_w=p_w)
-    inst_x, inst_w = momentum_errors(rec, running=False)
-    run_x, run_w = momentum_errors(rec, running=True)
+    rep = summarize(rec)
+    (inst_x, inst_w, inst_T), run_x, run_w = rep.instantaneous, rep.e_x, rep.e_w
     assert inst_w[2] == pytest.approx(0.01, rel=1e-12)
     assert inst_w[3] == 0.0
     assert np.all(run_w[2:] == inst_w[2])
@@ -114,24 +109,22 @@ def test_perturbation_sets_relative_level_and_running_holds():
     assert np.all(np.diff(run_w) >= 0.0)
     assert np.all(run_x == 0.0)
     # the report carries the instantaneous series its running maxima come from, for the error CSV
-    inst = summarize(rec).instantaneous
-    assert np.array_equal(inst[0], inst_x) and np.array_equal(inst[1], inst_w)
-    assert np.array_equal(inst[2], energy_error(rec, running=False))
+    assert np.array_equal(run_x, running_max(inst_x)) and np.array_equal(rep.e_T, running_max(inst_T))
+    assert np.all(inst_T == 0.0)
 
 
 def test_energy_error_levels_and_zero_baseline():
     energy = np.array([2.0, 2.0, 2.0, 4.0])
-    rec = make_record(n=4, energy=energy)
-    e = energy_error(rec, running=False)
+    e = summarize(make_record(n=4, energy=energy)).instantaneous[2]
     assert e[-1] == pytest.approx(1.0, rel=1e-15)
     assert e[0] == 0.0
     rec0 = make_record(n=3, energy=np.array([0.0, 1.0, 2.0]))
-    # a zero baseline falls back to absolute deviations, as summarize does
-    assert np.array_equal(energy_error(rec0, running=False), [0.0, 1.0, 2.0])
+    # a zero baseline falls back to absolute deviations, and flags it
     rep = summarize(rec0)
+    assert np.array_equal(rep.instantaneous[2], [0.0, 1.0, 2.0])
     assert rep.e_T_absolute
     assert rep.final_e_T == pytest.approx(2.0)
-    assert np.array_equal(energy_error(rec0), rep.e_T)
+    assert np.array_equal(rep.e_T, [0.0, 1.0, 2.0])
 
 
 def test_zero_baseline_momentum_goes_absolute():
@@ -154,7 +147,7 @@ def test_summarize_momentum_source_and_ew_policy():
     rep = summarize(rec)
     assert rep.momentum_source == "canonical"
     assert rep.e_w_diagnostic  # canonical p_w is not conserved under applied torque
-    assert np.array_equal(rep.e_w, momentum_errors(rec)[1]) and rep.final_e_w == 0.25  # but still reported
+    assert np.array_equal(rep.e_w, [0.0, 0.0, 0.25, 0.25, 0.25]) and rep.final_e_w == 0.25  # but still reported
     rep = summarize(make_record(physical=False, force_free=True))
     assert not rep.e_w_diagnostic
 

@@ -483,9 +483,8 @@ def test_integrate_steps_and_solves_through_the_module_globals(method, sched, mo
 
 
 @pytest.mark.parametrize("method", ["left", "mid", "rk"])
-def test_integrate_builds_a_body_state_only_to_probe_a_force(method, monkeypatch):
-    # the chain runs on floats: a force-free run builds no BodyState besides the initial one, a
-    # forced run one probe per left/mid step and one per rk stage, since ForceFn takes a BodyState
+def test_integrate_builds_no_body_state_after_the_initial_one(method, monkeypatch):
+    # the chain runs on floats and a force reads them: no run builds a BodyState, forced or not
     built = []
     post_init = BodyState.__post_init__
 
@@ -494,27 +493,125 @@ def test_integrate_builds_a_body_state_only_to_probe_a_force(method, monkeypatch
         post_init(self)
 
     monkeypatch.setattr(BodyState, "__post_init__", counted)
-    for sched, per_step in ((SCHED, 0), (preset_morphing(damping=False), 0), (MORPHING, 4 if method == "rk" else 1)):
-        built.clear()
+    for sched in (SCHED, preset_morphing(damping=False), MORPHING):
         rec = integrate(SPIN, sched, CFG, method, 1.0)
         assert len(rec) == 101 and not rec.truncated
-        assert len(built) == per_step * 100, sched.name
+        assert built == [], sched.name
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def recording(sched):
+    """Copy of a forced schedule whose force logs each call's arguments."""
+    calls = []
+
+    def force(*args):
+        calls.append(args)
+        return sched.force(*args)
+
+    return dataclasses.replace(sched, force=force), calls
+
+
+def all_floats(call):
+    t, *state = call
+    return type(t) is float and all(type(v) is float for seq in state for v in seq)
+
+
+@pytest.mark.parametrize("method,per_step", [("left", 1), ("mid", 1), ("rk", 4)])
+def test_every_force_call_in_a_run_reads_python_floats(method, per_step):
+    sched, calls = recording(MORPHING)
+    start = BodyState(0.0, random_unit_quat(RNG), RNG.standard_normal(3), (0.3, -0.1, 0.0), (0.3, -2.0, 0.5))
+    rec = integrate(start, sched, CFG, method, 0.5)
+    assert len(rec) == 51 and not rec.truncated
+    assert len(calls) == per_step * 50 and all(map(all_floats, calls))
+
+
+def test_left_probes_the_force_at_the_new_step_point_with_the_previous_velocities():
+    # (t_k, q_k, x_k, xdot_{k-1}, omega_{k-1}): the kinematic update is explicit, the velocities not yet solved
+    sched, calls = recording(MORPHING)
+    h = CFG.h
+    prev = seed_step(SPIN, MORPHING.coefficients(0.0), "left", h)
+    for _ in range(20):
+        calls.clear()
+        res = step_left(prev, sched, CFG, 1.0)
+        [(t, q, x, xd, om)] = calls
+        assert t == prev.t + h and (q, x, xd, om) == (res.q, res.x_e, prev.xdot_b, prev.omega_b)
+        assert_allclose(q, cg_step(np.array(prev.q), np.array(prev.omega_b), h), rtol=0.0, atol=1e-15)
+        assert_allclose(x, prev.x_e + h * _rotate(np.array(prev.q), prev.xdot_b), rtol=0.0, atol=1e-15)
+        prev = res
+
+
+def test_mid_probes_the_force_at_the_half_step_predictor():
+    # at t_k + h/2 the state is predicted from step point k with the previous midpoint velocities
+    sched, calls = recording(MORPHING)
+    h = CFG.h
+    start = BodyState(0.0, identity_quat(), np.zeros(3), (0.3, -0.1, 0.0), (0.3, -2.0, 0.5))
+    prev = seed_step(start, MORPHING.coefficients(0.0), "mid", h)
+    for _ in range(20):
+        calls.clear()
+        res = step_mid(prev, sched, CFG, 1.0)
+        [(t, q, x, xd, om)] = calls
+        assert t == prev.t + 0.5 * h and (xd, om) == (prev.xdot_b, prev.omega_b)
+        assert_allclose(q, cg_step(np.array(prev.q), np.array(om), 0.5 * h), rtol=0.0, atol=1e-15)
+        assert_allclose(x, prev.x_e + 0.5 * h * _rotate(np.array(q), xd), rtol=0.0, atol=1e-15)
+        prev = res
+
+
+def test_rk_probes_the_force_once_at_each_of_its_four_stages():
+    # stage i + 1 advances from the step's start at stage i's rates: q0 exp((a h / 2) omega_i), x0 + a h R(q_i) xdot_i
+    sched, calls = recording(MORPHING)
+    h = CFG.h
+    start = BodyState(0.0, identity_quat(), np.zeros(3), (0.3, -0.1, 0.0), (0.3, -2.0, 0.5))
+    prev = seed_step(start, MORPHING.coefficients(0.0), "rk", h)
+    for _ in range(20):
+        calls.clear()
+        res = step_rk_baseline(prev, sched, h)
+        assert [c[0] for c in calls] == [prev.t, prev.t + 0.5 * h, prev.t + 0.5 * h, prev.t + h]
+        q0, x0 = np.array(prev.q), np.array(prev.x_e)
+        assert calls[0][1:3] == (prev.q, prev.x_e)
+        assert_allclose(np.concatenate(calls[0][3:]), np.concatenate(prev[3:5]), rtol=0.0, atol=1e-13)
+        for a, (_, q_i, _, xd_i, om_i), (_, q, x, _, _) in zip((0.5, 0.5, 1.0), calls, calls[1:]):
+            assert_allclose(q, cg_step(q0, np.array(om_i), a * h), rtol=0.0, atol=1e-15)
+            assert_allclose(x, x0 + a * h * _rotate(np.array(q_i), xd_i), rtol=0.0, atol=1e-15)
+        prev = res
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, "2-vector"])
 @pytest.mark.parametrize("method", ["left", "mid", "rk"])
 def test_a_force_turning_non_finite_stops_the_run_with_a_named_reason(method, bad):
-    # the step impulse is summed on floats: a force that turns non-finite after t = 0.05 stops the
-    # run at the first step that probes it, with a solver reason, and keeps the finite rows before
-    def force(s, t):
-        return np.array([bad if t > 0.05 else 0.0, 0.0, 0.0]), -0.05 * s.omega_b
+    # a force that turns non-finite, or returns a 2-vector, after t = 0.05 stops the run at the first
+    # step that probes it, with the force's own reason, and keeps the finite rows before
+    def force(t, q, x_e, xdot_b, omega_b):
+        f = np.zeros(2) if bad == "2-vector" else np.array([bad, 0.0, 0.0])
+        return (f if t > 0.05 else np.zeros(3)), -0.05 * np.array(omega_b)
 
     rec = integrate(SPIN, dataclasses.replace(MORPHING, force=force), CFG, method, 0.2)
-    want = "BodyState.xdot_b has non-finite components" if method == "rk" else "residual is non-finite"
+    want = "force did not return two finite 3-vectors (F earth axes, torque body axes)"
     assert rec.truncated and rec.stop_reason == want
     assert len(rec) == 6 and rec.t[-1] == pytest.approx(0.05)
     for col in (rec.q, rec.x_e, rec.xdot_b, rec.omega_b, rec.energy, rec.p_x, rec.p_w):
         assert np.all(np.isfinite(col))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    force=floats(-5.0, 5.0, 3),
+    q0=floats(-1.0, 1.0, 4).filter(lambda q: np.linalg.norm(q) > 0.1),
+    omega0=floats(-1.0, 1.0, 3),
+    xdot0=floats(-1.0, 1.0, 3),
+    h=st.floats(0.005, 0.05),
+    method=st.sampled_from(["left", "mid"]),
+)
+def test_a_constant_force_adds_its_impulse_to_the_translational_momentum(force, q0, omega0, xdot0, h, method):
+    # the discrete Lagrange-d'Alembert forcing: each step adds h F to the carried p_x, which
+    # the solve balances exactly, so row k holds p_x(0) + k h F (row 0 of mid repeats row 1)
+    f = tuple(force.tolist())
+    sched = MorphingSchedule("pushed", lambda t: CSET, lambda t, *state: (f, (0.0, 0.0, 0.0)), force_free=False)
+    start = BodyState(0.0, q0 / np.linalg.norm(q0), np.zeros(3), xdot0, omega0)
+    rec = integrate(start, sched, SolverConfig(h=h), method, 30 * h)
+    assert len(rec) == 31 and not rec.truncated
+    want = canonical_momenta(start, CSET, h)[0] + h * np.arange(31)[:, None] * force
+    first = 1 if method == "mid" else 0
+    err = np.abs(rec.p_x - want)[first:].max(axis=1) / np.maximum(1.0, np.linalg.norm(rec.p_x, axis=1)[first:])
+    assert err.max() <= 1e-12
 
 
 def test_rest_state_is_fixed_point():
@@ -714,7 +811,10 @@ def test_rk_damped_spherical_body_decays_exponentially():
     # 2 d(omega)/dt = -beta omega, so omega(t) = omega0 exp(-beta t / 2)
     beta = 0.5
     c = CoefficientSet(a_xx=1.0, A_xw=0.0, A_ww=1.0)
-    sched = MorphingSchedule("damped_sphere", lambda t: c, lambda s, t: (np.zeros(3), -beta * s.omega_b), force_free=False)
+    def damped(t, q, x_e, xdot_b, omega_b):
+        return (0.0, 0.0, 0.0), [-beta * w for w in omega_b]
+
+    sched = MorphingSchedule("damped_sphere", lambda t: c, damped, force_free=False)
     omega0 = np.array([0.4, -0.3, 0.8])
     start = BodyState(0.0, identity_quat(), np.zeros(3), np.zeros(3), omega0)
     rec = integrate(start, sched, SolverConfig(h=0.01), "rk", 1.0)

@@ -434,8 +434,7 @@ def test_morphing_damping_flag_and_force():
     assert free.force_free
     damped = preset_morphing(damping=True)
     assert not damped.force_free
-    s = BodyState(0.0, identity_quat(), np.zeros(3), np.zeros(3), np.array([2.0, 0.0, -1.0]))
-    f, tau = damped.force(s, 0.0)
+    f, tau = damped.force(0.0, (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (2.0, 0.0, -1.0))
     assert_allclose(f, np.zeros(3), atol=0.0)
     assert_allclose(tau, [-0.1, 0.0, 0.05], atol=1e-15)
 
@@ -443,7 +442,7 @@ def test_morphing_damping_flag_and_force():
 def test_morphing_schedule_requires_force_free():
     # with a default of True, a 3-argument schedule would never have its force called
     with pytest.raises(TypeError):
-        MorphingSchedule("damped", lambda t: CSET, lambda s, t: (np.zeros(3), -s.omega_b))
+        MorphingSchedule("damped", lambda t: CSET, lambda t, *state: ((0.0, 0.0, 0.0), [-w for w in state[3]]))
 
 
 def test_morphing_schedule_metadata():
