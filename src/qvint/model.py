@@ -20,7 +20,7 @@ through time-dependent coefficients produced by a :class:`MorphingSchedule`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from typing import Callable, Sequence
@@ -115,47 +115,48 @@ def _check_symmetric(a: Array, name: str) -> None:
         raise ValueError(f"{name} must be symmetric, asymmetry norm {dev:g}")
 
 
-@dataclass(frozen=True)
+def _field(i: int, shape) -> property:
+    def get(self) -> Array:
+        a = np.array(self._flat[i]).reshape(shape)
+        a.flags.writeable = False
+        return a
+
+    return property(get, doc=f"{_FIELDS[i]} as a fresh read-only numpy array.")
+
+
 class CoefficientSet:
     """Coefficients of the body-frame kinetic energy quadratic form.
 
     a_xx and A_ww must be symmetric; A_xw carries the translation-rotation
     coupling and is unrestricted. Scalars passed for the matrix blocks are
-    promoted to multiples of the identity. The derived forms are computed once
-    per set (cached_property writes the instance __dict__, which frozen allows).
+    promoted to multiples of the identity. A set stores its values once, as
+    Python floats in _flat (a_xx, A_xw, A_ww as row-major 9-tuples, a_x, a_w,
+    a_0), which every kernel reads. The fields a_xx ... a_w are fresh read-only
+    numpy copies of it and a_0 is its float, so no field can drift from the
+    kernels' values. The derived forms are computed once per set. Sets compare
+    and hash by identity.
     """
 
-    a_xx: Array
-    A_xw: Array
-    A_ww: Array
-    a_x: Array = field(default_factory=lambda: np.zeros(3))
-    a_w: Array = field(default_factory=lambda: np.zeros(3))
-    a_0: float = 0.0
+    a_xx, A_xw, A_ww = (_field(i, (3, 3)) for i in range(3))
+    a_x, a_w = _field(3, 3), _field(4, 3)
+    a_0 = property(lambda self: self._flat[5], doc="a_0 as a float.")
 
-    def __post_init__(self):
-        for f in _FIELDS[:3]:
-            object.__setattr__(self, f, _as_matrix(getattr(self, f), f))
-        for f in _FIELDS[3:5]:
-            object.__setattr__(self, f, np.array(getattr(self, f), dtype=float).reshape(3))
-        object.__setattr__(self, "a_0", float(self.a_0))
-        _check_symmetric(self.a_xx, "a_xx")
-        _check_symmetric(self.A_ww, "A_ww")
+    def __init__(self, a_xx, A_xw, A_ww, a_x=(0.0, 0.0, 0.0), a_w=(0.0, 0.0, 0.0), a_0: float = 0.0):
+        blocks = [_as_matrix(m, f) for m, f in zip((a_xx, A_xw, A_ww), _FIELDS)]
+        blocks += [np.array(v, dtype=float).reshape(3) for v in (a_x, a_w)]
+        self._flat = (*[tuple(b.ravel().tolist()) for b in blocks], float(a_0))
+        _check_symmetric(blocks[0], "a_xx")
+        _check_symmetric(blocks[2], "A_ww")
 
     @classmethod
     def _trusted(cls, a_xx, A_xw, A_ww, a_x, a_w, a_0: float) -> "CoefficientSet":
-        """Set from validated row-major float 9-tuples and 3-tuples: no checks, and _flat is seeded."""
-        c, flat = cls.__new__(cls), (a_xx, A_xw, A_ww, a_x, a_w, a_0)
-        blocks = [np.array(v).reshape(3, 3) for v in flat[:3]]
-        vars(c).update(zip(_FIELDS, blocks + [np.array(a_x), np.array(a_w), a_0]), _flat=flat)
+        """Set from validated row-major float 9-tuples and 3-tuples, with no checks."""
+        c = cls.__new__(cls)
+        c._flat = (a_xx, A_xw, A_ww, a_x, a_w, a_0)
         return c
 
     def __add__(self, other: "CoefficientSet") -> "CoefficientSet":
         return CoefficientSet(*[getattr(self, f) + getattr(other, f) for f in _FIELDS])
-
-    @cached_property
-    def _flat(self) -> tuple:
-        """Python-float view (a_xx, A_xw, A_ww as row-major 9-tuples, a_x, a_w, a_0)."""
-        return (*[tuple(getattr(self, f).ravel().tolist()) for f in _FIELDS[:5]], self.a_0)
 
     @cached_property
     def elimination_blocks(self) -> tuple:
@@ -216,6 +217,8 @@ class BodyState:
         object.__setattr__(self, "x_e", np.array(self.x_e, dtype=float).reshape(3))
         object.__setattr__(self, "xdot_b", np.array(self.xdot_b, dtype=float).reshape(3))
         object.__setattr__(self, "omega_b", np.array(self.omega_b, dtype=float).reshape(3))
+        for v in (self.q, self.x_e, self.xdot_b, self.omega_b):
+            v.flags.writeable = False  # the checks below hold for the object's lifetime
         # one test over all 13 components; the per-field pass only names the culprit
         if not np.isfinite(np.concatenate((self.q, self.x_e, self.xdot_b, self.omega_b))).all():
             bad = next(n for n in ("q", "x_e", "xdot_b", "omega_b") if not np.isfinite(getattr(self, n)).all())
@@ -289,6 +292,7 @@ class RigidParams:
         object.__setattr__(self, "m", float(self.m))
         object.__setattr__(self, "c", np.array(self.c, dtype=float).reshape(3))
         object.__setattr__(self, "I_ref", _as_matrix(self.I_ref, "I_ref"))
+        self.c.flags.writeable = self.I_ref.flags.writeable = False
         _check_symmetric(self.I_ref, "I_ref")
         if self.m <= 0.0:
             raise ValueError("RigidParams.m must be positive")

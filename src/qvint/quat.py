@@ -49,11 +49,6 @@ def quat_mul(a: Array, b: Array) -> Array:
     return np.array(_mul_f(a, b))
 
 
-def conj(q: Array) -> Array:
-    """Quaternion conjugate [w, -x, -y, -z]."""
-    return np.array([q[0], -q[1], -q[2], -q[3]])
-
-
 def normalize(q: Array) -> Array:
     """Rescale q to unit norm."""
     n = float(np.sqrt(q @ q))
@@ -109,10 +104,6 @@ def _rotate_f(q, v) -> tuple[float, float, float]:
     )
 
 
-def _rotate(q: Array, v: Array) -> Array:
-    return np.array(_rotate_f(q, v))
-
-
 def _right_jacobian(phi: tuple[float, float, float]) -> tuple[float, ...]:
     """SO(3) right Jacobian J_r: Exp(phi + d) = Exp(phi) Exp(J_r(phi) d) to first order in d.
 
@@ -140,4 +131,4 @@ def _right_jacobian(phi: tuple[float, float, float]) -> tuple[float, ...]:
 def rotate_to_earth(q: Array, v_body: Array) -> Array:
     """Coordinates of a body-frame vector on earth axes, q (x) v (x) q*."""
     _check_unit(q, "rotate_to_earth")
-    return _rotate(q, v_body)
+    return np.array(_rotate_f(q, v_body))

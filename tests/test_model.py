@@ -88,6 +88,38 @@ def test_coefficient_set_add_and_inverse():
         degenerate.schur_inverse
 
 
+def test_validated_fields_are_read_only():
+    # an in-place write would get round the constructors' checks, and leave a set's kernels on the old floats
+    c = CoefficientSet(a_xx=2.0, A_xw=0.0, A_ww=1.0, a_x=(1.0, 0.0, 0.0))
+    s = BodyState(0.0, identity_quat(), np.zeros(3), np.ones(3), np.ones(3))
+    rp = RigidParams(m=1.0, c=np.zeros(3), I_ref=1.0)
+    owners = ((c, ("a_xx", "A_xw", "A_ww", "a_x", "a_w")), (s, ("q", "x_e", "xdot_b", "omega_b")), (rp, ("c", "I_ref")))
+    for obj, names in owners:
+        for name in names:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(obj, name)[0] = 50.0
+    with pytest.raises(AttributeError):
+        c.a_xx = np.eye(3)
+    assert c.a_xx[0, 0] == 2.0 and s.q[0] == 1.0 and rp.I_ref[0, 0] == 1.0
+
+
+def test_a_changed_copy_of_a_field_leaves_the_set_alone():
+    c = CoefficientSet(a_xx=2.0, A_xw=0.0, A_ww=1.0)
+    a = c.a_xx
+    w = a.copy()
+    w[0, 0] = 50.0
+    assert c.a_xx is not a and c.a_xx[0, 0] == a[0, 0] == 2.0
+    assert c.elimination_blocks[0][0] == 0.25  # (2 a_xx)^-1
+    assert kinetic_energy(BodyState(0.0, identity_quat(), np.zeros(3), (1.0, 0.0, 0.0), np.zeros(3)), c) == 2.0
+
+
+def test_distinct_sets_compare_and_hash_by_identity():
+    c1 = CoefficientSet(a_xx=2.0, A_xw=0.0, A_ww=1.0)
+    c2 = CoefficientSet(a_xx=2.0, A_xw=0.0, A_ww=1.0)
+    assert c1 == c1 and c1 != c2
+    assert len({c1, c2, c1}) == 2 and hash(c1) == hash(c1)
+
+
 def exact_elimination_blocks(c):
     """Mxx^-1, X, S and P of elimination_blocks, in exact rational arithmetic on the set's floats."""
 
@@ -391,8 +423,10 @@ def test_morphing_closed_form_matches_the_point_mass_sum():
             assert_allclose(got, want, rtol=0.0, atol=1e-14)
         rebuilt = CoefficientSet(*[getattr(c, name) for name in fields])  # passes validation
         for name in fields:
-            assert_array_equal(getattr(rebuilt, name), getattr(c, name))
-        assert rebuilt.elimination_blocks == c.elimination_blocks
+            got, want = np.asarray(getattr(rebuilt, name)), np.asarray(getattr(c, name))
+            assert_array_equal(got, want)
+            assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes()), name  # bit-equal
+        assert rebuilt._flat == c._flat and rebuilt.elimination_blocks == c.elimination_blocks
 
 
 def test_morphing_positive_definite_sweep():

@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qvint import conj, exp_map, identity_quat, normalize, quat_mul, rotate_to_earth
+from qvint import exp_map, identity_quat, normalize, quat_mul, rotate_to_earth
 
 RNG = np.random.default_rng(20240817)
+
+
+def conj(q):
+    """Quaternion conjugate [w, -x, -y, -z]."""
+    return q * (1.0, -1.0, -1.0, -1.0)
 
 
 def random_unit_quat(rng):
