@@ -234,14 +234,18 @@ class BodyState:
 def _energy_momenta(c: CoefficientSet, xd, om) -> tuple[float, list[float], list[float]]:
     """T = (1/2) v.M v + a.v + a_0 and (D1, D2) = M v + a at v = (xd, om); each row of M v sums in column order."""
     xx, xw, ww, a_x, a_w, a_0 = c._flat
+    (b0, b1, b2, b3, b4, b5, b6, b7, b8), (c0, c1, c2, c3, c4, c5, c6, c7, c8) = xx, xw
+    d0, d1, d2, d3, d4, d5, d6, d7, d8 = ww
     (x, y, z), (u, v, w) = xd, om
-    m = [2.0 * xx[i] * x + 2.0 * xx[i + 1] * y + 2.0 * xx[i + 2] * z + xw[i] * u + xw[i + 1] * v + xw[i + 2] * w
-         for i in (0, 3, 6)]  # fmt: skip
-    m += [xw[i] * x + xw[i + 3] * y + xw[i + 6] * z + 2.0 * ww[3 * i] * u + 2.0 * ww[3 * i + 1] * v
-          + 2.0 * ww[3 * i + 2] * w for i in (0, 1, 2)]  # fmt: skip
-    t = (0.5 * (x * m[0] + y * m[1] + z * m[2] + u * m[3] + v * m[4] + w * m[5])
+    m0 = 2.0 * b0 * x + 2.0 * b1 * y + 2.0 * b2 * z + c0 * u + c1 * v + c2 * w
+    m1 = 2.0 * b3 * x + 2.0 * b4 * y + 2.0 * b5 * z + c3 * u + c4 * v + c5 * w
+    m2 = 2.0 * b6 * x + 2.0 * b7 * y + 2.0 * b8 * z + c6 * u + c7 * v + c8 * w
+    m3 = c0 * x + c3 * y + c6 * z + 2.0 * d0 * u + 2.0 * d1 * v + 2.0 * d2 * w
+    m4 = c1 * x + c4 * y + c7 * z + 2.0 * d3 * u + 2.0 * d4 * v + 2.0 * d5 * w
+    m5 = c2 * x + c5 * y + c8 * z + 2.0 * d6 * u + 2.0 * d7 * v + 2.0 * d8 * w
+    t = (0.5 * (x * m0 + y * m1 + z * m2 + u * m3 + v * m4 + w * m5)
          + (a_x[0] * x + a_x[1] * y + a_x[2] * z + a_w[0] * u + a_w[1] * v + a_w[2] * w) + a_0)  # fmt: skip
-    return t, [m[i] + a_x[i] for i in range(3)], [m[i + 3] + a_w[i] for i in range(3)]
+    return t, [m0 + a_x[0], m1 + a_x[1], m2 + a_x[2]], [m3 + a_w[0], m4 + a_w[1], m5 + a_w[2]]
 
 
 def _canonical_f(q, xd, om, c: CoefficientSet, h: float) -> tuple[float, tuple, list[float]]:

@@ -172,6 +172,91 @@ def test_newton_line_search_steps_back_from_a_non_finite_trial():
     assert_allclose(res.x, (1.0, 1.0, 1.0), rtol=0.0, atol=1e-12)
 
 
+def kinked(x):
+    """x for x >= 1, 5 x - 4 on [0.75, 1), 0.5 - x below 0.75: roots 0.5 and 0.8, the slope -1 below 0.75."""
+    return x if x >= 1.0 else 5.0 * x - 4.0 if x >= 0.75 else 0.5 - x
+
+
+def test_newton_replaces_a_reused_jacobian_that_stalls():
+    # from 101 the slope-1 step lands on 0, cutting |r| from 101 to 0.5, so the
+    # next iteration reuses slope 1; the slope there is -1, every halving of
+    # that step climbs, and the solve forms a fresh Jacobian at 0 instead of
+    # returning converged=False
+    trials, jac_at = [], []
+
+    def residual(v):
+        trials.append(v[0])
+        return (kinked(v[0]), v[1], v[2]), None
+
+    def jacobian(v, _):
+        jac_at.append(v[0])
+        return diag3((1.0 if v[0] >= 1.0 else 5.0 if v[0] >= 0.75 else -1.0, 1.0, 1.0))
+
+    res = newton_solve(residual, jacobian, (101.0, 0.0, 0.0), 1e-12, 50)
+    assert res.converged and res.x == (0.5, 0.0, 0.0) and res.residual_norm == 0.0
+    assert jac_at == [101.0, 0.0]
+    assert trials[:3] == [101.0, 0.0, -0.5]  # the reused slope's full step, which climbs to r = 1
+    assert len(trials) == 1 + 1 + 9 + 1 and res.iterations == 3
+
+
+def test_newton_replaces_a_reused_jacobian_whose_step_is_numerically_singular():
+    # the first Jacobian is nearly singular in a direction the first residual
+    # does not excite; reused once the residual turns into that direction, it
+    # would step 5e12, past the 1e12 (1 + |x|) bound, so a fresh one is formed
+    # there instead of the solve raising
+    def stiff(v):
+        return 1e-15 if v[0] > 0.5 else 1.0
+
+    def residual(v):
+        return (v[0], stiff(v) * v[1] + (0.005 if v[0] <= 0.5 else 0.0), v[2]), None
+
+    jac_at = []
+
+    def jacobian(v, _):
+        jac_at.append(v)
+        return diag3((1.0, stiff(v), 1.0))
+
+    res = newton_solve(residual, jacobian, (1.0, 0.0, 0.0), 1e-12, 50)
+    assert res.converged and res.x == (0.0, -0.005, 0.0)
+    assert jac_at == [(1.0, 0.0, 0.0), (0.0, 0.0, 0.0)]
+
+
+def call_counted(fn):
+    """fn wrapped to count its calls in the wrapper's calls attribute."""
+
+    def counted(*args):
+        counted.calls += 1
+        return fn(*args)
+
+    counted.calls = 0
+    return counted
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.lists(st.floats(-0.3, 0.3), min_size=9, max_size=9),
+    diag=st.lists(st.floats(1.0, 3.0), min_size=3, max_size=3),
+    root=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
+    quad=st.floats(0.0, 0.2),
+    offset=st.lists(st.floats(-0.2, 0.2), min_size=3, max_size=3),
+)
+def test_newton_converges_on_mildly_nonlinear_systems(a, diag, root, quad, offset):
+    # r = A e + quad (e_0^2, e_1^2, e_2^2), e = x - root, with A a well-conditioned
+    # 3x3 (a diagonal of 1..3 plus off-diagonal 0.3 at most) and a guess near the root
+    m = np.diag(diag) + np.array(a).reshape(3, 3) * (1.0 - np.eye(3))
+
+    def residual(v):
+        e = [x - y for x, y in zip(v, root)]
+        return (m @ e + quad * np.square(e)).tolist(), tuple(e)
+
+    jacobian = call_counted(lambda v, e: (m + 2.0 * quad * np.diag(e)).ravel().tolist())
+    tol = 1e-12 * (1.0 + max(map(abs, root)))
+    res = newton_solve(residual, jacobian, [x + d for x, d in zip(root, offset)], tol, 50)
+    assert res.converged and res.residual_norm <= tol
+    assert res.terms == tuple(x - y for x, y in zip(res.x, root))  # the terms of the returned x
+    assert jacobian.calls <= res.iterations
+
+
 def central_difference_jacobian(residual, v, eps=1e-6):
     """Oracle for the closed-form Jacobians: central differences, one column per component."""
     jac = np.empty((v.size, v.size))
@@ -428,6 +513,29 @@ def test_one_balance_evaluation_per_newton_residual(sched, monkeypatch):
     assert np.array_equal(np.reshape(jac_mid(sol_mid.x, sol_mid.terms), (3, 3)), want)
     # the history the step hands on is the outgoing momentum of the balance it solved
     assert_allclose(res_mid.history, mid_outgoing(SPIN.q, xd, om, res_mid.coeffs, CFG.h), rtol=0.0, atol=1e-13 * scale)
+
+
+@pytest.mark.parametrize("sched", [SCHED, MORPHING], ids=["free_body", "damped_morphing"])
+@pytest.mark.parametrize("method", ["left", "mid"])
+def test_one_jacobian_per_step(method, sched, monkeypatch):
+    # the warm start is near the root, so the first Newton step contracts the
+    # residual 100-fold and its Jacobian serves the rest of the solve
+    jacobian, step, per_step = call_counted(getattr(integrators, f"_{method}_jacobian")), f"step_{method}", []
+
+    def counted_step(*args, _fn=getattr(integrators, step)):
+        before = jacobian.calls
+        res = _fn(*args)
+        per_step.append(jacobian.calls - before)
+        return res
+
+    monkeypatch.setattr(integrators, f"_{method}_jacobian", jacobian)
+    monkeypatch.setattr(integrators, step, counted_step)
+    start = BodyState(0.0, identity_quat(), np.zeros(3), np.array([0.3, 0.0, 0.1]), np.array([1.0, 1.0, 1.0]))
+    rec = integrate(start, sched, CFG, method, 3.0)
+    assert len(rec) == 301 and not rec.truncated and len(per_step) == 300
+    if method == "mid":
+        assert per_step == [1] * 300
+    assert max(per_step) <= 1
 
 
 def counting(sched):

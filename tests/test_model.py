@@ -29,7 +29,8 @@ from qvint import (
     skew,
     wing_motion,
 )
-from qvint.model import WING_MASS
+from qvint.model import WING_MASS, _cx, _energy_momenta
+from qvint.quat import _rotate_f
 
 RNG = np.random.default_rng(905)
 
@@ -254,6 +255,46 @@ def test_euler_identity_on_homogeneous_parts():
             + 2.0 * c.a_0
         )
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
+def momenta_by_rows(c, xd, om):
+    """T and (D1, D2) = M v + a at v = (xd, om), with M = [[2 a_xx, A_xw], [A_xw^T, 2 A_ww]] built
+    as rows and each row of M v summed left to right in column order, as _energy_momenta documents."""
+    xx, xw, ww, a_x, a_w, a_0 = c._flat
+    v = (*xd, *om)
+    rows = [[2.0 * xx[3 * i + j] for j in range(3)] + [xw[3 * i + j] for j in range(3)] for i in range(3)]
+    rows += [[xw[3 * j + i] for j in range(3)] + [2.0 * ww[3 * i + j] for j in range(3)] for i in range(3)]
+
+    def dot(a, b):
+        acc = a[0] * b[0]
+        for u, w in zip(a[1:], b[1:]):
+            acc += u * w
+        return acc
+
+    m = [dot(row, v) for row in rows]
+    t = 0.5 * dot(v, m) + dot((*a_x, *a_w), v) + a_0
+    return t, [u + w for u, w in zip(m[:3], a_x)], [u + w for u, w in zip(m[3:], a_w)]
+
+
+def test_energy_momenta_match_the_row_sums_and_the_public_oracles():
+    # on the free-body set, a generic one and morphing sets, the unrolled kernel rounds
+    # exactly like the row sums, and the public energy, gradients and canonical momenta
+    # are what it returns
+    rng, h = np.random.default_rng(4077), 0.01
+    sched, sym = preset_morphing(), rng.standard_normal((2, 3, 3))
+    a_x, a_w = rng.standard_normal((2, 3))
+    generic = CoefficientSet(sym[0] + sym[0].T, rng.standard_normal((3, 3)), sym[1] + sym[1].T, a_x, a_w, 0.7)
+    for c in [CSET, generic] + [sched.coefficients(t) for t in rng.uniform(0.0, 2 * np.pi, 20)]:
+        for _ in range(100):
+            s = random_state(rng)
+            xd, om = s.xdot_b.tolist(), s.omega_b.tolist()
+            t, d1, d2 = _energy_momenta(c, xd, om)
+            assert (t, d1, d2) == momenta_by_rows(c, xd, om)
+            assert kinetic_energy(s, c) == t
+            assert energy_grad_xdot(s, c).tolist() == d1 and energy_grad_omega(s, c).tolist() == d2
+            p_x, p_w = canonical_momenta(s, c, h)
+            assert p_x.tolist() == list(_rotate_f(s.q.tolist(), d1))
+            assert p_w.tolist() == [u + 0.5 * h * w for u, w in zip(d2, _cx(om, d2))]
 
 
 def test_canonical_momenta_closed_forms():
