@@ -27,7 +27,9 @@ elimination blocks (velocity recovery) and _advance (orientation update).
 
 A run is a chain of StepResult links on Python floats: seed_step makes the first
 from the initial BodyState, each stepper takes the previous link and returns the
-next, and integrate builds the record's arrays once, after the loop. A forced
+next, and integrate keeps each link's state, point and coefficients, evaluates the
+record's conserved quantities from the last two in numpy blocks of 128 rows with
+the float kernels (bit for bit), and stacks the record after the loop. A forced
 schedule's force reads a probe state's floats through _force, once per left or mid
 step and once per rk stage: left and mid add the impulse h (F, torque) to the
 momentum they carry, rk adds (F, torque) to each stage's momentum rates.
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -95,8 +98,9 @@ class StepResult(NamedTuple):
     rotational part from the solve's own terms, so the momentum sum telescopes to the Newton
     floor. carried is the outgoing momentum plus step impulse the solve balanced (None for rk
     and the seed). point (orientation, linear and angular velocity) is where the record
-    evaluates the step's conserved quantities, and coeffs is the coefficient set at its time:
-    the new step point for left and rk, the new midpoint for mid.
+    evaluates the step's conserved quantities, and coeffs is the coefficient set at its time
+    (the new step point for left and rk, the new midpoint for mid); integrate holds the point
+    and coeffs._flat, never the link or the set, until it evaluates their block of rows.
     """
 
     t: float
@@ -449,7 +453,7 @@ def step_rk_baseline(prev: StepResult, sched: MorphingSchedule, h: float) -> Ste
     """
     t, q0, x0 = prev.t, prev.q, prev.x_e
     c_half, c_end = sched.coefficients(t + 0.5 * h), sched.coefficients(t + h)
-    d0 = [v for d in _energy_momenta(prev.coeffs, prev.xdot_b, prev.omega_b)[1:] for v in d]
+    d0 = [v for d in _energy_momenta(prev.coeffs._flat, prev.xdot_b, prev.omega_b)[1:] for v in d]
 
     def rate(q_s, x_s, d, c, t_s):
         """Stage rate omega and the rates of x and d = (D1, D2)."""
@@ -493,17 +497,17 @@ def seed_step(initial: BodyState, c0: CoefficientSet, method: str, h: float) -> 
     q, x, xd, om = [tuple(a.tolist()) for a in (initial.q, initial.x_e, initial.xdot_b, initial.omega_b)]
     history = None
     if method == "left":
-        _, p_x, p_w = _canonical_f(q, xd, om, c0, -h)
+        _, p_x, p_w = _canonical_f(q, xd, om, c0._flat, -h)
         history = (*p_x, *p_w)
     elif method == "mid":
-        _, d1, d2 = _energy_momenta(c0, xd, om)
+        _, d1, d2 = _energy_momenta(c0._flat, xd, om)
         history = (*_rotate_f(q, d1), *_rotate_f(q, d2))
     return StepResult(initial.t, q, x, xd, om, history, None, (q, xd, om), c0, 0, 0.0, True)
 
 
 def momentum_scale(state: BodyState, c: CoefficientSet, h: float) -> float:
     """Absolute scale for Newton tolerances: initial canonical momentum norm, floored at 1."""
-    _, p_x, p_w = _canonical_f(state.q.tolist(), state.xdot_b.tolist(), state.omega_b.tolist(), c, h)
+    _, p_x, p_w = _canonical_f(state.q.tolist(), state.xdot_b.tolist(), state.omega_b.tolist(), c._flat, h)
     return max(1.0, math.hypot(*p_x, *p_w))
 
 
@@ -539,21 +543,22 @@ def integrate(
 ) -> TrajectoryRecord:
     """Fixed-step run from initial.t to (approximately) t_end.
 
-    method is one of left, mid, rk. The step count is n = round((t_end - t)/h)
-    (nearest integer, halves to even), at least 1, so the run ends at t + n h,
-    off t_end when t_end - t is not a multiple of h; the record's last time is
-    the time reached; a count that is not finite or exceeds 2**53 raises
-    ValueError. Step k's time is t + k h, computed from k, so rounding does
-    not accumulate over the run. Every accepted state is recorded. A step
-    that fails (Newton does not converge, the Jacobian is singular, or
-    the state goes non-finite) truncates the record, flags it and names the
-    cause in stop_reason; so does an initial state whose energy or momentum
-    is non-finite, with a one-row record. Physical momentum columns are
-    filled when rigid_params is given (single-rigid-body models only).
+    method is one of left, mid, rk. The run takes n = round((t_end - t)/h) steps
+    (halves to even, at least 1; ValueError if n is not finite or exceeds 2**53)
+    and ends at t + n h, the record's last time; step k's time t + k h is computed
+    from k. Every accepted state is recorded. A step that fails (Newton does not
+    converge, the Jacobian is singular, the state goes non-finite) truncates the
+    record, flags it and names the cause in stop_reason; so does a non-finite
+    initial energy or momentum, with a one-row record and no step. Physical
+    momentum columns are filled when rigid_params is given (single rigid bodies).
 
-    For the midpoint method the conserved-quantity columns are evaluated at
-    the midpoint quadrature states (row 0 repeats the first midpoint); the
-    velocity columns hold second-order step-point reconstructions.
+    The conserved-quantity columns are evaluated after the steps, 128 rows at a
+    time, by the float kernels that check row 0, run on numpy columns (each entry
+    rounds as on floats). The first non-finite row ends the record, with stop_reason
+    "diverged: non-finite energy or momentum" over any later step's failure, and
+    the loop at the end of its block, at most 127 steps later. For mid the columns
+    are evaluated at the midpoint quadrature states (row 0 repeats the first
+    midpoint); the velocity columns hold second-order step-point reconstructions.
     """
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
@@ -571,29 +576,38 @@ def integrate(
     if rigid_params is not None:
         i_com, c_b, mass = rigid_params.com_inertia().ravel().tolist(), rigid_params.c.tolist(), rigid_params.m
 
-    def conserved(r: StepResult) -> tuple[float, ...]:
-        """Row [T, p_x, p_w, and given rigid_params P_x = m R (xdot + omega x c), P_w = R I_com omega] at r.point.
-
-        The momenta are recomputed from the recorded velocities, not read from
-        the solve's terms: for both schemes the solve's R(q) g1 equals the
-        carried p_x by construction, so an e_x taken from it would hold by
-        construction and check nothing.
+    def conserved(point, f) -> tuple:
+        """Row [T, p_x, p_w, given rigid_params P_x = m R (xdot + omega x c), P_w = R I_com omega] at a point
+        (q, xdot, omega) and a set's _flat f, on floats (row 0) or numpy columns (rows). The momenta are
+        recomputed from the recorded velocities, not read from the solve's terms: for both schemes the solve's
+        R(q) g1 equals the carried p_x by construction, so an e_x taken from it would check nothing.
         """
-        q, xdot, omega = r.point
-        t, p_x, p_w = _canonical_f(q, xdot, omega, r.coeffs, h)
+        q, xdot, omega = point
+        t, p_x, p_w = _canonical_f(q, xdot, omega, f, h)
         if rigid_params is None:
             return (t, *p_x, *p_w)
         v_com = _rotate_f(q, [u + v for u, v in zip(xdot, _cx(omega, c_b))])
         return (t, *p_x, *p_w, *[mass * v for v in v_com], *_rotate_f(q, _mv(i_com, omega)))
 
+    def rows(pending: list) -> Array:
+        """conserved over (point, _flat) pairs, run once on numpy columns (the coefficients as scalars when all rows
+        share one _flat, a constant schedule's): elementwise float64 operations round as on floats."""
+        points, flats = zip(*pending)
+        v = np.fromiter(chain.from_iterable(chain.from_iterable(points)), float).reshape(-1, 10).T.copy()
+        f = flats[0]
+        if any(g is not f for g in flats):
+            c = np.fromiter(chain.from_iterable(chain(*g[:5], g[5:]) for g in flats), float).reshape(-1, 34).T.copy()
+            f = (tuple(c[:9]), tuple(c[9:18]), tuple(c[18:27]), tuple(c[27:30]), tuple(c[30:33]), c[33])
+        return np.column_stack(conserved((tuple(v[:4]), tuple(v[4:7]), tuple(v[7:])), f))
+
     stop_reason = ""
-    # a diverging run surfaces as a non-finite state or conserved-quantity row,
-    # reported once as its stop reason; row 0 and the seed are held to the same rule
-    with np.errstate(over="ignore", invalid="ignore"):  # for a schedule's numpy force
+    # a diverging run surfaces as a non-finite state or row; row 0 and the seed are held to the same rule
+    with np.errstate(over="ignore", invalid="ignore"):  # for a schedule's numpy force and the row blocks
         last = seed_step(initial, c0, method, h)
         scale = momentum_scale(initial, c0, h)
-        states, iterations, rows = [last[1:5]], [0], [conserved(last)]
-        if not all(map(math.isfinite, rows[0])):
+        row0 = conserved(last.point, c0._flat)
+        states, blocks, pending = [(*last[1:5], 0)], [np.array([row0])], []  # q, x_e, xdot_b, omega_b, iterations
+        if not all(map(math.isfinite, row0)):
             stop_reason = "diverged: non-finite initial energy or momentum"
             n_steps = 0
         for k in range(1, n_steps + 1):
@@ -605,23 +619,29 @@ def integrate(
             if not res.converged:
                 stop_reason = "Newton did not converge"
                 break
-            row = conserved(res)
-            if not all(map(math.isfinite, row)):
-                stop_reason = "diverged: non-finite energy or momentum"
-                break
             last = StepResult(t0 + h * k, *res[1:])  # the stepper reached prev.t + h; keep the chain on the grid
-            states.append(res[1:5])  # q, x_e, xdot_b, omega_b
-            iterations.append(res.iterations)
-            rows.append(row)
+            states.append((*res[1:5], res.iterations))
+            pending.append((res.point, res.coeffs._flat))  # not the set, which caches its elimination blocks
+            if len(pending) == 128:  # spreads numpy's per-call cost; bounds the rows held and steps past a bad one
+                blocks.append(rows(pending))
+                pending = []
+                if not np.isfinite(blocks[-1]).all():
+                    break
+        if pending:
+            blocks.append(rows(pending))
+    diag = np.concatenate(blocks)
+    bad = np.flatnonzero(~np.isfinite(diag[1:]).all(axis=1))
+    if bad.size:  # the record ends where the loop would have stopped, and this reason wins over a later one
+        n, stop_reason = int(bad[0]) + 1, "diverged: non-finite energy or momentum"
+        diag, states = diag[:n], states[:n]
 
-    q, x_e, xdot_b, omega_b = [np.array(col) for col in zip(*states)]
-    diag, phys = np.array(rows), rigid_params is not None
-    if method == "mid" and len(rows) > 1:
+    q, x_e, xdot_b, omega_b, iterations = [np.array(col) for col in zip(*states)]
+    if method == "mid" and len(diag) > 1:
         xdot_b, omega_b = _midpoint_step_velocities(xdot_b), _midpoint_step_velocities(omega_b)
         diag[0] = diag[1]
     return TrajectoryRecord(
-        t0 + h * np.arange(len(rows)), q, x_e, xdot_b, omega_b, energy=diag[:, 0], p_x=diag[:, 1:4], p_w=diag[:, 4:7],
-        P_x=diag[:, 7:10] if phys else None, P_w=diag[:, 10:13] if phys else None,
-        newton_iters=np.array(iterations, dtype=int), method=method, h=h, scenario=sched.name,
+        t0 + h * np.arange(len(diag)), q, x_e, xdot_b, omega_b, energy=diag[:, 0], p_x=diag[:, 1:4], p_w=diag[:, 4:7],
+        P_x=diag[:, 7:10] if rigid_params else None, P_w=diag[:, 10:13] if rigid_params else None,
+        newton_iters=iterations, method=method, h=h, scenario=sched.name,
         truncated=bool(stop_reason), stop_reason=stop_reason, force_free=sched.force_free,
     )

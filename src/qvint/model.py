@@ -231,9 +231,9 @@ class BodyState:
 # velocity-level kernels shared with the integrators (hot path, no BodyState)
 
 
-def _energy_momenta(c: CoefficientSet, xd, om) -> tuple[float, list[float], list[float]]:
-    """T = (1/2) v.M v + a.v + a_0 and (D1, D2) = M v + a at v = (xd, om); each row of M v sums in column order."""
-    xx, xw, ww, a_x, a_w, a_0 = c._flat
+def _energy_momenta(f: tuple, xd, om) -> tuple[float, list[float], list[float]]:
+    """T = (1/2) v.M v + a.v + a_0 and (D1, D2) = M v + a at v = (xd, om), _flat f; each M v row sums left to right."""
+    xx, xw, ww, a_x, a_w, a_0 = f
     (b0, b1, b2, b3, b4, b5, b6, b7, b8), (c0, c1, c2, c3, c4, c5, c6, c7, c8) = xx, xw
     d0, d1, d2, d3, d4, d5, d6, d7, d8 = ww
     (x, y, z), (u, v, w) = xd, om
@@ -248,26 +248,26 @@ def _energy_momenta(c: CoefficientSet, xd, om) -> tuple[float, list[float], list
     return t, [m0 + a_x[0], m1 + a_x[1], m2 + a_x[2]], [m3 + a_w[0], m4 + a_w[1], m5 + a_w[2]]
 
 
-def _canonical_f(q, xd, om, c: CoefficientSet, h: float) -> tuple[float, tuple, list[float]]:
-    """T and the discrete canonical momenta (p_x, p_w) of canonical_momenta, on Python floats."""
-    t, d1, d2 = _energy_momenta(c, xd, om)
+def _canonical_f(q, xd, om, f: tuple, h: float) -> tuple[float, tuple, list[float]]:
+    """T and the discrete canonical momenta (p_x, p_w) of canonical_momenta at a set's _flat f, as _energy_momenta."""
+    t, d1, d2 = _energy_momenta(f, xd, om)
     m = _cx(om, d2)
     return t, _rotate_f(q, d1), [d2[i] + 0.5 * h * m[i] for i in range(3)]
 
 
 def kinetic_energy(s: BodyState, c: CoefficientSet) -> float:
     """Kinetic energy of a state under a coefficient set [J]."""
-    return _energy_momenta(c, s.xdot_b.tolist(), s.omega_b.tolist())[0]
+    return _energy_momenta(c._flat, s.xdot_b.tolist(), s.omega_b.tolist())[0]
 
 
 def energy_grad_xdot(s: BodyState, c: CoefficientSet) -> Array:
     """dT/dxdot, the body-frame translational momentum block."""
-    return np.array(_energy_momenta(c, s.xdot_b.tolist(), s.omega_b.tolist())[1])
+    return np.array(_energy_momenta(c._flat, s.xdot_b.tolist(), s.omega_b.tolist())[1])
 
 
 def energy_grad_omega(s: BodyState, c: CoefficientSet) -> Array:
     """dT/domega, the body-frame rotational momentum block."""
-    return np.array(_energy_momenta(c, s.xdot_b.tolist(), s.omega_b.tolist())[2])
+    return np.array(_energy_momenta(c._flat, s.xdot_b.tolist(), s.omega_b.tolist())[2])
 
 
 def canonical_momenta(s: BodyState, c: CoefficientSet, h: float) -> tuple[Array, Array]:
@@ -276,7 +276,7 @@ def canonical_momenta(s: BodyState, c: CoefficientSet, h: float) -> tuple[Array,
     p_x = q (x) D1 (x) q* and p_w = D2 + (h/2) omega x D2; the h term is the
     discrete left-rectangle correction, so p_w depends on the step size.
     """
-    _, p_x, p_w = _canonical_f(s.q.tolist(), s.xdot_b.tolist(), s.omega_b.tolist(), c, h)
+    _, p_x, p_w = _canonical_f(s.q.tolist(), s.xdot_b.tolist(), s.omega_b.tolist(), c._flat, h)
     return np.array(p_x), np.array(p_w)
 
 

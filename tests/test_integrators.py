@@ -4,6 +4,7 @@ import dataclasses
 import math
 import re
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from qvint import (
 )
 from qvint import integrators
 from qvint.integrators import momentum_scale
+from qvint.model import _canonical_f, _cx, _mv
 from qvint.quat import _rotate_f
 
 RNG = np.random.default_rng(61103)
@@ -1100,6 +1102,176 @@ def test_huge_rates_fail_with_a_solver_reason(rate, h, method, sched):
     with pytest.raises(SingularJacobianError) as err:
         newton_solve(lambda w: ev(k, w), lambda w, t: jac(k, w, t), start.omega_b, cfg.residual_tol, cfg.max_iter)
     assert str(err.value) in SOLVER_REASONS
+
+
+# the record's conserved-quantity columns: evaluated after the steps, in numpy blocks of 128 rows
+
+
+def hand_rows(start, sched, method, n, rp):
+    """integrate's conserved-quantity rows rebuilt by hand: the chain from seed_step and the stepper, on
+    the time grid, each link's point evaluated on Python floats with _canonical_f and, given rp, the
+    rigid P_x = m R (xdot + omega x c) and P_w = R I_com omega."""
+    h, c0 = CFG.h, sched.coefficients(start.t)
+    scale = momentum_scale(start, c0, h)
+    step = {
+        "left": lambda r: step_left(r, sched, CFG, scale),
+        "mid": lambda r: step_mid(r, sched, CFG, scale),
+        "rk": lambda r: step_rk_baseline(r, sched, h),
+    }[method]
+
+    def row(link):
+        q, xd, om = link.point
+        t, p_x, p_w = _canonical_f(q, xd, om, link.coeffs._flat, h)
+        if rp is None:
+            return (t, *p_x, *p_w)
+        i_com, c_b = rp.com_inertia().ravel().tolist(), rp.c.tolist()
+        v_com = _rotate_f(q, [u + v for u, v in zip(xd, _cx(om, c_b))])
+        return (t, *p_x, *p_w, *[rp.m * v for v in v_com], *_rotate_f(q, _mv(i_com, om)))
+
+    link = seed_step(start, c0, method, h)
+    rows = [row(link)]
+    for k in range(1, n + 1):
+        link = step(link)
+        rows.append(row(link))
+        link = link._replace(t=start.t + h * k)
+    if method == "mid":
+        rows[0] = rows[1]
+    return np.array(rows)
+
+
+@pytest.mark.parametrize(
+    "sched,rp",
+    [(SCHED, RP), (SCHED, None), (MORPHING, None), (preset_morphing(damping=False), None)],
+    ids=["free_body_rigid", "free_body", "damped_morphing", "morphing"],
+)
+@pytest.mark.parametrize("method", ["left", "mid", "rk"])
+def test_record_columns_are_the_float_rows_bit_for_bit(method, sched, rp):
+    # 350 steps cross two block boundaries; numpy's elementwise float64 operations in the
+    # kernels' order round exactly like the Python floats of the row each link would give
+    start = BodyState(0.0, identity_quat(), np.zeros(3), np.array([0.3, 0.0, 0.1]), np.array([1.0, 1.0, 1.0]))
+    rec = integrate(start, sched, CFG, method, 3.5, rigid_params=rp)
+    want = hand_rows(start, sched, method, 350, rp)
+    assert len(rec) == 351 and not rec.truncated
+    cols = [rec.energy[:, None], rec.p_x, rec.p_w] + ([rec.P_x, rec.P_w] if rp is not None else [])
+    assert np.array_equal(np.hstack(cols), want)
+
+
+def stepper_calls(monkeypatch):
+    """Patch the three steppers on the integrators module to log each call; the log."""
+    calls = []
+    for name in ("step_left", "step_mid", "step_rk_baseline"):
+
+        def counted(*args, _fn=getattr(integrators, name)):
+            calls.append(args[0].t)
+            return _fn(*args)
+
+        monkeypatch.setattr(integrators, name, counted)
+    return calls
+
+
+def test_a_row_going_non_finite_on_a_finite_state_ends_the_record(monkeypatch):
+    # damped morphing under rk at h = 3: the third step's energy overflows while its state
+    # stays finite; the record keeps the rows before it and names the divergence
+    calls = stepper_calls(monkeypatch)
+    rec = integrate(SPIN, MORPHING, SolverConfig(h=3.0), "rk", 300.0)
+    assert len(rec) == 3 and rec.truncated
+    assert rec.stop_reason == "diverged: non-finite energy or momentum"
+    assert 3 <= len(calls) <= 3 + 127
+
+
+INFINITE_A0 = CoefficientSet(a_xx=CSET.a_xx, A_xw=CSET.A_xw, A_ww=CSET.A_ww, a_0=math.inf)
+
+
+@pytest.mark.parametrize("failing_force", [False, True], ids=["no_failure", "later_force_failure"])
+@pytest.mark.parametrize("method", ["left", "mid", "rk"])
+def test_steps_past_a_non_finite_row_end_with_its_block(method, failing_force, monkeypatch):
+    # a_0 turns infinite after t = 1.2825: from row 129, the first of the second 128-row block,
+    # every energy is infinite while the states stay finite (no step reads a_0). The run takes
+    # the block's other 127 steps, the most it may take past a non-finite row, and the record
+    # ends at row 128 with the divergence reason, which also wins over a force that fails at a
+    # later step (t > 1.8)
+    def force(t, q, x_e, xdot_b, omega_b):
+        return ((math.nan if failing_force and t > 1.8 else 0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+
+    sched = dataclasses.replace(
+        SCHED, coefficients=lambda t: CSET if t < 1.2825 else INFINITE_A0, force=force, force_free=False
+    )
+    calls = stepper_calls(monkeypatch)
+    rec = integrate(SPIN, sched, CFG, method, 3.0, rigid_params=RP)
+    assert len(rec) == 129 and rec.truncated
+    assert rec.stop_reason == "diverged: non-finite energy or momentum"
+    assert np.isfinite(rec.energy).all() and np.isfinite(rec.P_w).all()
+    assert len(calls) < 256 if failing_force else len(calls) == 129 + 127
+
+
+@pytest.mark.parametrize("method", ["left", "mid", "rk"])
+def test_a_non_finite_row_zero_takes_no_step(method, monkeypatch):
+    calls = stepper_calls(monkeypatch)
+    start = BodyState(0.0, identity_quat(), np.zeros(3), np.zeros(3), np.array([1e200, 1.0, 1.0]))
+    rec = integrate(start, MORPHING, CFG, method, 1.0)
+    assert len(rec) == 1 and rec.stop_reason == "diverged: non-finite initial energy or momentum"
+    assert calls == []
+
+
+@pytest.mark.parametrize("method", ["left", "mid", "rk"])
+def test_integrate_holds_only_a_few_coefficient_sets(method):
+    # a row keeps its point and its set's _flat, never the set, which caches its elimination
+    # blocks: over 300 steps no more than the sets a step itself needs are alive at once
+    live, most = weakref.WeakSet(), [0]
+
+    def coefficients(t):
+        c = MORPHING.coefficients(t)
+        live.add(c)
+        most[0] = max(most[0], len(live))
+        return c
+
+    rec = integrate(SPIN, dataclasses.replace(MORPHING, coefficients=coefficients), CFG, method, 3.0)
+    assert len(rec) == 301 and not rec.truncated
+    assert most[0] <= 4
+
+
+FORCE_REASON = "force did not return two finite 3-vectors (F earth axes, torque body axes)"
+# a run's stop reasons: the solver's, a force's and a state's that turned non-finite
+RECORD_REASON = re.compile(
+    "|".join(map(re.escape, (*SOLVER_REASONS, FORCE_REASON)))
+    + r"|BodyState\.(q|x_e|xdot_b|omega_b) has non-finite components"
+)
+
+
+def log_uniform_rates():
+    """A signed rate of magnitude 10**e, e uniform in [-3, 3] or in [-3, 200]: half the draws stay where
+    rows can turn non-finite only after some steps."""
+    exponent = st.floats(-3.0, 3.0) | st.floats(-3.0, 200.0)
+    return st.tuples(st.sampled_from([-1.0, 1.0]), exponent).map(lambda s: s[0] * 10.0 ** s[1])
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=150, deadline=None)
+@given(
+    omega0=st.lists(log_uniform_rates(), min_size=3, max_size=3),
+    xdot0=st.lists(log_uniform_rates(), min_size=3, max_size=3),
+    h=st.floats(0.01, 10.0),
+    steps=st.integers(1, 300),
+    sched=st.sampled_from(["free_body", "morphing", "damped_morphing"]),
+    method=st.sampled_from(["left", "mid", "rk"]),
+)
+def test_any_rate_gives_finite_rows_or_a_documented_reason(omega0, xdot0, h, steps, sched, method):
+    # the steps taken past a non-finite row raise nothing and warn nothing, and the
+    # record they leave holds finite rows only, unless row 0 itself is not finite
+    sched, rp = {
+        "free_body": (SCHED, RP),
+        "morphing": (preset_morphing(damping=False), None),
+        "damped_morphing": (MORPHING, None),
+    }[sched]
+    start = BodyState(0.0, identity_quat(), np.zeros(3), np.array(xdot0), np.array(omega0))
+    rec = integrate(start, sched, SolverConfig(h=h), method, steps * h, rigid_params=rp)
+    cols = [rec.q, rec.x_e, rec.xdot_b, rec.omega_b, rec.energy, rec.p_x, rec.p_w]
+    if rec.stop_reason == "diverged: non-finite initial energy or momentum":
+        assert len(rec) == 1
+    else:
+        assert all(np.isfinite(c).all() for c in cols + ([rec.P_x, rec.P_w] if rp is not None else []))
+    assert rec.truncated == bool(rec.stop_reason)
+    assert not rec.truncated or RECORD_REASON.fullmatch(rec.stop_reason), rec.stop_reason
 
 
 @pytest.mark.parametrize("method", ["left", "mid", "rk"])

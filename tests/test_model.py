@@ -288,7 +288,7 @@ def test_energy_momenta_match_the_row_sums_and_the_public_oracles():
         for _ in range(100):
             s = random_state(rng)
             xd, om = s.xdot_b.tolist(), s.omega_b.tolist()
-            t, d1, d2 = _energy_momenta(c, xd, om)
+            t, d1, d2 = _energy_momenta(c._flat, xd, om)
             assert (t, d1, d2) == momenta_by_rows(c, xd, om)
             assert kinetic_energy(s, c) == t
             assert energy_grad_xdot(s, c).tolist() == d1 and energy_grad_omega(s, c).tolist() == d2
