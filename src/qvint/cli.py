@@ -32,8 +32,6 @@ from .model import BodyState, constant_schedule, preset_free_body, preset_morphi
 
 Array = np.ndarray
 
-_SCENARIOS = ("free_body", "morphing", "custom")
-
 _TRAJ_HEADER = (
     "t,qw,qx,qy,qz,xe_x,xe_y,xe_z,xdotb_x,xdotb_y,xdotb_z,"
     "omegab_x,omegab_y,omegab_z,T,Px_x,Px_y,Px_z,Pw_x,Pw_y,Pw_z,newton_iters"
@@ -56,63 +54,45 @@ class ConfigError(ValueError):
         return f"line {self.line}: {msg}" if self.line is not None else msg
 
 
-#: config keys and their defaults; each vector is split into one key per component
-_DEFAULTS: dict[str, object] = {
-    "scenario": "free_body",
-    "method": "mid",
-    "h": 0.01,
-    "t_end": 50.0,
-    "omega0_x": 1.0,
-    "omega0_y": 1.0,
-    "omega0_z": 1.0,
-    "xdot0_x": 0.0,
-    "xdot0_y": 0.0,
-    "xdot0_z": 0.0,
-    "q0_w": 1.0,
-    "q0_x": 0.0,
-    "q0_y": 0.0,
-    "q0_z": 0.0,
-    "x0_x": 0.0,
-    "x0_y": 0.0,
-    "x0_z": 0.0,
-    "tol": 1e-12,
-    "max_iter": 50,
-    "out_dir": ".",
-}
+@dataclass(frozen=True)
+class RunConfig:
+    """A parsed config. The field defaults are the config defaults; parse_config gives each vector as a float array."""
+
+    scenario: str = "free_body"
+    method: str = "mid"
+    h: float = 0.01
+    t_end: float = 50.0
+    q0: Array = (1.0, 0.0, 0.0, 0.0)
+    x0: Array = (0.0, 0.0, 0.0)
+    xdot0: Array = (0.0, 0.0, 0.0)
+    omega0: Array = (1.0, 1.0, 1.0)
+    tol: float = 1e-12
+    max_iter: int = 50
+    out_dir: str = "."
+
 
 _VECTORS = {"q0": "wxyz", "x0": "xyz", "xdot0": "xyz", "omega0": "xyz"}
 
-
-def _vector(vals: dict[str, object], name: str) -> Array:
-    return np.array([vals[f"{name}_{c}"] for c in _VECTORS[name]], dtype=float)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """A parsed config; parse_config fills every field from _DEFAULTS and the text."""
-
-    scenario: str
-    method: str
-    h: float
-    t_end: float
-    q0: Array
-    x0: Array
-    xdot0: Array
-    omega0: Array
-    tol: float
-    max_iter: int
-    out_dir: str
-
-
+#: config keys and their defaults: RunConfig's fields, each vector split into one key per component
+_DEFAULTS = {
+    key: default
+    for f in fields(RunConfig)
+    for key, default in (
+        zip([f"{f.name}_{c}" for c in _VECTORS[f.name]], f.default) if f.name in _VECTORS else [(f.name, f.default)]
+    )
+}
+_TYPE_NAMES = {int: "an integer", float: "a number"}
+_CHOICES = {"scenario": ("free_body", "morphing", "custom"), "method": _METHODS}
 _POSITIVE_KEYS = ("h", "t_end", "tol")
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse ``key = value`` config text; later assignments override earlier ones.
 
-    Unknown keys, unparseable values and invariant violations raise
-    ConfigError with the offending line number. A q0 that is off unit norm by
-    more than 1e-6 is normalized with a warning; a zero q0 is an error.
+    Each value is read as the type of its key's default. Unknown keys,
+    unparseable values and invariant violations raise ConfigError with the
+    offending line number. A q0 that is off unit norm by more than 1e-6 is
+    normalized with a warning; a zero q0 is an error.
     """
     vals = dict(_DEFAULTS)
     lines: dict[str, int] = {}
@@ -129,32 +109,19 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"unknown key {key!r}", ln)
         if not value:
             raise ConfigError(f"empty value for {key!r}", ln)
-        if key == "scenario":
-            if value not in _SCENARIOS:
-                raise ConfigError(f"scenario must be one of {_SCENARIOS}, got {value!r}", ln)
-            parsed: object = value
-        elif key == "method":
-            if value not in _METHODS:
-                raise ConfigError(f"method must be one of {_METHODS}, got {value!r}", ln)
-            parsed = value
-        elif key == "max_iter":
-            try:
-                parsed = int(value)
-            except ValueError:
-                raise ConfigError(f"cannot parse 'max_iter' as an integer: {value!r}", ln) from None
-            if parsed < 1:
-                raise ConfigError("max_iter must be at least 1", ln)
-        elif key == "out_dir":
-            parsed = value
-        else:
-            try:
-                parsed = float(value)
-            except ValueError:
-                raise ConfigError(f"cannot parse {key!r} as a number: {value!r}", ln) from None
-            if not np.isfinite(parsed):
-                raise ConfigError(f"{key!r} must be finite", ln)
-            if key in _POSITIVE_KEYS and not parsed > 0.0:
-                raise ConfigError(f"{key!r} must be positive", ln)
+        kind = type(_DEFAULTS[key])
+        try:
+            parsed = kind(value)
+        except ValueError:  # a str never fails
+            raise ConfigError(f"cannot parse {key!r} as {_TYPE_NAMES[kind]}: {value!r}", ln) from None
+        if key in _CHOICES and parsed not in _CHOICES[key]:
+            raise ConfigError(f"{key} must be one of {_CHOICES[key]}, got {value!r}", ln)
+        if kind is int and parsed < 1:
+            raise ConfigError(f"{key} must be at least 1", ln)
+        if kind is float and not math.isfinite(parsed):
+            raise ConfigError(f"{key!r} must be finite", ln)
+        if key in _POSITIVE_KEYS and not parsed > 0.0:
+            raise ConfigError(f"{key!r} must be positive", ln)
         vals[key] = parsed
         lines[key] = ln
 
@@ -162,17 +129,17 @@ def parse_config(text: str) -> RunConfig:
         _step_count(0.0, vals["t_end"], vals["h"])
     except ValueError as exc:
         raise ConfigError(str(exc), max(lines.get("h", 0), lines.get("t_end", 0)) or None) from None
-    q0 = _vector(vals, "q0")
-    norm = float(np.linalg.norm(q0))
+    vectors = {n: np.array([vals.pop(f"{n}_{c}") for c in cs], dtype=float) for n, cs in _VECTORS.items()}
+    q0 = vectors["q0"]
+    norm = math.hypot(*q0)  # no underflow; inf only past the float range
     if norm == 0.0:
         where = max((lines[k] for k in lines if k.startswith("q0_")), default=None)
         raise ConfigError("q0 must be nonzero", where)
     if abs(norm - 1.0) > 1e-6:
         warnings.warn(f"q0 is off unit norm by {abs(norm - 1.0):.3g}; normalizing", stacklevel=2)
-    vectors = {name: _vector(vals, name) for name in _VECTORS}
-    vectors["q0"] = q0 / norm
-    scalars = {f.name: vals[f.name] for f in fields(RunConfig) if f.name not in _VECTORS}
-    return RunConfig(**scalars, **vectors)
+    q0 = np.ldexp(q0, -math.frexp(np.abs(q0).max())[1])  # an exact power-of-two scaling that keeps the norm finite
+    vectors["q0"] = q0 / math.hypot(*q0)
+    return RunConfig(**vals, **vectors)
 
 
 def build_scenario(cfg: RunConfig):
@@ -328,7 +295,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(path: str) -> RunConfig:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # an unreadable config, like a missing one
+        raise ConfigError(f"{path}: {exc}") from None
+    return parse_config(text)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -241,11 +241,10 @@ def _advance(q, omega, h: float) -> tuple[float, float, float, float]:
 
 
 def _link(*fields) -> StepResult:
-    """StepResult(*fields), after BodyState's finiteness test (and its message) on the 13 state components."""
+    """StepResult(*fields), after BodyState's finiteness test on the 13 state components; BodyState names a failure."""
     r = StepResult(*fields)
     if not all(map(math.isfinite, r.q + r.x_e + r.xdot_b + r.omega_b)):  # the four are tuples
-        bad = next(n for n in ("q", "x_e", "xdot_b", "omega_b") if not all(map(math.isfinite, getattr(r, n))))
-        raise ValueError(f"BodyState.{bad} has non-finite components")
+        BodyState(*r[:5])  # raises, naming the non-finite field
     return r
 
 

@@ -104,6 +104,19 @@ def test_parse_off_norm_q0_warns_and_normalizes():
     with pytest.warns(UserWarning, match="normaliz"):
         cfg = parse_config("q0_w = 2.0")
     assert_allclose(cfg.q0, [1.0, 0.0, 0.0, 0.0], atol=0.0)
+    # the norm neither overflows nor underflows, so far-off scales normalize to a unit q0
+    r = 2.0**-0.5
+    for text, want in [
+        ("q0_w = 1e200\nq0_x = 1e200", [r, r, 0.0, 0.0]),
+        ("q0_w = 1.7e308\nq0_x = 1.7e308", [r, r, 0.0, 0.0]),
+        ("q0_w = 1e-160", [1.0, 0.0, 0.0, 0.0]),
+        ("q0_w = 1e-200\nq0_x = 1e-200", [r, r, 0.0, 0.0]),
+        ("q0_w = 0\nq0_z = -5e-324", [0.0, 0.0, 0.0, -1.0]),
+    ]:
+        with pytest.warns(UserWarning, match="normaliz"):
+            cfg = parse_config(text)
+        assert_allclose(cfg.q0, want, rtol=1e-15, atol=0.0)
+        assert build_scenario(cfg)[0].q.tolist() == cfg.q0.tolist()  # BodyState accepts it
 
 
 def test_build_scenario_branches():
@@ -429,6 +442,29 @@ def test_main_exit_codes(tmp_path, capsys):
     other.write_text(f"scenario = morphing\nt_end = 0.05\nout_dir = {tmp_path}")
     assert main(["compare", str(good), str(other)]) == 2
     assert "share a scenario" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys, command):
+    good = tmp_path / "good.cfg"
+    good.write_text(f"t_end = 0.05\nout_dir = {tmp_path}")
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"h = 0.01\n\xff\n")
+    assert main([command, str(bad)] if command == "run" else [command, str(good), str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {bad}: ") and "can't decode byte 0xff" in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_custom_run_whose_state_turns_non_finite_exits_three(tmp_path, capsys):
+    # one step of h = 1e155 at 1e153 carries x_e from 1e308 past the float range
+    text = "scenario = custom\nx0_x = 1e308\nxdot0_x = 1e153\nomega0_x = 0\nomega0_y = 0\nomega0_z = 0\n"
+    for method in ("left", "mid", "rk"):
+        cfg = parse_config(f"{text}method = {method}\nh = 1e155\nt_end = 1e155\nout_dir = {tmp_path}")
+        assert run(cfg) == 3
+        captured = capsys.readouterr()
+        assert "(BodyState.x_e has non-finite components)" in captured.err
+        assert "steps accepted: 0 (truncated)" in captured.out
 
 
 WARNING_LINE = re.compile(r"WARNING: integration stopped early at t=\S+ \(.+\); partial output written")

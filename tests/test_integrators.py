@@ -683,11 +683,11 @@ def test_rk_probes_the_force_once_at_each_of_its_four_stages():
         prev = res
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, "2-vector"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, "2-vector", None, "x"])
 @pytest.mark.parametrize("method", ["left", "mid", "rk"])
 def test_a_force_turning_non_finite_stops_the_run_with_a_named_reason(method, bad):
-    # a force that turns non-finite, or returns a 2-vector, after t = 0.05 stops the run at the first
-    # step that probes it, with the force's own reason, and keeps the finite rows before
+    # a force that turns non-finite, returns a 2-vector or holds a non-number after t = 0.05 stops the
+    # run at the first step that probes it, with the force's own reason, and keeps the finite rows before
     def force(t, q, x_e, xdot_b, omega_b):
         f = np.zeros(2) if bad == "2-vector" else np.array([bad, 0.0, 0.0])
         return (f if t > 0.05 else np.zeros(3)), -0.05 * np.array(omega_b)
@@ -698,6 +698,17 @@ def test_a_force_turning_non_finite_stops_the_run_with_a_named_reason(method, ba
     assert len(rec) == 6 and rec.t[-1] == pytest.approx(0.05)
     for col in (rec.q, rec.x_e, rec.xdot_b, rec.omega_b, rec.energy, rec.p_x, rec.p_w):
         assert np.all(np.isfinite(col))
+
+
+@pytest.mark.parametrize("rigid", [False, True])
+@pytest.mark.parametrize("method", ["left", "mid", "rk"])
+def test_a_state_turning_non_finite_stops_the_run_with_its_field_named(method, rigid):
+    # one step of h = 1e155 at 1e153 carries x_e from 1e308 past the float range; the step's
+    # state check stops the run there with BodyState's own message, keeping only row 0
+    start = BodyState(0.0, identity_quat(), (1e308, 0.0, 0.0), (1e153, 0.0, 0.0), np.zeros(3))
+    rec = integrate(start, SCHED, SolverConfig(h=1e155), method, 1e155, rigid_params=RP if rigid else None)
+    assert rec.truncated and rec.stop_reason == "BodyState.x_e has non-finite components"
+    assert len(rec) == 1 and rec.t.tolist() == [0.0]
 
 
 @settings(max_examples=40, deadline=None)
