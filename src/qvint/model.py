@@ -85,9 +85,16 @@ def _solve3(m, *rhs) -> list[tuple[float, ...]]:
     """m^-1 r for each row-major 3x3 r in rhs, by the adjugate of m / max |m_ij|, then x + m^-1 (r - m x) once.
 
     The scaling keeps the determinant from overflowing or underflowing at any finite scale. The refinement
-    step wins back what the cofactors lose to cancellation (up to 50x at condition number 1e3). Raises
-    np.linalg.LinAlgError for a singular m; a non-finite m gives non-finite solutions.
+    step wins back what the cofactors lose to cancellation (up to 50x at condition number 1e3). A finite m
+    whose off-diagonal entries are all zero is solved by the correctly rounded quotients r_ij / m_ii instead,
+    which no scaling or refinement can improve. Raises np.linalg.LinAlgError for a singular m; a non-finite
+    m gives non-finite solutions.
     """
+    a, b, c, d, e, f, g, h, i = m
+    if not (b or c or d or f or g or h) and all(map(math.isfinite, (a, e, i))):  # a NaN off the diagonal is truthy
+        if not (a and e and i):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return [(r[0] / a, r[1] / a, r[2] / a, r[3] / e, r[4] / e, r[5] / e, r[6] / i, r[7] / i, r[8] / i) for r in rhs]
     s = max(map(abs, m)) if all(map(math.isfinite, m)) else math.nan  # max would skip a NaN
     a, b, c, d, e, f, g, h, i = [v / s for v in m] if s else m  # s = 0: m is zero, and singular
     c0, c1, c2 = e * i - f * h, f * g - d * i, d * h - e * g

@@ -1164,7 +1164,51 @@ def test_record_columns_are_the_float_rows_bit_for_bit(method, sched, rp):
     want = hand_rows(start, sched, method, 350, rp)
     assert len(rec) == 351 and not rec.truncated
     cols = [rec.energy[:, None], rec.p_x, rec.p_w] + ([rec.P_x, rec.P_w] if rp is not None else [])
-    assert np.array_equal(np.hstack(cols), want)
+    assert np.array_equal(np.hstack(cols).view(np.uint64), want.view(np.uint64))
+
+
+def fresh_sets(flat_at):
+    """SCHED with a fresh CoefficientSet per call, built from the _flat flat_at(t)."""
+    return dataclasses.replace(SCHED, coefficients=lambda t: CoefficientSet._trusted(*flat_at(t)))
+
+
+def only_a_0_and_a_x_vary(t):
+    xx, xw, ww, a_x, a_w, a_0 = CSET._flat
+    return xx, xw, ww, (0.1 * math.sin(t), a_x[1], 0.05 * math.cos(t)), a_w, a_0 + 0.2 * math.sin(3.0 * t)
+
+
+def a_xx_varies_off_the_diagonal(t):
+    s = 0.3 * math.sin(t)  # Mxx is not diagonal, so the general 3x3 solve runs every step
+    return (4.0, s, 0.0, s, 4.0, 0.0, 0.0, 0.0, 4.0), *CSET._flat[1:]
+
+
+def a_w_flips_the_sign_of_a_zero(t):
+    # with xdot = +0, omega = -0 and A_xw = -0, every term of D2_0 but a_w[0] is -0, so p_w[0]
+    # carries a_w[0]'s sign: -0.0 on even steps, 0.0 on odd ones
+    z = 0.0 if round(t / CFG.h) % 2 else -0.0
+    xx, ww = (4.0, 0.0, 0.0, 0.0, 4.0, 0.0, 0.0, 0.0, 4.0), (0.5, 0.0, 0.0, 0.0, 1.5, 0.0, 0.0, 0.0, 2.0)
+    return xx, (-0.0,) * 9, ww, (0.0, 0.0, 0.0), (z, -0.0, 0.0), 0.0
+
+
+@pytest.mark.parametrize(
+    "flat_at, omega0",
+    [(only_a_0_and_a_x_vary, 1.0), (a_xx_varies_off_the_diagonal, 1.0), (a_w_flips_the_sign_of_a_zero, -0.0)],
+    ids=["a_0_and_a_x", "a_xx_off_diagonal", "zero_sign_flip"],
+)
+@pytest.mark.parametrize("method", ["left", "mid", "rk"])
+def test_record_columns_keep_every_bit_on_varying_schedules(method, flat_at, omega0):
+    # a schedule of fresh sets takes the block pass's stacked coefficient columns; every row keeps
+    # its float row's bits, and an entry that flips between 0.0 and -0.0 keeps each row's sign
+    xd0 = [0.3, 0.0, 0.1] if omega0 else [0.0, 0.0, 0.0]
+    start = BodyState(0.0, identity_quat(), np.zeros(3), np.array(xd0), np.full(3, omega0))
+    sched = fresh_sets(flat_at)
+    rec = integrate(start, sched, CFG, method, 3.5)
+    want = hand_rows(start, sched, method, 350, None)
+    assert len(rec) == 351 and not rec.truncated
+    got = np.hstack([rec.energy[:, None], rec.p_x, rec.p_w])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    if flat_at is a_w_flips_the_sign_of_a_zero and method != "rk":  # rk's steps turn omega to +0
+        assert 0 < np.signbit(rec.p_w[:, 0]).sum() < len(rec) and not rec.p_w[:, 0].any()
 
 
 def stepper_calls(monkeypatch):

@@ -1,9 +1,13 @@
 """Energy model: frozen fixture values, gradient oracles, preset assembly."""
 
+import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from qvint import (
@@ -29,7 +33,7 @@ from qvint import (
     skew,
     wing_motion,
 )
-from qvint.model import WING_MASS, _cx, _energy_momenta
+from qvint.model import WING_MASS, _cx, _energy_momenta, _solve3
 from qvint.quat import _rotate_f
 
 RNG = np.random.default_rng(905)
@@ -155,6 +159,11 @@ def test_elimination_blocks_match_references_at_every_scale():
     scales = [10.0 ** rng.uniform(-3.0, 3.0) for _ in range(400)] + [1e120, 1e-120] * 5
     sets = [random_spd_set(rng, k) for k in scales]
     sets += [CoefficientSet(a_xx=k, A_xw=0.0, A_ww=1.0) for k in (1e120, 1e-120)]
+    # a diagonal a_xx takes _solve3's reciprocal path; distinct pivots and a full A_xw make X, S and P nontrivial
+    sets += [
+        CoefficientSet(a_xx=np.diag(rng.uniform(0.5, 5.0, 3)) * k, A_xw=rng.uniform(-0.5, 0.5, (3, 3)) * k, A_ww=3.0 * k)
+        for k in [1.0, 1e120, 1e-120] * 3
+    ]
     for c in sets:
         mi = np.linalg.inv(2.0 * c.a_xx)
         got = [np.array(b).reshape(3, 3) for b in c.elimination_blocks[:4]]
@@ -172,6 +181,50 @@ def test_nan_in_a_zero_translational_block_is_non_finite_not_singular():
         c = CoefficientSet(a_xx=[[0.0, np.nan, 0.0], [np.nan, 0.0, 0.0], [0.0, 0.0, 0.0]], A_xw=0.0, A_ww=1.0)
     with pytest.raises(ValueError, match="non-finite coefficients"):
         c.elimination_blocks
+
+
+PIVOT = st.floats(1e-150, 1e150) | st.floats(-1e150, -1e-150)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.tuples(PIVOT, PIVOT, PIVOT),
+    st.lists(st.sampled_from([0.0, -0.0]), min_size=6, max_size=6),
+    st.lists(st.floats(-1e150, 1e150), min_size=9, max_size=9),
+)
+def test_a_diagonal_solve_is_the_correctly_rounded_quotient(pivots, zeros, r):
+    # one IEEE division per entry is the best any solve can return; zeros of either sign are off the diagonal
+    a, e, i = pivots
+    m = (a, *zeros[:3], e, *zeros[3:], i)
+    (x,) = _solve3(m, r)
+    assert x == tuple(float(Fraction(v) / Fraction(pivots[k // 3])) for k, v in enumerate(r))
+
+
+@pytest.mark.parametrize(
+    "pivot, reason",
+    [
+        (0.0, "translational mass block 2 a_xx: Singular matrix"),
+        (-0.0, "translational mass block 2 a_xx: Singular matrix"),
+        (math.inf, "non-finite coefficients"),
+        (-math.inf, "non-finite coefficients"),
+        (math.nan, "non-finite coefficients"),
+    ],
+    ids=["zero", "negative_zero", "inf", "negative_inf", "nan"],
+)
+@pytest.mark.parametrize("method", ["left", "mid", "rk"])
+def test_a_bad_diagonal_pivot_stops_the_run_with_its_reason(method, pivot, reason):
+    # the rate solve's blocks come from a diagonal a_xx after t = 0.05; an infinite pivot must not
+    # give a zero inverse and carry on
+    with np.errstate(invalid="ignore"):  # the symmetry check subtracts an inf from itself
+        bad = CoefficientSet(a_xx=np.diag([4.0, pivot, 4.0]), A_xw=CSET.A_xw, A_ww=CSET.A_ww)
+    sched = dataclasses.replace(constant_schedule(CSET), coefficients=lambda t: CSET if t < 0.05 else bad)
+    start = BodyState(0.0, identity_quat(), np.zeros(3), np.zeros(3), np.array([1.0, 1.0, 1.0]))
+    rec = integrate(start, sched, SolverConfig(h=0.01), method, 0.1)
+    assert rec.truncated and len(rec) > 1
+    assert rec.stop_reason == reason
+    with pytest.raises(ValueError, match=reason.split(": ")[-1]) as err:
+        bad.elimination_blocks
+    assert isinstance(err.value, np.linalg.LinAlgError) == (pivot == 0.0)
 
 
 def test_body_state_validation():
