@@ -10,20 +10,23 @@ underlying action sum:
   reconstructed in closed form from the unknown midpoint rate, which keeps
   the scheme self-adjoint.
 
-Each step solves the 6-component momentum balance for the new velocities. It
-is linear in xdot for a fixed rate omega, so its translational row is solved
-in closed form and Newton runs on omega alone, on Python floats (halving line
+Each step solves the 6-component momentum balance for the new velocities. It is
+linear in xdot for a fixed rate omega, so its translational row is solved in
+closed form and Newton runs on omega alone, on Python floats (halving line
 search, warm start from the previous rate, adjugate solve with the exact 3x3
 Jacobian, formed once and kept while the iteration contracts 100-fold, fresh
-only when it does not or when a kept one stalls). The translational row holds
-by construction, and a step carries the translational momentum it received
-forward unchanged. Each scheme's residual
-(residual_left, residual_mid) and its exact derivative (jacobian_left,
-jacobian_mid) wrap one balance evaluation (_left_eval, _mid_eval): Newton
-calls it once per iterate and the Jacobian reuses its terms. A classical RK4
-baseline on the momentum form of the equations of motion is included for
-accuracy comparisons; it is not structure preserving, but it shares their
-elimination blocks (velocity recovery) and _advance (orientation update).
+only when it does not or when a kept one stalls). The translational row holds by
+construction, and a step carries the translational momentum it received forward
+unchanged. Each scheme's residual (residual_left, residual_mid) and its exact
+derivative (jacobian_left, jacobian_mid) wrap one balance evaluation
+(_left_eval, _mid_eval): Newton calls it once per iterate and the Jacobian
+reuses its terms. mid's balance and its Jacobian are single flat float kernels
+in the operand order of the composed helpers (_rotate_f, _mv, _mm, _cx, _skew):
+records keep every bit, as the Jacobian drops only products with a skew matrix's
+zeros. A classical RK4 baseline on the momentum form of the equations of motion
+is included for accuracy comparisons; it is not structure preserving, but it
+shares their elimination blocks (velocity recovery) and _advance (orientation
+update).
 
 A run is a chain of StepResult links on Python floats: seed_step makes the first
 from the initial BodyState, each stepper takes the previous link and returns the
@@ -350,29 +353,50 @@ def _mid_setup(q_k, c: CoefficientSet, h: float, carried) -> tuple:
 
 def _mid_eval(k: tuple, w: Vec3) -> tuple[list[float], tuple]:
     """residual_mid at omega = w, and (e = exp((h/4) w), g1, xdot, E^T u_w) for the Jacobian and the step."""
-    u_x, u_w, (mi, xc, s, p, a_x, a_w), hh = k
-    e = _exp_f((0.5 * hh * w[0], 0.5 * hh * w[1], 0.5 * hh * w[2]))
-    ec = (e[0], -e[1], -e[2], -e[3])
-    g1, wv = _rotate_f(ec, u_x), _rotate_f(ec, u_w)
-    d = (g1[0] - a_x[0], g1[1] - a_x[1], g1[2] - a_x[2])
-    m1, m2, m3, m4 = _mv(mi, d), _mv(xc, w), _mv(p, d), _mv(s, w)
-    xd = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-    n = _cx(xd, g1)
+    (ux0, ux1, ux2), (uw0, uw1, uw2), (mi, xc, s, p, (ax0, ax1, ax2), (aw0, aw1, aw2)), hh = k
+    (m0, m1, m2, m3, m4, m5, m6, m7, m8), (c0, c1, c2, c3, c4, c5, c6, c7, c8), (w0, w1, w2) = mi, xc, w
+    (s0, s1, s2, s3, s4, s5, s6, s7, s8), (p0, p1, p2, p3, p4, p5, p6, p7, p8) = s, p
+    e = _exp_f((0.5 * hh * w0, 0.5 * hh * w1, 0.5 * hh * w2))
+    ew, ex, ey, ez = e[0], -e[1], -e[2], -e[3]  # its conjugate: g1 = E^T u_x, E^T u_w
+    tx, ty, tz = 2.0 * (ey * ux2 - ez * ux1), 2.0 * (ez * ux0 - ex * ux2), 2.0 * (ex * ux1 - ey * ux0)
+    g0, g1, g2 = ux0 + ew * tx + ey * tz - ez * ty, ux1 + ew * ty + ez * tx - ex * tz, ux2 + ew * tz + ex * ty - ey * tx
+    tx, ty, tz = 2.0 * (ey * uw2 - ez * uw1), 2.0 * (ez * uw0 - ex * uw2), 2.0 * (ex * uw1 - ey * uw0)
+    v0, v1, v2 = uw0 + ew * tx + ey * tz - ez * ty, uw1 + ew * ty + ez * tx - ex * tz, uw2 + ew * tz + ex * ty - ey * tx
+    r0, r1, r2 = g0 - ax0, g1 - ax1, g2 - ax2
+    d0 = m0 * r0 + m1 * r1 + m2 * r2 + (c0 * w0 + c1 * w1 + c2 * w2)
+    d1 = m3 * r0 + m4 * r1 + m5 * r2 + (c3 * w0 + c4 * w1 + c5 * w2)
+    d2 = m6 * r0 + m7 * r1 + m8 * r2 + (c6 * w0 + c7 * w1 + c8 * w2)
     # in this order; subtracting E^T u_w last gives an exact zero (no polish) on ~2 % of free-body steps
-    return [(m3[i] + a_w[i] - wv[i]) + m4[i] + hh * n[i] for i in range(3)], (e, g1, xd, wv)
+    return [
+        p0 * r0 + p1 * r1 + p2 * r2 + aw0 - v0 + (s0 * w0 + s1 * w1 + s2 * w2) + hh * (d1 * g2 - d2 * g1),
+        p3 * r0 + p4 * r1 + p5 * r2 + aw1 - v1 + (s3 * w0 + s4 * w1 + s5 * w2) + hh * (d2 * g0 - d0 * g2),
+        p6 * r0 + p7 * r1 + p8 * r2 + aw2 - v2 + (s6 * w0 + s7 * w1 + s8 * w2) + hh * (d0 * g1 - d1 * g0),
+    ], (e, (g0, g1, g2), (d0, d1, d2), (v0, v1, v2))
 
 
 def _mid_jacobian(k: tuple, w: Vec3, terms: tuple) -> list[float]:
-    """jacobian_mid from the terms of _mid_eval at w."""
-    _, _, (mi, xc, s, p, _, _), hh = k
-    _, g1, xd, wv = terms
-    jr = _right_jacobian((hh * w[0], hh * w[1], hh * w[2]))
-    g1s = _skew(g1)
-    a = [hh * v for v in _mm(g1s, jr)]  # d g1 / d omega
-    x = [u + v for u, v in zip(_mm(mi, a), xc)]  # d xdot / d omega
+    """jacobian_mid from the terms of _mid_eval at w; products with a zero of a skew matrix are left out."""
+    _, _, ((m0, m1, m2, m3, m4, m5, m6, m7, m8), (c0, c1, c2, c3, c4, c5, c6, c7, c8), s, p, _, _), hh = k
+    (s0, s1, s2, s3, s4, s5, s6, s7, s8), (p0, p1, p2, p3, p4, p5, p6, p7, p8) = s, p
+    _, (g0, g1, g2), (d0, d1, d2), (v0, v1, v2) = terms
+    j0, j1, j2, j3, j4, j5, j6, j7, j8 = _right_jacobian((hh * w[0], hh * w[1], hh * w[2]))
+    # a = d g1 / d omega = (h/2) g1^ J_r, then y = d xdot / d omega = Mxx^-1 a + X
+    a0, a1, a2 = hh * (g1 * j6 - g2 * j3), hh * (g1 * j7 - g2 * j4), hh * (g1 * j8 - g2 * j5)
+    a3, a4, a5 = hh * (g2 * j0 - g0 * j6), hh * (g2 * j1 - g0 * j7), hh * (g2 * j2 - g0 * j8)
+    a6, a7, a8 = hh * (g0 * j3 - g1 * j0), hh * (g0 * j4 - g1 * j1), hh * (g0 * j5 - g1 * j2)
+    y0, y1, y2 = m0 * a0 + m1 * a3 + m2 * a6 + c0, m0 * a1 + m1 * a4 + m2 * a7 + c1, m0 * a2 + m1 * a5 + m2 * a8 + c2
+    y3, y4, y5 = m3 * a0 + m4 * a3 + m5 * a6 + c3, m3 * a1 + m4 * a4 + m5 * a7 + c4, m3 * a2 + m4 * a5 + m5 * a8 + c5
+    y6, y7, y8 = m6 * a0 + m7 * a3 + m8 * a6 + c6, m6 * a1 + m7 * a4 + m8 * a7 + c7, m6 * a2 + m7 * a5 + m8 * a8 + c8
     return [
-        u + v + hh * (y - z - q)
-        for u, v, y, z, q in zip(_mm(p, a), s, _mm(_skew(xd), a), _mm(g1s, x), _mm(_skew(wv), jr))
+        p0 * a0 + p1 * a3 + p2 * a6 + s0 + hh * (d1 * a6 - d2 * a3 - (g1 * y6 - g2 * y3) - (v1 * j6 - v2 * j3)),
+        p0 * a1 + p1 * a4 + p2 * a7 + s1 + hh * (d1 * a7 - d2 * a4 - (g1 * y7 - g2 * y4) - (v1 * j7 - v2 * j4)),
+        p0 * a2 + p1 * a5 + p2 * a8 + s2 + hh * (d1 * a8 - d2 * a5 - (g1 * y8 - g2 * y5) - (v1 * j8 - v2 * j5)),
+        p3 * a0 + p4 * a3 + p5 * a6 + s3 + hh * (d2 * a0 - d0 * a6 - (g2 * y0 - g0 * y6) - (v2 * j0 - v0 * j6)),
+        p3 * a1 + p4 * a4 + p5 * a7 + s4 + hh * (d2 * a1 - d0 * a7 - (g2 * y1 - g0 * y7) - (v2 * j1 - v0 * j7)),
+        p3 * a2 + p4 * a5 + p5 * a8 + s5 + hh * (d2 * a2 - d0 * a8 - (g2 * y2 - g0 * y8) - (v2 * j2 - v0 * j8)),
+        p6 * a0 + p7 * a3 + p8 * a6 + s6 + hh * (d0 * a3 - d1 * a0 - (g0 * y3 - g1 * y0) - (v0 * j3 - v1 * j0)),
+        p6 * a1 + p7 * a4 + p8 * a7 + s7 + hh * (d0 * a4 - d1 * a1 - (g0 * y4 - g1 * y1) - (v0 * j4 - v1 * j1)),
+        p6 * a2 + p7 * a5 + p8 * a8 + s8 + hh * (d0 * a5 - d1 * a2 - (g0 * y5 - g1 * y2) - (v0 * j5 - v1 * j2)),
     ]
 
 

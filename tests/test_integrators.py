@@ -44,8 +44,8 @@ from qvint import (
 )
 from qvint import integrators
 from qvint.integrators import momentum_scale
-from qvint.model import _canonical_f, _cx, _mv
-from qvint.quat import _rotate_f
+from qvint.model import _canonical_f, _cx, _mm, _mv, _skew
+from qvint.quat import _exp_f, _right_jacobian, _rotate_f
 
 RNG = np.random.default_rng(61103)
 
@@ -294,6 +294,74 @@ def test_jacobians_match_central_difference_oracle(q, omega, carried, h, t):
         jac = jacobian(q, omega, c, h, carried)
         oracle = central_difference_jacobian(lambda w: residual(q, w, c, h, carried), omega)
         assert np.abs(jac - oracle).max() <= 1e-6 * np.abs(oracle).max(), residual.__name__
+
+
+# test-side oracles of the flat mid kernels: _mid_eval and _mid_jacobian composed from the float helpers
+
+
+def composed_mid_eval(k, w):
+    u_x, u_w, (mi, xc, s, p, a_x, a_w), hh = k
+    e = _exp_f((0.5 * hh * w[0], 0.5 * hh * w[1], 0.5 * hh * w[2]))
+    ec = (e[0], -e[1], -e[2], -e[3])
+    g1, wv = _rotate_f(ec, u_x), _rotate_f(ec, u_w)
+    d = (g1[0] - a_x[0], g1[1] - a_x[1], g1[2] - a_x[2])
+    m1, m2, m3, m4 = _mv(mi, d), _mv(xc, w), _mv(p, d), _mv(s, w)
+    xd = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
+    n = _cx(xd, g1)
+    return [(m3[i] + a_w[i] - wv[i]) + m4[i] + hh * n[i] for i in range(3)], (e, g1, xd, wv)
+
+
+def composed_mid_jacobian(k, w, terms):
+    _, _, (mi, xc, s, p, _, _), hh = k
+    _, g1, xd, wv = terms
+    jr = _right_jacobian((hh * w[0], hh * w[1], hh * w[2]))
+    g1s = _skew(g1)
+    a = [hh * v for v in _mm(g1s, jr)]
+    x = [u + v for u, v in zip(_mm(mi, a), xc)]
+    return [
+        u + v + hh * (y - z - q)
+        for u, v, y, z, q in zip(_mm(p, a), s, _mm(_skew(xd), a), _mm(g1s, x), _mm(_skew(wv), jr))
+    ]
+
+
+def float_bits(values):
+    """The bit patterns of nested tuples and lists of floats, so that a zero's sign counts."""
+    return [float_bits(v) if isinstance(v, (tuple, list)) else float.hex(v) for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    q=floats(-1.0, 1.0, 4).filter(lambda q: np.linalg.norm(q) > 0.1),
+    omega=floats(-3.0, 3.0, 3),
+    carried=floats(-10.0, 10.0, 6),
+    h=st.floats(1e-3, 0.5),
+    t=st.one_of(st.none(), st.floats(0.0, 2.0 * np.pi)),
+)
+def test_flat_mid_kernels_return_the_composed_floats(q, omega, carried, h, t):
+    # the residual and its terms equal the composed form bit for bit; the Jacobian leaves out the
+    # products with a skew matrix's zeros, so only the sign of a zero entry may differ there
+    c = CSET if t is None else MORPHING.coefficients(t)
+    k = integrators._mid_setup((q / np.linalg.norm(q)).tolist(), c, h, carried.tolist())
+    w = tuple(omega.tolist())
+    r, terms = integrators._mid_eval(k, w)
+    want_r, want_terms = composed_mid_eval(k, w)
+    assert float_bits([r, terms]) == float_bits([want_r, want_terms])
+    assert integrators._mid_jacobian(k, w, terms) == composed_mid_jacobian(k, w, terms)
+
+
+@pytest.mark.parametrize("sched,rp", [(SCHED, RP), (MORPHING, None)], ids=["free_body_rigid", "damped_morphing"])
+def test_mid_runs_with_the_composed_kernels_give_the_same_record(sched, rp, monkeypatch):
+    # 300 steps of mid on the flat kernels and on the composed ones: every record column, newton_iters too
+    start = BodyState(0.0, identity_quat(), np.zeros(3), np.array([0.3, 0.0, 0.1]), np.array([1.0, 1.0, 1.0]))
+    rec = integrate(start, sched, CFG, "mid", 3.0, rigid_params=rp)
+    monkeypatch.setattr(integrators, "_mid_eval", composed_mid_eval)
+    monkeypatch.setattr(integrators, "_mid_jacobian", composed_mid_jacobian)
+    want = integrate(start, sched, CFG, "mid", 3.0, rigid_params=rp)
+    assert len(rec) == len(want) == 301 and not rec.truncated and not want.truncated
+    names = ["t", "q", "x_e", "xdot_b", "omega_b", "energy", "p_x", "p_w", "newton_iters"]
+    for name in names + (["P_x", "P_w"] if rp is not None else []):
+        got, ref = getattr(rec, name), getattr(want, name)
+        assert np.array_equal(got, ref) and got.tobytes() == ref.tobytes(), name  # bit for bit: a zero's sign counts
 
 
 # test-side oracles: the full 6-component balances and outgoing momenta in the
