@@ -1,94 +1,25 @@
-"""Quaternion variational integrators for coupled rigid and morphing bodies."""
+"""Quaternion variational integrators for coupled rigid and morphing bodies.
 
-from .diagnostics import (
-    ErrorReport,
-    TrajectoryRecord,
-    drift_slope,
-    net_pitch,
-    pitch_213,
-    running_max,
-    summarize,
-)
-from .integrators import (
-    SingularJacobianError,
-    SolverConfig,
-    integrate,
-    jacobian_left,
-    jacobian_mid,
-    newton_solve,
-    residual_left,
-    residual_mid,
-    seed_step,
-    step_left,
-    step_mid,
-    step_rk_baseline,
-)
+The root holds what a run needs: the model presets and types, `integrate` and
+its solver settings, and the conservation report. Steppers, residuals, the
+Newton solver and the quaternion wrappers are imported from their modules.
+"""
+
+from .diagnostics import ErrorReport, TrajectoryRecord, drift_slope, net_pitch, summarize
+from .integrators import SolverConfig, integrate
 from .model import (
     BodyState,
     CoefficientSet,
     MorphingSchedule,
     RigidParams,
-    canonical_momenta,
     constant_schedule,
     energy_grad_omega,
     energy_grad_xdot,
     kinetic_energy,
-    point_mass_coefficients,
     preset_free_body,
     preset_morphing,
-    rigid_coefficients,
-    skew,
     wing_motion,
 )
-from .quat import (
-    exp_map,
-    identity_quat,
-    normalize,
-    quat_mul,
-    rotate_to_earth,
-)
+from .quat import identity_quat
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BodyState",
-    "CoefficientSet",
-    "ErrorReport",
-    "MorphingSchedule",
-    "RigidParams",
-    "SingularJacobianError",
-    "SolverConfig",
-    "TrajectoryRecord",
-    "canonical_momenta",
-    "constant_schedule",
-    "drift_slope",
-    "energy_grad_omega",
-    "energy_grad_xdot",
-    "exp_map",
-    "identity_quat",
-    "integrate",
-    "jacobian_left",
-    "jacobian_mid",
-    "kinetic_energy",
-    "net_pitch",
-    "newton_solve",
-    "normalize",
-    "pitch_213",
-    "point_mass_coefficients",
-    "preset_free_body",
-    "preset_morphing",
-    "quat_mul",
-    "residual_left",
-    "residual_mid",
-    "rigid_coefficients",
-    "rotate_to_earth",
-    "running_max",
-    "seed_step",
-    "skew",
-    "step_left",
-    "step_mid",
-    "step_rk_baseline",
-    "summarize",
-    "wing_motion",
-    "__version__",
-]

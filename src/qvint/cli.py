@@ -221,12 +221,16 @@ def _execute(cfg: RunConfig, tag: str = ""):
     return rec, report, wall, 3 if rec.truncated else 0
 
 
-def _error_strings(report) -> tuple[str, str, str]:
-    def fmt(e: float, absolute: bool, note: str) -> str:  # undefined against a non-finite initial value
-        return f"{e:.3e}{note}{' (abs)' if absolute else ''}" if math.isfinite(e) else "n/a"
-
-    ew = fmt(report.final_e_w, report.e_w_absolute, _DIAGNOSTIC if report.e_w_diagnostic else "")
-    return fmt(report.final_e_x, report.e_x_absolute, ""), ew, fmt(report.final_e_T, report.e_T_absolute, "")
+def _error_strings(report: ErrorReport, digits: int, ew_note: str) -> list[str]:
+    """The final e_x, e_w and e_T, each marked (abs) if absolute; an error undefined against a non-finite
+    initial value prints as n/a."""
+    errors = (report.final_e_x, report.final_e_w, report.final_e_T)
+    absolute = (report.e_x_absolute, report.e_w_absolute, report.e_T_absolute)
+    notes = ("", ew_note, "")
+    return [
+        f"{e:.{digits}e}{note}{' (abs)' if a else ''}" if math.isfinite(e) else "n/a"
+        for e, a, note in zip(errors, absolute, notes)
+    ]
 
 
 def run(cfg: RunConfig) -> int:
@@ -234,7 +238,7 @@ def run(cfg: RunConfig) -> int:
     rec, report, wall, code = _execute(cfg)
     if rec is None:
         return code
-    ex, ew, et = _error_strings(report)
+    ex, ew, et = _error_strings(report, 3, _DIAGNOSTIC if report.e_w_diagnostic else "")
     accepted = len(rec) - 1
     # integrate takes round(t_end / h) steps, so a run can end off t_end
     t_end, reached = f"{cfg.t_end:g}", f"{rec.t[-1]:g}"
@@ -258,17 +262,19 @@ def compare(cfgs: list[RunConfig]) -> int:
         raise ConfigError("compare needs at least two configs")
     if len({c.scenario for c in cfgs}) != 1:
         raise ConfigError("compare requires all configs to share a scenario")
-    rows = []
+    rows, cells = [], []
     for i, cfg in enumerate(cfgs, start=1):
         rec, report, wall, code = _execute(cfg, tag=str(i))
         if code != 0:
             return code
         ew_note = _DIAGNOSTIC if report.e_w_diagnostic else ""  # one scenario, so one note for every row
         rows.append((f"{cfg.method} h={cfg.h:g}", report.final_e_x, report.final_e_w, report.final_e_T))
+        cells.append(_error_strings(report, 4, ""))
     width = max(len(r[0]) for r in rows)
-    print(f"\n{'config'.ljust(width)}  {'e_x':>12}  {'e_w':>12}  {'e_T':>12}")
-    for label, ex, ew, et in rows:
-        print(f"{label.ljust(width)}  {ex:12.4e}  {ew:12.4e}  {et:12.4e}")
+    cw = max(12, *(len(c) for row in cells for c in row))
+    print(f"\n{'config'.ljust(width)}  {'e_x':>{cw}}  {'e_w':>{cw}}  {'e_T':>{cw}}")
+    for (label, *_), (ex, ew, et) in zip(rows, cells):
+        print(f"{label.ljust(width)}  {ex:>{cw}}  {ew:>{cw}}  {et:>{cw}}")
     print(f"e_w{ew_note}\n" if ew_note else "")
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):

@@ -107,7 +107,8 @@ def _rotate_f(q, v) -> tuple[float, float, float]:
 def _right_jacobian(phi: tuple[float, float, float]) -> tuple[float, ...]:
     """SO(3) right Jacobian J_r: Exp(phi + d) = Exp(phi) Exp(J_r(phi) d) to first order in d.
 
-    J_r = I - a phi^ + b phi^ phi^ = (1 - b t^2) I - a phi^ + b phi phi^T, t = |phi|.
+    J_r = I - a phi^ + b phi^ phi^ = (1 - b t^2) I - a phi^ + b phi phi^T, t = |phi|. An overflowed or NaN
+    angle gives nine NaNs, not an exception.
     """
     x, y, z = phi
     t2 = x * x + y * y + z * z

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from qvint import SingularJacobianError, integrate, integrators, preset_free_body
+from qvint import integrate, integrators, preset_free_body
 from qvint.cli import (
     ConfigError,
     build_scenario,
@@ -26,6 +26,7 @@ from qvint.cli import (
     write_trajectory_csv,
 )
 from qvint.diagnostics import summarize
+from qvint.integrators import SingularJacobianError
 
 TRAJ_HEADER = (
     "t,qw,qx,qy,qz,xe_x,xe_y,xe_z,xdotb_x,xdotb_y,xdotb_z,"
@@ -411,6 +412,30 @@ def test_compare_prints_n_a_for_a_zero_over_zero_ratio(tmp_path, capsys, monkeyp
     assert ratios["e_T(left h=0.01) / e_T(mid h=0.01)"] == want
     for leg in ("e_x", "e_w", "e_T"):
         assert ratios[f"{leg}(mid h=0.01) / {leg}(rk h=0.01)"] == "n/a"
+
+
+def test_compare_marks_absolute_and_undefined_errors_as_run_does(tmp_path, capsys, monkeypatch):
+    # a start at rest has zero energy and momenta, so each error of its row is an absolute deviation;
+    # a NaN error (undefined against a non-finite initial value) prints as n/a, not nan
+    def summarize_spin(rec):
+        report = summarize(rec)
+        if rec.method == "mid":
+            report.e_T[-1] = np.nan
+        return report
+
+    monkeypatch.setattr("qvint.cli.summarize", summarize_spin)
+    text = f"t_end = 0.1\nout_dir = {tmp_path}\nmethod = "
+    cfgs = [parse_config(text + "rk\nomega0_x = 0\nomega0_y = 0\nomega0_z = 0"), parse_config(text + "mid")]
+    assert compare(cfgs) == 0
+    lines = capsys.readouterr().out.splitlines()
+    k = next(k for k, line in enumerate(lines) if line.startswith("config"))
+    header, rest, spin = lines[k : k + 3]
+    assert re.fullmatch(r"config +e_x +e_w +e_T", header)
+    assert re.fullmatch(r"rk h=0\.01 (  0\.0000e\+00 \(abs\)){3}", rest)
+    assert re.fullmatch(r"mid h=0\.01( +\d\.\d{4}e-\d\d){2} +n/a", spin)
+    assert len(header) == len(rest) == len(spin)
+    ratios = dict(line.split(" = ") for line in lines if " / " in line)
+    assert ratios == {f"{e}(rk h=0.01) / {e}(mid h=0.01)": v for e, v in [("e_x", "0"), ("e_w", "0"), ("e_T", "n/a")]}
 
 
 @pytest.mark.parametrize("t_end", ["1e300", "1"])

@@ -12,15 +12,14 @@ from qvint import (
     TrajectoryRecord,
     constant_schedule,
     drift_slope,
-    exp_map,
     identity_quat,
     integrate,
     net_pitch,
-    pitch_213,
     preset_free_body,
-    running_max,
     summarize,
 )
+from qvint.diagnostics import pitch_213, running_max
+from qvint.quat import exp_map
 
 CSET, RP = preset_free_body()
 

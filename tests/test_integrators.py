@@ -17,35 +17,32 @@ from qvint import (
     CoefficientSet,
     MorphingSchedule,
     RigidParams,
-    canonical_momenta,
-    SingularJacobianError,
     SolverConfig,
     constant_schedule,
     energy_grad_omega,
     energy_grad_xdot,
-    exp_map,
     identity_quat,
     integrate,
-    jacobian_left,
-    jacobian_mid,
-    newton_solve,
-    point_mass_coefficients,
     preset_free_body,
     preset_morphing,
-    quat_mul,
+    summarize,
+)
+from qvint import integrators
+from qvint.integrators import (
+    SingularJacobianError,
+    jacobian_left,
+    jacobian_mid,
+    momentum_scale,
+    newton_solve,
     residual_left,
     residual_mid,
-    rigid_coefficients,
     seed_step,
     step_left,
     step_mid,
     step_rk_baseline,
-    summarize,
 )
-from qvint import integrators
-from qvint.integrators import momentum_scale
-from qvint.model import _canonical_f, _cx, _mm, _mv, _skew
-from qvint.quat import _exp_f, _right_jacobian, _rotate_f
+from qvint.model import _canonical_f, _cx, _mm, _mv, _skew, canonical_momenta, point_mass_coefficients, rigid_coefficients
+from qvint.quat import _exp_f, _right_jacobian, _rotate_f, exp_map, quat_mul
 
 RNG = np.random.default_rng(61103)
 
@@ -1399,17 +1396,19 @@ def test_any_rate_gives_finite_rows_or_a_documented_reason(omega0, xdot0, h, ste
 
 @pytest.mark.parametrize("method", ["left", "mid", "rk"])
 def test_singular_translational_mass_block_is_a_solver_failure(method):
-    c = CoefficientSet(a_xx=0.0, A_xw=0.0, A_ww=1.0)
-    sched = constant_schedule(c, name="massless")
-    rec = integrate(SPIN, sched, CFG, method, 0.1)
-    assert rec.truncated and len(rec) == 1
-    assert rec.stop_reason.startswith("translational mass block 2 a_xx")
-    with pytest.raises(SingularJacobianError, match="translational mass block"):
-        if method == "rk":
-            step_rk_baseline(seed_step(SPIN, c, "rk", CFG.h), sched, CFG.h)
-        else:
-            step = step_left if method == "left" else step_mid
-            step(seed_step(SPIN, c, method, CFG.h), sched, CFG, momentum_scale(SPIN, c, CFG.h))
+    # a zero a_xx is caught on _solve3's diagonal path, a rank-2 one by its general path's zero determinant
+    for a_xx in (0.0, [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 0.5]]):
+        c = CoefficientSet(a_xx=a_xx, A_xw=0.0, A_ww=1.0)
+        sched = constant_schedule(c, name="massless")
+        rec = integrate(SPIN, sched, CFG, method, 0.1)
+        assert rec.truncated and len(rec) == 1
+        assert rec.stop_reason.startswith("translational mass block 2 a_xx")
+        with pytest.raises(SingularJacobianError, match="translational mass block"):
+            if method == "rk":
+                step_rk_baseline(seed_step(SPIN, c, "rk", CFG.h), sched, CFG.h)
+            else:
+                step = step_left if method == "left" else step_mid
+                step(seed_step(SPIN, c, method, CFG.h), sched, CFG, momentum_scale(SPIN, c, CFG.h))
 
 
 @pytest.mark.parametrize(

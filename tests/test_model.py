@@ -16,25 +16,27 @@ from qvint import (
     MorphingSchedule,
     RigidParams,
     SolverConfig,
-    canonical_momenta,
     constant_schedule,
     energy_grad_omega,
     energy_grad_xdot,
-    exp_map,
     identity_quat,
     integrate,
     kinetic_energy,
-    point_mass_coefficients,
     preset_free_body,
     preset_morphing,
-    quat_mul,
-    rigid_coefficients,
-    rotate_to_earth,
-    skew,
     wing_motion,
 )
-from qvint.model import WING_MASS, _cx, _energy_momenta, _solve3
-from qvint.quat import _rotate_f
+from qvint.model import (
+    WING_MASS,
+    _cx,
+    _energy_momenta,
+    _solve3,
+    canonical_momenta,
+    point_mass_coefficients,
+    rigid_coefficients,
+    skew,
+)
+from qvint.quat import _rotate_f, exp_map, quat_mul, rotate_to_earth
 
 RNG = np.random.default_rng(905)
 

@@ -1,10 +1,13 @@
 """Quaternion algebra: closed-form examples and frame-consistency sweeps."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qvint import exp_map, identity_quat, normalize, quat_mul, rotate_to_earth
+from qvint import identity_quat
+from qvint.quat import _right_jacobian, exp_map, normalize, quat_mul, rotate_to_earth
 
 RNG = np.random.default_rng(20240817)
 
@@ -110,3 +113,24 @@ def test_cg_step_one_parameter_subgroup():
 def test_normalize_rejects_zero():
     with pytest.raises(ValueError):
         normalize(np.zeros(4))
+
+
+@pytest.mark.parametrize("angle", [0.0, 0.5e-8, 2e-8, 0.3, 2.5])
+def test_right_jacobian_maps_an_increment_of_the_rotation_vector(angle):
+    # exp_map carries no half angle, so the rotation by phi is exp_map(phi / 2);
+    # J_r is right when exp_map((phi + d) / 2) = exp_map(phi / 2) (x) exp_map(J_r d / 2) + O(|d|^2)
+    phi = angle * np.array([2.0, -1.0, 2.0]) / 3.0
+    jr = np.array(_right_jacobian(tuple(phi))).reshape(3, 3)
+    gaps = []
+    for size in (1e-3, 1e-4):
+        d = size * np.array([-0.6, 0.0, 0.8])
+        gaps.append(np.abs(exp_map((phi + d) / 2) - quat_mul(exp_map(phi / 2), exp_map(jr @ d / 2))).max())
+        assert gaps[-1] <= 0.1 * size**2 + 1e-15
+    if angle >= 0.3:  # away from roundoff the gap is second order: 100-fold per 10-fold step in d
+        assert 80.0 < gaps[0] / gaps[1] < 125.0
+
+
+@pytest.mark.parametrize("phi", [(1e200, 0.0, 0.0), (math.nan, 0.0, 0.0)], ids=["overflowed", "nan"])
+def test_right_jacobian_of_a_non_finite_angle_is_nine_nans(phi):
+    jr = _right_jacobian(phi)
+    assert len(jr) == 9 and all(map(math.isnan, jr))
