@@ -302,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_config(path: str) -> RunConfig:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:  # an unreadable config, like a missing one
         raise ConfigError(f"{path}: {exc}") from None
     return parse_config(text)

@@ -42,13 +42,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .diagnostics import TrajectoryRecord
-from .model import BodyState, CoefficientSet, MorphingSchedule, RigidParams, _canonical_f, _cx
+from .model import BodyState, CoefficientSet, MorphingSchedule, RigidParams, _adjugate, _canonical_f, _cx
 from .model import _energy_momenta, _mm, _mv, _skew
 from .quat import _exp_f, _mul_f, _right_jacobian, _rotate_f
 
@@ -173,14 +174,11 @@ def newton_solve(
             jac = jacobian(x, terms)
             if not all(map(math.isfinite, jac)):
                 raise SingularJacobianError("Jacobian has non-finite entries")
-            a, b, c, d, e, f, g, h, i = jac
-            c0, c1, c2 = e * i - f * h, f * g - d * i, d * h - e * g
-            det = a * c0 + b * c1 + c * c2
+            adj, det = _adjugate(jac)
             if det == 0.0:
                 raise SingularJacobianError("singular Jacobian: zero determinant")
             if not math.isfinite(det):
                 raise SingularJacobianError("Jacobian determinant is non-finite")
-            adj = (c0, c * h - b * i, b * f - c * e, c1, a * i - c * g, c * d - a * f, c2, b * g - a * h, a * e - b * d)
         a0, a1, a2, a3, a4, a5, a6, a7, a8 = adj
         r0, r1, r2 = r
         dx = (
@@ -249,6 +247,13 @@ def _link(*fields) -> StepResult:
     if not all(map(math.isfinite, r.q + r.x_e + r.xdot_b + r.omega_b)):  # the four are tuples
         BodyState(*r[:5])  # raises, naming the non-finite field
     return r
+
+
+def _solve_rate(k: tuple, evaluate, jacobian, prev: StepResult, cfg: SolverConfig, scale: float) -> NewtonResult:
+    """newton_solve on a scheme's balance, its _eval and _jacobian bound to its setup k: from prev's rate, to
+    residual_tol times the run's momentum scale. Both steppers hand Newton their balance through this one call."""
+    bound = partial(evaluate, k), partial(jacobian, k)
+    return newton_solve(*bound, prev.omega_b, cfg.residual_tol * scale, cfg.max_iter)
 
 
 def _force(sched: MorphingSchedule, t: float, *state) -> list[float]:
@@ -327,14 +332,7 @@ def step_left(prev: StepResult, sched: MorphingSchedule, cfg: SolverConfig, scal
         f = _force(sched, t_k, q_k, x_k, prev.xdot_b, prev.omega_b)
         carried = [c + h * u for c, u in zip(carried, f)]
 
-    k = _left_setup(q_k, c_k, h, carried)
-    sol = newton_solve(
-        lambda w: _left_eval(k, w),
-        lambda w, terms: _left_jacobian(k, w, terms),
-        prev.omega_b,
-        cfg.residual_tol * scale,
-        cfg.max_iter,
-    )
+    sol = _solve_rate(_left_setup(q_k, c_k, h, carried), _left_eval, _left_jacobian, prev, cfg, scale)
     (xd, g2), om, hh = sol.terms, sol.x, 0.5 * h
     m = _cx(om, g2)
     history = (*carried[:3], g2[0] - hh * m[0], g2[1] - hh * m[1], g2[2] - hh * m[2])
@@ -445,14 +443,7 @@ def step_mid(prev: StepResult, sched: MorphingSchedule, cfg: SolverConfig, scale
         f = _force(sched, t_mid, q_pred, x_pred, prev.xdot_b, prev.omega_b)
         carried = [c + h * u for c, u in zip(carried, f)]
 
-    k = _mid_setup(q_k, c_mid, h, carried)
-    sol = newton_solve(
-        lambda w: _mid_eval(k, w),
-        lambda w, terms: _mid_jacobian(k, w, terms),
-        prev.omega_b,
-        cfg.residual_tol * scale,
-        cfg.max_iter,
-    )
+    sol = _solve_rate(_mid_setup(q_k, c_mid, h, carried), _mid_eval, _mid_jacobian, prev, cfg, scale)
     (e, g1, xd, _), om, c = sol.terms, sol.x, carried
     q_t = _mul_f(q_k, e)
     m = _rotate_f(q_t, _cx(xd, g1))  # outgoing = incoming - h R_t (xdot x g1)
@@ -518,6 +509,8 @@ def seed_step(initial: BodyState, c0: CoefficientSet, method: str, h: float) -> 
     coefficient set at initial.t.
     """
     q, x, xd, om = [tuple(a.tolist()) for a in (initial.q, initial.x_e, initial.xdot_b, initial.omega_b)]
+    n = math.hypot(*q)  # BodyState admits a q up to 1e-6 off unit norm; a run starts on a unit one
+    q = tuple([v / n for v in q]) if abs(n - 1.0) > 2**-50 else q
     history = None
     if method == "left":
         _, p_x, p_w = _canonical_f(q, xd, om, c0._flat, -h)

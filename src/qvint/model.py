@@ -81,6 +81,14 @@ def _skew(v) -> tuple[float, ...]:
     return (0.0, -z, y, z, 0.0, -x, -y, x, 0.0)
 
 
+def _adjugate(m) -> tuple[tuple[float, ...], float]:
+    """(adj m, det m) of a row-major 3x3 m by cofactors: adj row-major, det expanded along m's first row."""
+    a, b, c, d, e, f, g, h, i = m
+    c0, c1, c2 = e * i - f * h, f * g - d * i, d * h - e * g
+    adj = (c0, c * h - b * i, b * f - c * e, c1, a * i - c * g, c * d - a * f, c2, b * g - a * h, a * e - b * d)
+    return adj, a * c0 + b * c1 + c * c2
+
+
 def _solve3(m, *rhs) -> list[tuple[float, ...]]:
     """m^-1 r for each row-major 3x3 r in rhs, by the adjugate of m / max |m_ij|, then x + m^-1 (r - m x) once.
 
@@ -96,12 +104,9 @@ def _solve3(m, *rhs) -> list[tuple[float, ...]]:
             raise np.linalg.LinAlgError("Singular matrix")
         return [(r[0] / a, r[1] / a, r[2] / a, r[3] / e, r[4] / e, r[5] / e, r[6] / i, r[7] / i, r[8] / i) for r in rhs]
     s = max(map(abs, m)) if all(map(math.isfinite, m)) else math.nan  # max would skip a NaN
-    a, b, c, d, e, f, g, h, i = [v / s for v in m] if s else m  # s = 0: m is zero, and singular
-    c0, c1, c2 = e * i - f * h, f * g - d * i, d * h - e * g
-    det = a * c0 + b * c1 + c * c2
+    adj, det = _adjugate([v / s for v in m] if s else m)  # s = 0: m is zero, and singular
     if det == 0.0:
         raise np.linalg.LinAlgError("Singular matrix")
-    adj = (c0, c * h - b * i, b * f - c * e, c1, a * i - c * g, c * d - a * f, c2, b * g - a * h, a * e - b * d)
     mi = [v / det / s for v in adj]
     xs = [_mm(mi, r) for r in rhs]
     return [tuple([u + v for u, v in zip(x, _mm(mi, [p - q for p, q in zip(r, _mm(m, x))]))]) for x, r in zip(xs, rhs)]

@@ -480,6 +480,16 @@ def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys, command):
     assert err.startswith(f"config error: {bad}: ") and "can't decode byte 0xff" in err
 
 
+def test_a_config_saved_with_a_byte_order_mark_runs_as_one_without(tmp_path):
+    # Windows Notepad starts a UTF-8 file with EF BB BF; read as plain UTF-8 it would prefix the first key
+    for name, mark in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_bytes(mark + f"method = left\nt_end = 0.05\nout_dir = {tmp_path / name}\n".encode())
+        assert main(["run", str(cfg)]) == 0
+    for csv in ("free_body_left_trajectory.csv", "free_body_left_errors.csv"):
+        assert (tmp_path / "marked" / csv).read_bytes() == (tmp_path / "plain" / csv).read_bytes()
+
+
 @pytest.mark.filterwarnings("error")
 def test_a_custom_run_whose_state_turns_non_finite_exits_three(tmp_path, capsys):
     # one step of h = 1e155 at 1e153 carries x_e from 1e308 past the float range

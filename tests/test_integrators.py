@@ -485,6 +485,23 @@ def test_seed_step_is_the_initial_state_with_its_schemes_history(method):
         assert seed.history is None
 
 
+def test_a_run_starts_on_a_unit_quaternion():
+    # BodyState admits a q up to 1e-6 off unit norm; seed_step renormalizes it, or mid would rotate the
+    # momentum it carries by a non-unit q on its first step (e_x 3.9e-6 from this start)
+    q = np.array([1.0, 2.0, 3.0, 4.0])
+    start = BodyState(0.0, q / np.linalg.norm(q) * (1.0 + 5e-7), np.zeros(3), np.array([0.3, 0.0, 0.1]), np.ones(3))
+    for method in ("left", "mid", "rk"):
+        rec = integrate(start, SCHED, CFG, method, 5.0, rigid_params=RP)
+        assert abs(np.linalg.norm(rec.q[0]) - 1.0) <= 1e-15, method
+        assert method == "rk" or summarize(rec).final_e_x <= 1e-12, method
+    # a q already unit to within a few ulps keeps its bits
+    for q in (identity_quat(), np.array([0.5, -0.5, 0.5, 0.5]), np.array([0.6, 0.0, 0.0, -0.8])):
+        s = dataclasses.replace(start, q=q)
+        for method in ("left", "mid", "rk"):
+            seed = seed_step(s, CSET, method, CFG.h)
+            assert seed.q == seed.point[0] == tuple(q.tolist())
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     q0=floats(-1.0, 1.0, 4).filter(lambda q: np.linalg.norm(q) > 0.1),
@@ -562,15 +579,18 @@ def test_one_balance_evaluation_per_newton_residual(sched, monkeypatch):
             return residual(x)
 
         sol = solve(counted_residual, jacobian, guess, tol, max_iter)
-        solves.append((sol, jacobian, len(calls)))
+        solves.append((sol, jacobian, len(calls), [guess, tol, max_iter]))
         return sol
 
     monkeypatch.setattr(integrators, "newton_solve", recording_solve)
     c0 = sched.coefficients(0.0)
     scale = momentum_scale(SPIN, c0, CFG.h)
-    res = step_left(seed_step(SPIN, c0, "left", CFG.h), sched, CFG, scale)
-    res_mid = step_mid(seed_step(SPIN, c0, "mid", CFG.h), sched, CFG, scale)
-    (sol, jac, n_left), (sol_mid, jac_mid, n_mid) = solves
+    seed, seed_mid = seed_step(SPIN, c0, "left", CFG.h), seed_step(SPIN, c0, "mid", CFG.h)
+    res, res_mid = step_left(seed, sched, CFG, scale), step_mid(seed_mid, sched, CFG, scale)
+    (sol, jac, n_left, hand_off), (sol_mid, jac_mid, n_mid, hand_off_mid) = solves
+    # both steppers start Newton from the previous rate and solve to residual_tol times the momentum scale
+    assert hand_off == [seed.omega_b, CFG.residual_tol * scale, CFG.max_iter]
+    assert hand_off_mid == [seed_mid.omega_b, CFG.residual_tol * scale, CFG.max_iter]
     assert evals == {"_left_eval": n_left, "_mid_eval": n_mid}
     assert n_left > sol.iterations > 0 and n_mid > sol_mid.iterations > 0
     want = jacobian_left(res.q, res.omega_b, res.coeffs, CFG.h, res.carried)

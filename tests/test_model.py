@@ -28,6 +28,7 @@ from qvint import (
 )
 from qvint.model import (
     WING_MASS,
+    _adjugate,
     _cx,
     _energy_momenta,
     _solve3,
@@ -200,6 +201,18 @@ def test_a_diagonal_solve_is_the_correctly_rounded_quotient(pivots, zeros, r):
     m = (a, *zeros[:3], e, *zeros[3:], i)
     (x,) = _solve3(m, r)
     assert x == tuple(float(Fraction(v) / Fraction(pivots[k // 3])) for k, v in enumerate(r))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-1000, 1000), min_size=9, max_size=9))
+def test_the_cofactor_kernel_is_exact_on_small_integers(m):
+    # every product and sum of integers this small is exact in floats, so adj m . m = det m . I to the bit,
+    # and det is the exact (Leibniz) determinant
+    adj, det = _adjugate([float(v) for v in m])
+    a, b = np.array(adj).reshape(3, 3), np.array(m, dtype=float).reshape(3, 3)
+    assert np.array_equal(a @ b, det * np.eye(3)) and np.array_equal(b @ a, det * np.eye(3))
+    sign = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1, (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1}
+    assert det == sum(s * Fraction(m[p[0]]) * m[3 + p[1]] * m[6 + p[2]] for p, s in sign.items())
 
 
 @pytest.mark.parametrize(
