@@ -15,6 +15,10 @@ import numpy as np
 
 Array = np.ndarray
 
+#: TrajectoryRecord's float columns besides t, each with its row shape; the optional P_x, P_w come last
+_COLUMNS = (("q", (4,)), ("x_e", (3,)), ("xdot_b", (3,)), ("omega_b", (3,)), ("energy", ()),
+            ("p_x", (3,)), ("p_w", (3,)), ("P_x", (3,)), ("P_w", (3,)))  # fmt: skip
+
 
 @dataclass
 class TrajectoryRecord:
@@ -51,18 +55,10 @@ class TrajectoryRecord:
         n = self.t.shape[0]
         if n < 1:
             raise ValueError("TrajectoryRecord needs at least one sample")
-        self.q = np.asarray(self.q, dtype=float).reshape(n, 4)
-        self.x_e = np.asarray(self.x_e, dtype=float).reshape(n, 3)
-        self.xdot_b = np.asarray(self.xdot_b, dtype=float).reshape(n, 3)
-        self.omega_b = np.asarray(self.omega_b, dtype=float).reshape(n, 3)
-        self.energy = np.asarray(self.energy, dtype=float).reshape(n)
-        self.p_x = np.asarray(self.p_x, dtype=float).reshape(n, 3)
-        self.p_w = np.asarray(self.p_w, dtype=float).reshape(n, 3)
         if (self.P_x is None) != (self.P_w is None):
             raise ValueError("TrajectoryRecord needs both of P_x and P_w or neither")
-        if self.P_x is not None:
-            self.P_x = np.asarray(self.P_x, dtype=float).reshape(n, 3)
-            self.P_w = np.asarray(self.P_w, dtype=float).reshape(n, 3)
+        for name, row in _COLUMNS if self.P_x is not None else _COLUMNS[:-2]:
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float).reshape(n, *row))
         self.newton_iters = np.asarray(self.newton_iters, dtype=int).reshape(n)
         if n > 1 and not np.all(np.diff(self.t) > 0.0):
             raise ValueError("TrajectoryRecord times must be strictly increasing")
@@ -122,9 +118,8 @@ class ErrorReport:
     """Conservation summary of one run.
 
     Series are running-max, one sample per record row; instantaneous
-    holds the deviations (e_x, e_w, e_T) they are the maxima of. momentum_source
-    says whether physical or canonical momenta were used; *_absolute flags
-    mark series degraded to absolute deviations by a zero baseline.
+    holds the deviations (e_x, e_w, e_T) they are the maxima of. *_absolute
+    flags mark series degraded to absolute deviations by a zero baseline.
     e_w_diagnostic marks an e_w that is a diagnostic, not a conservation
     error: canonical momenta under applied forces, which legitimately change
     p_w.
@@ -134,7 +129,6 @@ class ErrorReport:
     e_w: Array
     e_T: Array
     instantaneous: tuple[Array, Array, Array]
-    momentum_source: str
     e_x_absolute: bool
     e_w_absolute: bool
     e_T_absolute: bool
@@ -169,7 +163,6 @@ def summarize(rec: TrajectoryRecord) -> ErrorReport:
         e_w=running_max(raw_w),
         e_T=running_max(raw_T),
         instantaneous=(raw_x, raw_w, raw_T),
-        momentum_source="physical" if physical else "canonical",
         e_x_absolute=abs_x,
         e_w_absolute=abs_w,
         e_T_absolute=abs_T,

@@ -256,9 +256,21 @@ def _solve_rate(k: tuple, evaluate, jacobian, prev: StepResult, cfg: SolverConfi
     return newton_solve(*bound, prev.omega_b, cfg.residual_tol * scale, cfg.max_iter)
 
 
+def _coefficients(sched: MorphingSchedule, t: float) -> CoefficientSet:
+    """sched.coefficients(t); an Exception other than ValueError becomes a ValueError naming the callback."""
+    try:
+        return sched.coefficients(t)
+    except Exception as exc:  # a ValueError keeps its own message
+        raise exc if isinstance(exc, ValueError) else ValueError(f"coefficients raised {type(exc).__name__}: {exc}")
+
+
 def _force(sched: MorphingSchedule, t: float, *state) -> list[float]:
-    """sched.force at (t, q, x_e, xdot_b, omega_b) as six floats: F on earth axes, then the torque on body axes."""
-    f = sched.force(t, *state)
+    """sched.force at (t, q, x_e, xdot_b, omega_b) as six floats: F on earth axes, then the torque on body axes.
+    An Exception other than ValueError from sched.force becomes a ValueError naming the callback."""
+    try:
+        f = sched.force(t, *state)
+    except Exception as exc:  # a ValueError keeps its own message
+        raise exc if isinstance(exc, ValueError) else ValueError(f"force raised {type(exc).__name__}: {exc}")
     try:
         out = [float(v) for v in (*f[0], *f[1])] if len(f) == 2 and len(f[0]) == len(f[1]) == 3 else []
     except (TypeError, ValueError, LookupError):
@@ -326,7 +338,7 @@ def step_left(prev: StepResult, sched: MorphingSchedule, cfg: SolverConfig, scal
     q_k = _advance(prev.q, prev.omega_b, h)
     x_k = (prev.x_e[0] + h * v[0], prev.x_e[1] + h * v[1], prev.x_e[2] + h * v[2])
     t_k = prev.t + h
-    c_k = sched.coefficients(t_k)
+    c_k = _coefficients(sched, t_k)
     carried = prev.history
     if not sched.force_free:
         f = _force(sched, t_k, q_k, x_k, prev.xdot_b, prev.omega_b)
@@ -434,7 +446,7 @@ def step_mid(prev: StepResult, sched: MorphingSchedule, cfg: SolverConfig, scale
     """
     h, q_k, x = cfg.h, prev.q, prev.x_e
     t_mid = prev.t + 0.5 * h
-    c_mid = sched.coefficients(t_mid)
+    c_mid = _coefficients(sched, t_mid)
     carried = prev.history
     if not sched.force_free:
         q_pred = _advance(q_k, prev.omega_b, 0.5 * h)
@@ -466,7 +478,7 @@ def step_rk_baseline(prev: StepResult, sched: MorphingSchedule, h: float) -> Ste
     Under a force each stage probes it once at its own state, and F is rotated to body axes.
     """
     t, q0, x0 = prev.t, prev.q, prev.x_e
-    c_half, c_end = sched.coefficients(t + 0.5 * h), sched.coefficients(t + h)
+    c_half, c_end = _coefficients(sched, t + 0.5 * h), _coefficients(sched, t + h)
     d0 = [v for d in _energy_momenta(prev.coeffs._flat, prev.xdot_b, prev.omega_b)[1:] for v in d]
 
     def rate(q_s, x_s, d, c, t_s):
@@ -563,10 +575,11 @@ def integrate(
     (halves to even, at least 1; ValueError if n is not finite or exceeds 2**53)
     and ends at t + n h, the record's last time; step k's time t + k h is computed
     from k. Every accepted state is recorded. A step that fails (Newton does not
-    converge, the Jacobian is singular, the state goes non-finite) truncates the
-    record, flags it and names the cause in stop_reason; so does a non-finite
-    initial energy or momentum, with a one-row record and no step. Physical
-    momentum columns are filled when rigid_params is given (single rigid bodies).
+    converge, the Jacobian is singular, the state goes non-finite, a schedule
+    callback raises) truncates the record, flags it and names the cause in
+    stop_reason; so does a non-finite initial energy or momentum, with a one-row
+    record and no step (coefficients failing at t0 raises). Physical momentum
+    columns are filled when rigid_params is given (single rigid bodies).
 
     The conserved-quantity columns are evaluated after the steps, 128 rows at a
     time, by the float kernels that check row 0, run on numpy columns (each entry
@@ -582,7 +595,7 @@ def integrate(
         raise ValueError("t_end must exceed the initial time")
     t0, h = initial.t, cfg.h
     n_steps = _step_count(t0, t_end, h)
-    c0 = sched.coefficients(t0)
+    c0 = _coefficients(sched, t0)
     # the lambdas look the steppers up at each call, so a wrapper set on this module sees every step
     take_step = {
         "left": lambda r: step_left(r, sched, cfg, scale),

@@ -225,16 +225,12 @@ class BodyState:
 
     def __post_init__(self):
         object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "q", np.array(self.q, dtype=float).reshape(4))
-        object.__setattr__(self, "x_e", np.array(self.x_e, dtype=float).reshape(3))
-        object.__setattr__(self, "xdot_b", np.array(self.xdot_b, dtype=float).reshape(3))
-        object.__setattr__(self, "omega_b", np.array(self.omega_b, dtype=float).reshape(3))
-        for v in (self.q, self.x_e, self.xdot_b, self.omega_b):
-            v.flags.writeable = False  # the checks below hold for the object's lifetime
-        # one test over all 13 components; the per-field pass only names the culprit
-        if not np.isfinite(np.concatenate((self.q, self.x_e, self.xdot_b, self.omega_b))).all():
-            bad = next(n for n in ("q", "x_e", "xdot_b", "omega_b") if not np.isfinite(getattr(self, n)).all())
-            raise ValueError(f"BodyState.{bad} has non-finite components")
+        for name, size in (("q", 4), ("x_e", 3), ("xdot_b", 3), ("omega_b", 3)):
+            v = np.array(getattr(self, name), dtype=float).reshape(size)
+            v.flags.writeable = False  # the checks hold for the object's lifetime
+            if not np.isfinite(v).all():
+                raise ValueError(f"BodyState.{name} has non-finite components")
+            object.__setattr__(self, name, v)
         n = float(np.sqrt(self.q @ self.q))
         if abs(n - 1.0) > 1e-6:
             raise ValueError(f"BodyState.q norm {n!r} is not 1 within 1e-6")

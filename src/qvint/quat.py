@@ -57,12 +57,6 @@ def normalize(q: Array) -> Array:
     return q / n
 
 
-def _check_unit(q: Array, where: str) -> None:
-    n = float(np.sqrt(q @ q))
-    if abs(n - 1.0) > UNIT_TOL:
-        raise ValueError(f"{where}: quaternion norm {n!r} is not 1 within {UNIT_TOL}")
-
-
 def _exp_f(theta) -> tuple[float, float, float, float]:
     """exp_map on a 3-sequence of Python floats; an overflowed or NaN angle gives NaNs, not an exception."""
     x, y, z = theta
@@ -131,5 +125,7 @@ def _right_jacobian(phi: tuple[float, float, float]) -> tuple[float, ...]:
 
 def rotate_to_earth(q: Array, v_body: Array) -> Array:
     """Coordinates of a body-frame vector on earth axes, q (x) v (x) q*."""
-    _check_unit(q, "rotate_to_earth")
+    n = float(np.sqrt(q @ q))
+    if abs(n - 1.0) > UNIT_TOL:
+        raise ValueError(f"rotate_to_earth: quaternion norm {n!r} is not 1 within {UNIT_TOL}")
     return np.array(_rotate_f(q, v_body))

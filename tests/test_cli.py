@@ -15,6 +15,7 @@ from numpy.testing import assert_allclose
 
 from qvint import integrate, integrators, preset_free_body
 from qvint.cli import (
+    _DEFAULTS,
     ConfigError,
     build_scenario,
     compare,
@@ -535,3 +536,52 @@ def test_random_valid_configs_end_in_a_documented_way(scenario, method, h, t_end
     if code == 0 and method != "rk":
         e_x = float(re.search(r"e_x=(\S+)", out.getvalue()).group(1))
         assert e_x <= 1e-12
+
+
+
+#: fuzzed config values: zero, negatives, non-finite, huge, empty, non-numbers and unknown choices, drawn
+#: as often as a value valid for the key (FUZZ_VALID, or else a number)
+FUZZ_VALUES = ["0", "-1", "-1e-9", "nan", "inf", "-inf", "1e308", "", "abc", "1,5", "sideways"]
+FUZZ_VALID = {"scenario": ["free_body", "morphing", "custom"], "method": ["left", "mid", "rk"], "max_iter": ["1", "50"]}
+#: h and t_end values that are invalid or keep a run (from h = 0.05, t_end = 0.2) to at most 4 steps
+FUZZ_RUN_LENGTH = {
+    "h": ["0", "-1", "nan", "inf", "", "abc", "0.05", "0.1", "0.2", "1e308"],
+    "t_end": ["0", "-1", "nan", "inf", "", "abc", "0.05", "0.1", "0.2", "1e-300", "1e308"],
+}
+
+
+def fuzz_line(key: str):
+    """A 'key = value' line for key, or a line without '=' for the empty key."""
+    if not key:
+        return st.sampled_from(["h 0.05", "method", "free_body mid", "h: 0.1"])
+    if key in FUZZ_RUN_LENGTH:
+        values = st.sampled_from(FUZZ_RUN_LENGTH[key])
+    else:
+        valid = FUZZ_VALID.get(key, ["0.5", "1", "-0.25", "3e2"])
+        values = st.one_of(st.sampled_from(valid), st.sampled_from(FUZZ_VALUES))
+    return values.map(lambda v: f"{key} = {v}")
+
+
+FUZZ_LINE = st.sampled_from([k for k in _DEFAULTS if k != "out_dir"] + ["wingspan", ""]).flatmap(fuzz_line)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lines=st.lists(FUZZ_LINE, min_size=1, max_size=6))
+def test_any_config_text_ends_in_a_documented_exit_code(lines):
+    # exit 0, 2 or 3 and no exception; "config error:" on stderr exactly for 2; both CSVs for 0 and 3, none
+    # for 2; the only warning is parse_config's note on normalizing an off-unit q0
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cfg, out_dir = Path(tmp) / "run.cfg", Path(tmp) / "out"
+        cfg.write_text("\n".join(["h = 0.05", "t_end = 0.2", *lines, f"out_dir = {out_dir}"]), encoding="utf-8")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["run", str(cfg)])
+        csvs = sorted(p.name for p in out_dir.glob("*.csv"))
+    assert code in (0, 2, 3)
+    assert ("config error:" in err.getvalue()) == (code == 2), err.getvalue()
+    if code == 2:
+        assert csvs == []
+    else:
+        assert len(csvs) == 2 and csvs == [csvs[0], csvs[0].replace("_errors.csv", "_trajectory.csv")], csvs
+    assert all(str(w.message).startswith("q0 is off unit norm") for w in caught), [str(w.message) for w in caught]

@@ -137,14 +137,25 @@ def test_zero_baseline_momentum_goes_absolute():
 
 
 def test_summarize_momentum_source_and_ew_policy():
+    # P and p differ, so the errors show which momenta summarize reads: P when recorded, p otherwise
+    still_x, still_w = np.tile([1.0, 2.0, 2.0], (5, 1)), np.tile([0.0, 0.0, 4.0], (5, 1))
+    moved_x, moved_w = still_x.copy(), still_w.copy()
+    moved_x[3, 2], moved_w[2, 2] = 2.3, 5.0  # relative deviations 0.1 and 0.25
+    rec = make_record(physical=True, force_free=False)
+    for P, p, want in (
+        ((moved_x, moved_w), (still_x, still_w), (0.1, 0.25)),
+        ((still_x, still_w), (moved_x, moved_w), (0.0, 0.0)),
+        ((None, None), (moved_x, moved_w), (0.1, 0.25)),
+        ((None, None), (still_x, still_w), (0.0, 0.0)),
+    ):
+        rep = summarize(dataclasses.replace(rec, P_x=P[0], P_w=P[1], p_x=p[0], p_w=p[1]))
+        assert (rep.final_e_x, rep.final_e_w) == pytest.approx(want, rel=1e-12, abs=0.0)
     rep = summarize(make_record(physical=True, force_free=False))
-    assert rep.momentum_source == "physical"
     assert not rep.e_w_diagnostic  # physical momenta stay meaningful under torque
     p_w = np.tile([0.0, 0.0, 4.0], (5, 1))
     p_w[2, 2] = 5.0
     rec = make_record(physical=False, force_free=False, p_w=p_w)
     rep = summarize(rec)
-    assert rep.momentum_source == "canonical"
     assert rep.e_w_diagnostic  # canonical p_w is not conserved under applied torque
     assert np.array_equal(rep.e_w, [0.0, 0.0, 0.25, 0.25, 0.25]) and rep.final_e_w == 0.25  # but still reported
     rep = summarize(make_record(physical=False, force_free=True))

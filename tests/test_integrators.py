@@ -785,6 +785,48 @@ def test_a_force_turning_non_finite_stops_the_run_with_a_named_reason(method, ba
         assert np.all(np.isfinite(col))
 
 
+@pytest.mark.parametrize("exc", [ZeroDivisionError, RuntimeError, ValueError])
+@pytest.mark.parametrize("callback", ["force", "coefficients"])
+@pytest.mark.parametrize("method", ["left", "mid", "rk"])
+def test_a_raising_schedule_callback_ends_the_run_and_keeps_its_record(method, callback, exc):
+    # past t = 0.503 the callback raises: the run stops at the first step that calls it there, keeps the
+    # 50 steps before and names the callback and the exception class; a ValueError keeps its own message
+    def failing(f):
+        def call(t, *args):
+            if t > 0.503:
+                raise exc("boom")
+            return f(t, *args)
+
+        return call
+
+    sched = dataclasses.replace(MORPHING, **{callback: failing(getattr(MORPHING, callback))})
+    start = BodyState(0.0, identity_quat(), np.zeros(3), (0.3, 0.0, 0.1), (1.0, 1.0, 1.0))
+    rec = integrate(start, sched, CFG, method, 1.0)
+    want = "boom" if exc is ValueError else f"{callback} raised {exc.__name__}: boom"
+    assert rec.truncated and rec.stop_reason == want
+    assert len(rec) == 51 and rec.t[-1] == pytest.approx(0.5)
+    for col in (rec.q, rec.x_e, rec.xdot_b, rec.omega_b, rec.energy, rec.p_x, rec.p_w):
+        assert np.all(np.isfinite(col))
+
+
+class _Halt(BaseException):
+    """Not an Exception: a schedule callback that raises it is not a step failure."""
+
+
+@pytest.mark.parametrize("method", ["left", "mid", "rk"])
+def test_a_callback_failing_at_the_start_raises_and_a_base_exception_passes_through(method):
+    # at t0 there is no row to keep, so integrate raises the ValueError that names the callback
+    with pytest.raises(ValueError, match=r"^coefficients raised ZeroDivisionError: division by zero$"):
+        integrate(SPIN, dataclasses.replace(MORPHING, coefficients=lambda t: 1 / 0), CFG, method, 0.1)
+
+    def halt(t, *args):
+        raise _Halt
+
+    for callback in ("force", "coefficients"):
+        with pytest.raises(_Halt):
+            integrate(SPIN, dataclasses.replace(MORPHING, **{callback: halt}), CFG, method, 0.1)
+
+
 @pytest.mark.parametrize("rigid", [False, True])
 @pytest.mark.parametrize("method", ["left", "mid", "rk"])
 def test_a_state_turning_non_finite_stops_the_run_with_its_field_named(method, rigid):

@@ -113,6 +113,12 @@ def test_cg_step_one_parameter_subgroup():
 def test_normalize_rejects_zero():
     with pytest.raises(ValueError):
         normalize(np.zeros(4))
+    # the success path: exact where the norm is, and within 2 eps of a random unit q (worst seen 1.5 eps)
+    assert normalize(np.array([3.0, 0.0, 4.0, 0.0])).tolist() == [0.6, 0.0, 0.8, 0.0]
+    assert normalize(np.full(4, 1.25)).tolist() == [0.5] * 4
+    for _ in range(200):
+        q = random_unit_quat(RNG)
+        assert np.abs(normalize(2.5 * q) - q).max() <= 2.0 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("angle", [0.0, 0.5e-8, 2e-8, 0.3, 2.5])
