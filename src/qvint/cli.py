@@ -20,8 +20,8 @@ import argparse
 import math
 import sys
 import time
-import warnings
 from dataclasses import dataclass, fields
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -47,11 +47,7 @@ class ConfigError(ValueError):
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
-        super().__init__(message)
-
-    def __str__(self) -> str:
-        msg = super().__str__()
-        return f"line {self.line}: {msg}" if self.line is not None else msg
+        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 @dataclass(frozen=True)
@@ -92,7 +88,7 @@ def parse_config(text: str) -> RunConfig:
     Each value is read as the type of its key's default. Unknown keys,
     unparseable values and invariant violations raise ConfigError with the
     offending line number. A q0 that is off unit norm by more than 1e-6 is
-    normalized with a warning; a zero q0 is an error.
+    normalized with a WARNING: line on stderr; a zero q0 is an error.
     """
     vals = dict(_DEFAULTS)
     lines: dict[str, int] = {}
@@ -136,7 +132,7 @@ def parse_config(text: str) -> RunConfig:
         where = max((lines[k] for k in lines if k.startswith("q0_")), default=None)
         raise ConfigError("q0 must be nonzero", where)
     if abs(norm - 1.0) > 1e-6:
-        warnings.warn(f"q0 is off unit norm by {abs(norm - 1.0):.3g}; normalizing", stacklevel=2)
+        print(f"WARNING: q0 is off unit norm by {abs(norm - 1.0):.3g}; normalizing", file=sys.stderr)
     q0 = np.ldexp(q0, -math.frexp(np.abs(q0).max())[1])  # an exact power-of-two scaling that keeps the norm finite
     vectors["q0"] = q0 / math.hypot(*q0)
     return RunConfig(**vals, **vectors)
@@ -276,14 +272,11 @@ def compare(cfgs: list[RunConfig]) -> int:
     for (label, *_), (ex, ew, et) in zip(rows, cells):
         print(f"{label.ljust(width)}  {ex:>{cw}}  {ew:>{cw}}  {et:>{cw}}")
     print(f"e_w{ew_note}\n" if ew_note else "")
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            la, *va = rows[i]
-            lb, *vb = rows[j]
-            for name, a, b in zip(("e_x", "e_w", "e_T"), va, vb):
-                ratio = a / b if b != 0.0 else math.inf if a > 0.0 else math.nan  # 0/0 and NaN/0 are undefined
-                shown = "n/a" if math.isnan(ratio) else f"{ratio:.3g}"
-                print(f"{name}({la}) / {name}({lb}) = {shown}" + (ew_note if name == "e_w" else ""))
+    for (la, *va), (lb, *vb) in combinations(rows, 2):
+        for name, a, b in zip(("e_x", "e_w", "e_T"), va, vb):
+            ratio = a / b if b != 0.0 else math.inf if a > 0.0 else math.nan  # 0/0 and NaN/0 are undefined
+            shown = "n/a" if math.isnan(ratio) else f"{ratio:.3g}"
+            print(f"{name}({la}) / {name}({lb}) = {shown}" + (ew_note if name == "e_w" else ""))
     return 0
 
 

@@ -77,12 +77,11 @@ class SolverConfig:
     max_iter: int = 50
 
     def __post_init__(self):
-        if not self.h > 0.0:
-            raise ValueError("SolverConfig.h must be positive")
+        for name in ("h", "residual_tol"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"SolverConfig.{name} must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("SolverConfig.max_iter must be at least 1")
-        if not self.residual_tol > 0.0:
-            raise ValueError("SolverConfig.residual_tol must be positive")
 
 
 class NewtonResult(NamedTuple):

@@ -122,6 +122,8 @@ def _as_matrix(m, name: str) -> Array:
 
 
 def _check_symmetric(a: Array, name: str) -> None:
+    if not np.isfinite(a).all():  # a run stops on a non-finite block with its reason; inf - inf would warn
+        return
     dev = float(np.linalg.norm(a - a.T))
     if dev > _SYM_TOL * (1.0 + float(np.linalg.norm(a))):
         raise ValueError(f"{name} must be symmetric, asymmetry norm {dev:g}")
@@ -224,13 +226,13 @@ class BodyState:
     omega_b: Array
 
     def __post_init__(self):
-        object.__setattr__(self, "t", float(self.t))
-        for name, size in (("q", 4), ("x_e", 3), ("xdot_b", 3), ("omega_b", 3)):
+        for name, size in (("t", ()), ("q", 4), ("x_e", 3), ("xdot_b", 3), ("omega_b", 3)):
             v = np.array(getattr(self, name), dtype=float).reshape(size)
             v.flags.writeable = False  # the checks hold for the object's lifetime
             if not np.isfinite(v).all():
                 raise ValueError(f"BodyState.{name} has non-finite components")
             object.__setattr__(self, name, v)
+        object.__setattr__(self, "t", float(self.t))
         n = float(np.sqrt(self.q @ self.q))
         if abs(n - 1.0) > 1e-6:
             raise ValueError(f"BodyState.q norm {n!r} is not 1 within 1e-6")
@@ -305,9 +307,12 @@ class RigidParams:
         object.__setattr__(self, "c", np.array(self.c, dtype=float).reshape(3))
         object.__setattr__(self, "I_ref", _as_matrix(self.I_ref, "I_ref"))
         self.c.flags.writeable = self.I_ref.flags.writeable = False
+        if not 0.0 < self.m < math.inf:
+            raise ValueError("RigidParams.m must be positive and finite")
+        for name in ("c", "I_ref"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"RigidParams.{name} has non-finite components")
         _check_symmetric(self.I_ref, "I_ref")
-        if self.m <= 0.0:
-            raise ValueError("RigidParams.m must be positive")
 
     def com_inertia(self) -> Array:
         """Inertia tensor about the center of mass (parallel axis theorem)."""

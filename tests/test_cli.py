@@ -2,7 +2,10 @@
 
 import contextlib
 import io
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -13,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import qvint
 from qvint import integrate, integrators, preset_free_body
 from qvint.cli import (
     _DEFAULTS,
@@ -102,23 +106,40 @@ def test_parse_zero_q0_is_error_at_last_offending_line():
     assert exc_info.value.line == 4
 
 
-def test_parse_off_norm_q0_warns_and_normalizes():
-    with pytest.warns(UserWarning, match="normaliz"):
-        cfg = parse_config("q0_w = 2.0")
+def q0_note(off: str) -> str:
+    return f"WARNING: q0 is off unit norm by {off}; normalizing\n"
+
+
+def test_parse_off_norm_q0_warns_and_normalizes(capsys):
+    # the note is one line on stderr, not a Python warning (the suite turns warnings into errors)
+    cfg = parse_config("q0_w = 2.0")
+    assert capsys.readouterr() == ("", q0_note("1"))
     assert_allclose(cfg.q0, [1.0, 0.0, 0.0, 0.0], atol=0.0)
     # the norm neither overflows nor underflows, so far-off scales normalize to a unit q0
     r = 2.0**-0.5
-    for text, want in [
-        ("q0_w = 1e200\nq0_x = 1e200", [r, r, 0.0, 0.0]),
-        ("q0_w = 1.7e308\nq0_x = 1.7e308", [r, r, 0.0, 0.0]),
-        ("q0_w = 1e-160", [1.0, 0.0, 0.0, 0.0]),
-        ("q0_w = 1e-200\nq0_x = 1e-200", [r, r, 0.0, 0.0]),
-        ("q0_w = 0\nq0_z = -5e-324", [0.0, 0.0, 0.0, -1.0]),
+    for text, want, off in [
+        ("q0_w = 1e200\nq0_x = 1e200", [r, r, 0.0, 0.0], "1.41e+200"),
+        ("q0_w = 1.7e308\nq0_x = 1.7e308", [r, r, 0.0, 0.0], "inf"),
+        ("q0_w = 1e-160", [1.0, 0.0, 0.0, 0.0], "1"),
+        ("q0_w = 1e-200\nq0_x = 1e-200", [r, r, 0.0, 0.0], "1"),
+        ("q0_w = 0\nq0_z = -5e-324", [0.0, 0.0, 0.0, -1.0], "1"),
     ]:
-        with pytest.warns(UserWarning, match="normaliz"):
-            cfg = parse_config(text)
+        cfg = parse_config(text)
+        assert capsys.readouterr() == ("", q0_note(off)), text
         assert_allclose(cfg.q0, want, rtol=1e-15, atol=0.0)
         assert build_scenario(cfg)[0].q.tolist() == cfg.q0.tolist()  # BodyState accepts it
+
+
+def test_the_q0_note_is_a_stderr_line_even_when_warnings_are_errors(tmp_path):
+    # a Python warning would end this run with a traceback and exit 1, and print this file's path
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"q0_w = 0.9\nh = 0.05\nt_end = 0.1\nout_dir = {tmp_path}\n", encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(qvint.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "qvint.cli", "run", str(cfg)], capture_output=True, text=True, env=env
+    )
+    assert (done.returncode, done.stderr) == (0, q0_note("0.1")), done.stderr
+    assert len(list(tmp_path.glob("*.csv"))) == 2
 
 
 def test_build_scenario_branches():
@@ -504,6 +525,7 @@ def test_a_custom_run_whose_state_turns_non_finite_exits_three(tmp_path, capsys)
 
 
 WARNING_LINE = re.compile(r"WARNING: integration stopped early at t=\S+ \(.+\); partial output written")
+Q0_NOTE = re.compile(r"WARNING: q0 is off unit norm by \S+; normalizing")
 
 
 @settings(max_examples=30, deadline=None)
@@ -569,7 +591,7 @@ FUZZ_LINE = st.sampled_from([k for k in _DEFAULTS if k != "out_dir"] + ["wingspa
 @given(lines=st.lists(FUZZ_LINE, min_size=1, max_size=6))
 def test_any_config_text_ends_in_a_documented_exit_code(lines):
     # exit 0, 2 or 3 and no exception; "config error:" on stderr exactly for 2; both CSVs for 0 and 3, none
-    # for 2; the only warning is parse_config's note on normalizing an off-unit q0
+    # for 2; nothing warns, and every stderr line is a config error, the early-stop line or the q0 note
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -584,4 +606,6 @@ def test_any_config_text_ends_in_a_documented_exit_code(lines):
         assert csvs == []
     else:
         assert len(csvs) == 2 and csvs == [csvs[0], csvs[0].replace("_errors.csv", "_trajectory.csv")], csvs
-    assert all(str(w.message).startswith("q0 is off unit norm") for w in caught), [str(w.message) for w in caught]
+    assert not caught, [str(w.message) for w in caught]
+    for line in err.getvalue().splitlines():
+        assert line.startswith("config error: ") or WARNING_LINE.fullmatch(line) or Q0_NOTE.fullmatch(line), line

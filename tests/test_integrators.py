@@ -67,6 +67,11 @@ def test_solver_config_validation():
     for bad in (dict(h=0.0), dict(h=-1.0), dict(h=0.01, max_iter=0), dict(h=0.01, residual_tol=0.0)):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
+    # a non-finite h or residual_tol would give a run of NaN times, or Newton iterations that stop at once
+    for value in (np.inf, np.nan, -np.inf):
+        for field in ("h", "residual_tol"):
+            with pytest.raises(ValueError, match=rf"SolverConfig\.{field} must be positive and finite"):
+                SolverConfig(**{"h": 0.01, field: value})
 
 
 def diag3(d):

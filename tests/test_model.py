@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -76,9 +77,14 @@ def test_coefficient_set_validation():
     c = CoefficientSet(a_xx=2.0, A_xw=0.0, A_ww=3.0)  # scalars promote to Id multiples
     assert_allclose(c.a_xx, 2.0 * np.eye(3), atol=0.0)
     assert spd_by_schur(c)
-    for m in (0.0, -1.0):
-        with pytest.raises(ValueError, match="positive"):
+    for m in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match=r"RigidParams\.m must be positive"):
             RigidParams(m=m, c=np.zeros(3), I_ref=1.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=r"RigidParams\.c has non-finite"):
+            RigidParams(m=1.0, c=[0.0, bad, 0.0], I_ref=1.0)
+        with pytest.raises(ValueError, match=r"RigidParams\.I_ref has non-finite"):
+            RigidParams(m=1.0, c=np.zeros(3), I_ref=np.diag([1.0, bad, 1.0]))
 
 
 def test_coefficient_set_add_and_inverse():
@@ -180,8 +186,7 @@ def test_elimination_blocks_match_references_at_every_scale():
 
 def test_nan_in_a_zero_translational_block_is_non_finite_not_singular():
     # the scaling divisor is the largest |entry|, which max() finds past a NaN as 0
-    with np.errstate(invalid="ignore"):  # the symmetry check subtracts NaNs
-        c = CoefficientSet(a_xx=[[0.0, np.nan, 0.0], [np.nan, 0.0, 0.0], [0.0, 0.0, 0.0]], A_xw=0.0, A_ww=1.0)
+    c = CoefficientSet(a_xx=[[0.0, np.nan, 0.0], [np.nan, 0.0, 0.0], [0.0, 0.0, 0.0]], A_xw=0.0, A_ww=1.0)
     with pytest.raises(ValueError, match="non-finite coefficients"):
         c.elimination_blocks
 
@@ -230,8 +235,7 @@ def test_the_cofactor_kernel_is_exact_on_small_integers(m):
 def test_a_bad_diagonal_pivot_stops_the_run_with_its_reason(method, pivot, reason):
     # the rate solve's blocks come from a diagonal a_xx after t = 0.05; an infinite pivot must not
     # give a zero inverse and carry on
-    with np.errstate(invalid="ignore"):  # the symmetry check subtracts an inf from itself
-        bad = CoefficientSet(a_xx=np.diag([4.0, pivot, 4.0]), A_xw=CSET.A_xw, A_ww=CSET.A_ww)
+    bad = CoefficientSet(a_xx=np.diag([4.0, pivot, 4.0]), A_xw=CSET.A_xw, A_ww=CSET.A_ww)
     sched = dataclasses.replace(constant_schedule(CSET), coefficients=lambda t: CSET if t < 0.05 else bad)
     start = BodyState(0.0, identity_quat(), np.zeros(3), np.zeros(3), np.array([1.0, 1.0, 1.0]))
     rec = integrate(start, sched, SolverConfig(h=0.01), method, 0.1)
@@ -240,6 +244,40 @@ def test_a_bad_diagonal_pivot_stops_the_run_with_its_reason(method, pivot, reaso
     with pytest.raises(ValueError, match=reason.split(": ")[-1]) as err:
         bad.elimination_blocks
     assert isinstance(err.value, np.linalg.LinAlgError) == (pivot == 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "negative_inf"])
+def test_a_non_finite_input_is_rejected_or_stops_the_run_without_a_warning(bad):
+    # a value type either names the bad field, or (a coefficient set) lets a run stop on it with its reason;
+    # no numpy RuntimeWarning gets out on the way
+    start = BodyState(0.0, identity_quat(), np.zeros(3), np.zeros(3), np.array([1.0, 1.0, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for make in (
+            lambda: SolverConfig(h=bad),
+            lambda: SolverConfig(h=0.01, residual_tol=bad),
+            lambda: RigidParams(m=bad, c=np.zeros(3), I_ref=1.0),
+            lambda: RigidParams(m=1.0, c=[bad, 0.0, 0.0], I_ref=1.0),
+            lambda: RigidParams(m=1.0, c=np.zeros(3), I_ref=np.diag([1.0, bad, 1.0])),
+            lambda: BodyState(bad, identity_quat(), np.zeros(3), np.zeros(3), np.zeros(3)),
+        ):
+            with pytest.raises(ValueError):
+                make()
+        fields = dict(a_xx=CSET.a_xx, A_xw=CSET.A_xw, A_ww=CSET.A_ww, a_x=CSET.a_x, a_w=CSET.a_w, a_0=CSET.a_0)
+        for name, value in [(n, np.diag([4.0, bad, 4.0])) for n in ("a_xx", "A_xw", "A_ww")] + [
+            ("a_x", [0.0, bad, 0.0]),
+            ("a_w", [bad, 0.0, 0.0]),
+            ("a_0", bad),
+        ]:
+            cset = CoefficientSet(**{**fields, name: value})
+            later = dataclasses.replace(constant_schedule(CSET), coefficients=lambda t: CSET if t < 0.05 else cset)
+            for sched in (constant_schedule(cset), later):
+                for method in ("left", "mid", "rk"):
+                    try:
+                        rec = integrate(start, sched, SolverConfig(h=0.01), method, 0.1)
+                    except ValueError:
+                        continue
+                    assert rec.truncated and rec.stop_reason, (name, method)
 
 
 def test_body_state_validation():
@@ -255,6 +293,10 @@ def test_body_state_validation():
         vecs[i] = np.array([0.0, np.inf, 0.0])
         with pytest.raises(ValueError, match=rf"BodyState\.{name} has non-finite"):
             BodyState(0.0, identity_quat(), *vecs)
+    for t in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=r"BodyState\.t has non-finite"):
+            BodyState(t, identity_quat(), np.zeros(3), np.zeros(3), np.zeros(3))
+    assert type(BodyState(np.float32(0.5), identity_quat(), np.zeros(3), np.zeros(3), np.zeros(3)).t) is float
 
 
 def test_kinetic_energy_fixture_value():
