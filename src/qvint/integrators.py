@@ -20,13 +20,15 @@ construction, and a step carries the translational momentum it received forward
 unchanged. Each scheme's residual (residual_left, residual_mid) and its exact
 derivative (jacobian_left, jacobian_mid) wrap one balance evaluation
 (_left_eval, _mid_eval): Newton calls it once per iterate and the Jacobian
-reuses its terms. mid's balance and its Jacobian are single flat float kernels
-in the operand order of the composed helpers (_rotate_f, _mv, _mm, _cx, _skew):
-records keep every bit, as the Jacobian drops only products with a skew matrix's
-zeros. A classical RK4 baseline on the momentum form of the equations of motion
-is included for accuracy comparisons; it is not structure preserving, but it
-shares their elimination blocks (velocity recovery) and _advance (orientation
-update).
+reuses its terms. A classical RK4 baseline on the momentum form of the equations
+of motion is included for accuracy comparisons; it is not structure preserving,
+but it shares their elimination blocks (velocity recovery, _velocities) and
+_advance (orientation update). Each scheme's balance, its Jacobian and left's
+setup, and rk's velocity recovery and stage rate (_rk_rate), are single flat
+float kernels in the operand order of the composed helpers (_rotate_f, _mv, _mm,
+_cx, _skew): records keep every bit, as the Jacobians (with left's constant part
+K0) drop only products with a skew matrix's zeros, which can change only the
+sign of a zero entry.
 
 A run is a chain of StepResult links on Python floats: seed_step makes the first
 from the initial BodyState, each stepper takes the previous link and returns the
@@ -50,7 +52,7 @@ import numpy as np
 
 from .diagnostics import TrajectoryRecord
 from .model import BodyState, CoefficientSet, MorphingSchedule, RigidParams, _adjugate, _canonical_f, _cx
-from .model import _energy_momenta, _mm, _mv, _skew
+from .model import _energy_momenta, _mv
 from .quat import _exp_f, _mul_f, _right_jacobian, _rotate_f
 
 Array = np.ndarray
@@ -222,11 +224,21 @@ def _blocks(c: CoefficientSet) -> tuple:
 
 
 def _velocities(c: CoefficientSet, d) -> tuple[Vec3, Vec3]:
-    """(xdot, omega) with momenta M v + a = d = (D1, D2): omega = S^-1 (D2 - a_w - P e), xdot = Mxx^-1 e + X omega."""
-    mi, xc, _, p, a_x, a_w = _blocks(c)
-    e = [u - v for u, v in zip(d, a_x)]
-    om = _mv(c.schur_inverse, [u - v - w for u, v, w in zip(d[3:], a_w, _mv(p, e))])
-    return tuple([u + v for u, v in zip(_mv(mi, e), _mv(xc, om))]), om
+    """(xdot, omega) with momenta M v + a = d = (D1, D2): omega = S^-1 (D2 - a_w - P e), xdot = Mxx^-1 e + X omega,
+    e = D1 - a_x."""
+    (m0, m1, m2, m3, m4, m5, m6, m7, m8), (c0, c1, c2, c3, c4, c5, c6, c7, c8), _, p, a_x, a_w = _blocks(c)
+    i0, i1, i2, i3, i4, i5, i6, i7, i8 = c.schur_inverse  # after _blocks, whose failure comes first
+    (p0, p1, p2, p3, p4, p5, p6, p7, p8), (d0, d1, d2, d3, d4, d5) = p, d
+    e0, e1, e2 = d0 - a_x[0], d1 - a_x[1], d2 - a_x[2]
+    f0 = d3 - a_w[0] - (p0 * e0 + p1 * e1 + p2 * e2)
+    f1 = d4 - a_w[1] - (p3 * e0 + p4 * e1 + p5 * e2)
+    f2 = d5 - a_w[2] - (p6 * e0 + p7 * e1 + p8 * e2)
+    w0, w1, w2 = i0 * f0 + i1 * f1 + i2 * f2, i3 * f0 + i4 * f1 + i5 * f2, i6 * f0 + i7 * f1 + i8 * f2
+    return (
+        m0 * e0 + m1 * e1 + m2 * e2 + (c0 * w0 + c1 * w1 + c2 * w2),
+        m3 * e0 + m4 * e1 + m5 * e2 + (c3 * w0 + c4 * w1 + c5 * w2),
+        m6 * e0 + m7 * e1 + m8 * e2 + (c6 * w0 + c7 * w1 + c8 * w2),
+    ), (w0, w1, w2)
 
 
 def _advance(q, omega, h: float) -> tuple[float, float, float, float]:
@@ -283,30 +295,62 @@ def _force(sched: MorphingSchedule, t: float, *state) -> list[float]:
 
 
 def _left_setup(q_k, c_k: CoefficientSet, h: float, carried) -> tuple:
-    """The omega-independent terms of residual_left; g1 = b = R(q_k)^T carried_x is fixed."""
+    """The omega-independent terms of residual_left; g1 = b = R(q_k)^T carried_x is fixed.
+
+    (b, Mxx^-1 (b - a_x), P (b - a_x) + a_w, carried_w, X, S, K0 = S - h b^ X, h, h/2): K0 is the
+    Jacobian's constant part, formed without the products with a zero of b^.
+    """
     mi, xc, s, p, a_x, a_w = _blocks(c_k)
-    w, x, y, z = q_k
-    b, c_w = _rotate_f((w, -x, -y, -z), carried[:3]), carried[3:]
-    d = (b[0] - a_x[0], b[1] - a_x[1], b[2] - a_x[2])
-    g20 = [u + v for u, v in zip(_mv(p, d), a_w)]
-    k0 = [u - h * v for u, v in zip(s, _mm(_skew(b), xc))]  # the Jacobian's constant part
-    return b, _mv(mi, d), g20, c_w, xc, s, k0, h
+    (m0, m1, m2, m3, m4, m5, m6, m7, m8), (p0, p1, p2, p3, p4, p5, p6, p7, p8), (aw0, aw1, aw2) = mi, p, a_w
+    (c0, c1, c2, c3, c4, c5, c6, c7, c8), (s0, s1, s2, s3, s4, s5, s6, s7, s8) = xc, s
+    (w, x, y, z), (vx, vy, vz, *c_w) = q_k, carried
+    x, y, z = -x, -y, -z  # b = R(q_k)^T carried_x rotates by the conjugate
+    tx, ty, tz = 2.0 * (y * vz - z * vy), 2.0 * (z * vx - x * vz), 2.0 * (x * vy - y * vx)
+    b0, b1, b2 = vx + w * tx + y * tz - z * ty, vy + w * ty + z * tx - x * tz, vz + w * tz + x * ty - y * tx
+    d0, d1, d2 = b0 - a_x[0], b1 - a_x[1], b2 - a_x[2]
+    return (
+        (b0, b1, b2),
+        (m0 * d0 + m1 * d1 + m2 * d2, m3 * d0 + m4 * d1 + m5 * d2, m6 * d0 + m7 * d1 + m8 * d2),
+        (p0 * d0 + p1 * d1 + p2 * d2 + aw0, p3 * d0 + p4 * d1 + p5 * d2 + aw1, p6 * d0 + p7 * d1 + p8 * d2 + aw2),
+        c_w,
+        xc,
+        s,
+        (
+            s0 - h * (b1 * c6 - b2 * c3), s1 - h * (b1 * c7 - b2 * c4), s2 - h * (b1 * c8 - b2 * c5),
+            s3 - h * (b2 * c0 - b0 * c6), s4 - h * (b2 * c1 - b0 * c7), s5 - h * (b2 * c2 - b0 * c8),
+            s6 - h * (b0 * c3 - b1 * c0), s7 - h * (b0 * c4 - b1 * c1), s8 - h * (b0 * c5 - b1 * c2),
+        ),
+        h,
+        0.5 * h,
+    )  # fmt: skip
 
 
 def _left_eval(k: tuple, w: Vec3) -> tuple[list[float], tuple[Vec3, Vec3]]:
     """residual_left at omega = w from _left_setup's terms, and (xdot, g2) for the Jacobian and the step."""
-    b, x0, g20, c_w, xc, s, _, h = k
-    u, v = _mv(xc, w), _mv(s, w)
-    xd = (x0[0] + u[0], x0[1] + u[1], x0[2] + u[2])
-    g2 = (g20[0] + v[0], g20[1] + v[1], g20[2] + v[2])
-    m, n = _cx(w, g2), _cx(xd, b)
-    return [g2[i] + 0.5 * h * m[i] + h * n[i] - c_w[i] for i in range(3)], (xd, g2)
+    (b0, b1, b2), (x0, x1, x2), (g0, g1, g2), (e0, e1, e2), xc, s, _, h, hh = k
+    (c0, c1, c2, c3, c4, c5, c6, c7, c8), (s0, s1, s2, s3, s4, s5, s6, s7, s8), (w0, w1, w2) = xc, s, w
+    x0 += c0 * w0 + c1 * w1 + c2 * w2  # xdot = Mxx^-1 (b - a_x) + X w
+    x1 += c3 * w0 + c4 * w1 + c5 * w2
+    x2 += c6 * w0 + c7 * w1 + c8 * w2
+    g0 += s0 * w0 + s1 * w1 + s2 * w2  # g2 = P (b - a_x) + a_w + S w
+    g1 += s3 * w0 + s4 * w1 + s5 * w2
+    g2 += s6 * w0 + s7 * w1 + s8 * w2
+    return [
+        g0 + hh * (w1 * g2 - w2 * g1) + h * (x1 * b2 - x2 * b1) - e0,
+        g1 + hh * (w2 * g0 - w0 * g2) + h * (x2 * b0 - x0 * b2) - e1,
+        g2 + hh * (w0 * g1 - w1 * g0) + h * (x0 * b1 - x1 * b0) - e2,
+    ], ((x0, x1, x2), (g0, g1, g2))
 
 
 def _left_jacobian(k: tuple, w: Vec3, terms: tuple[Vec3, Vec3]) -> list[float]:
-    """jacobian_left from the terms of _left_eval at w."""
-    s, k0, hh = k[5], k[6], 0.5 * k[7]
-    return [u + hh * (v - g) for u, v, g in zip(k0, _mm(_skew(w), s), _skew(terms[1]))]
+    """jacobian_left from the terms of _left_eval at w; products with a zero of a skew matrix are left out."""
+    (s0, s1, s2, s3, s4, s5, s6, s7, s8), (k0, k1, k2, k3, k4, k5, k6, k7, k8), hh = k[5], k[6], k[8]
+    (w0, w1, w2), (g0, g1, g2) = w, terms[1]
+    return [
+        k0 + hh * (w1 * s6 - w2 * s3), k1 + hh * (w1 * s7 - w2 * s4 + g2), k2 + hh * (w1 * s8 - w2 * s5 - g1),
+        k3 + hh * (w2 * s0 - w0 * s6 - g2), k4 + hh * (w2 * s1 - w0 * s7), k5 + hh * (w2 * s2 - w0 * s8 + g0),
+        k6 + hh * (w0 * s3 - w1 * s0 + g1), k7 + hh * (w0 * s4 - w1 * s1 - g0), k8 + hh * (w0 * s5 - w1 * s2),
+    ]  # fmt: skip
 
 
 def residual_left(q_k: Array, omega: Array, c_k: CoefficientSet, h: float, carried: Sequence[float]) -> Array:
@@ -468,41 +512,46 @@ def step_mid(prev: StepResult, sched: MorphingSchedule, cfg: SolverConfig, scale
 # explicit RK4 baseline on the momentum form
 
 
+def _rk_rate(sched: MorphingSchedule, c: CoefficientSet, t_s: float, q_s, x_s, d) -> tuple[Vec3, Vec3, list[float]]:
+    """step_rk_baseline's rates at a stage (t_s, q_s, x_s, d = (D1, D2)) under set c: omega, R(q_s) xdot and d's."""
+    xd, om = _velocities(c, d)
+    (x0, x1, x2), (w0, w1, w2), (d0, d1, d2, d3, d4, d5) = xd, om, d
+    dd = [
+        -(w1 * d2 - w2 * d1), -(w2 * d0 - w0 * d2), -(w0 * d1 - w1 * d0),
+        -(w1 * d5 - w2 * d4) - (x1 * d2 - x2 * d1), -(w2 * d3 - w0 * d5) - (x2 * d0 - x0 * d2),
+        -(w0 * d4 - w1 * d3) - (x0 * d1 - x1 * d0),
+    ]  # fmt: skip
+    if not sched.force_free:
+        f = _force(sched, t_s, q_s, x_s, xd, om)
+        b = _rotate_f((q_s[0], -q_s[1], -q_s[2], -q_s[3]), f[:3])
+        dd = [dd[0] + b[0], dd[1] + b[1], dd[2] + b[2], dd[3] + f[3], dd[4] + f[4], dd[5] + f[5]]
+    return om, _rotate_f(q_s, xd), dd
+
+
 def step_rk_baseline(prev: StepResult, sched: MorphingSchedule, h: float) -> StepResult:
     """One classical RK4 step on the body-frame momentum equations, on Python floats.
 
     d/dt D1 = -omega x D1 + f on body axes, d/dt D2 = -omega x D2 - xdot x D1 + tau.
-    Each stage recovers its velocities with _velocities and advances orientation from
-    prev.q by _advance at its rate; prev.coeffs is the coefficient set at prev.t.
+    Each stage (_rk_rate) recovers its velocities with _velocities and advances orientation
+    from prev.q by _advance at its rate; prev.coeffs is the coefficient set at prev.t.
     Under a force each stage probes it once at its own state, and F is rotated to body axes.
     """
     t, q0, x0 = prev.t, prev.q, prev.x_e
     c_half, c_end = _coefficients(sched, t + 0.5 * h), _coefficients(sched, t + h)
-    d0 = [v for d in _energy_momenta(prev.coeffs._flat, prev.xdot_b, prev.omega_b)[1:] for v in d]
-
-    def rate(q_s, x_s, d, c, t_s):
-        """Stage rate omega and the rates of x and d = (D1, D2)."""
-        xd, om = _velocities(c, d)
-        m, n, o = _cx(om, d[:3]), _cx(om, d[3:]), _cx(xd, d[:3])
-        dd = [-m[0], -m[1], -m[2], -n[0] - o[0], -n[1] - o[1], -n[2] - o[2]]
-        if not sched.force_free:
-            f = _force(sched, t_s, q_s, x_s, xd, om)
-            dd = [u + v for u, v in zip(dd, (*_rotate_f((q_s[0], -q_s[1], -q_s[2], -q_s[3]), f[:3]), *f[3:]))]
-        return om, _rotate_f(q_s, xd), dd
-
-    k = [rate(q0, x0, d0, prev.coeffs, t)]
+    _, d1, d2 = _energy_momenta(prev.coeffs._flat, prev.xdot_b, prev.omega_b)
+    d0 = d1 + d2
+    (y0, y1, y2), (m0, m1, m2, m3, m4, m5) = x0, d0
+    k = [_rk_rate(sched, prev.coeffs, t, q0, x0, d0)]
     for a, c in ((0.5, c_half), (0.5, c_half), (1.0, c_end)):
-        om, dx, dd = k[-1]
-        x_s, d_s = [u + a * h * v for u, v in zip(x0, dx)], [u + a * h * v for u, v in zip(d0, dd)]
-        k.append(rate(_advance(q0, om, a * h), x_s, d_s, c, t + a * h))
+        (om, (v0, v1, v2), (e0, e1, e2, e3, e4, e5)), ah = k[-1], a * h
+        x_s = [y0 + ah * v0, y1 + ah * v1, y2 + ah * v2]
+        d_s = [m0 + ah * e0, m1 + ah * e1, m2 + ah * e2, m3 + ah * e3, m4 + ah * e4, m5 + ah * e5]
+        k.append(_rk_rate(sched, c, t + ah, _advance(q0, om, ah), x_s, d_s))
 
-    def weighted(i):
-        return [p + 2.0 * q + 2.0 * r + s for p, q, r, s in zip(*[ki[i] for ki in k])]
-
-    sixth = h / 6.0
-    xd, om = _velocities(c_end, [u + sixth * v for u, v in zip(d0, weighted(2))])
-    x_new = tuple([u + sixth * v for u, v in zip(x0, weighted(1))])
-    q_new = _advance(q0, [w / 6.0 for w in weighted(0)], h)
+    (w, v, e), sixth = zip(*k), h / 6.0  # the stages' rates of omega, x and d
+    xd, om = _velocities(c_end, [u + sixth * (p + 2.0 * q + 2.0 * r + s) for u, p, q, r, s in zip(d0, *e)])
+    x_new = tuple([u + sixth * (p + 2.0 * q + 2.0 * r + s) for u, p, q, r, s in zip(x0, *v)])
+    q_new = _advance(q0, [(p + 2.0 * q + 2.0 * r + s) / 6.0 for p, q, r, s in zip(*w)], h)
     return _link(t + h, q_new, x_new, xd, om, None, None, (q_new, xd, om), c_end, 0, 0.0, True)
 
 

@@ -313,6 +313,9 @@ class RigidParams:
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"RigidParams.{name} has non-finite components")
         _check_symmetric(self.I_ref, "I_ref")
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows as a non-finite entry
+            if not (np.isfinite(self.m * self.c).all() and np.isfinite(self.com_inertia()).all()):
+                raise ValueError("RigidParams.c makes m c or the inertia about the center of mass non-finite")
 
     def com_inertia(self) -> Array:
         """Inertia tensor about the center of mass (parallel axis theorem)."""

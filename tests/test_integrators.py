@@ -41,7 +41,8 @@ from qvint.integrators import (
     step_mid,
     step_rk_baseline,
 )
-from qvint.model import _canonical_f, _cx, _mm, _mv, _skew, canonical_momenta, point_mass_coefficients, rigid_coefficients
+from qvint.model import _canonical_f, _cx, _energy_momenta, _mm, _mv, _skew, canonical_momenta
+from qvint.model import point_mass_coefficients, rigid_coefficients
 from qvint.quat import _exp_f, _right_jacobian, _rotate_f, exp_map, quat_mul
 
 RNG = np.random.default_rng(61103)
@@ -326,23 +327,107 @@ def composed_mid_jacobian(k, w, terms):
     ]
 
 
+# test-side oracles of the flat left and rk kernels: _left_setup, _left_eval, _left_jacobian, _velocities,
+# _rk_rate and step_rk_baseline composed from the float helpers, on the flat kernels' setup layout
+
+
+def composed_left_setup(q_k, c_k, h, carried):
+    mi, xc, s, p, a_x, a_w = integrators._blocks(c_k)
+    w, x, y, z = q_k
+    b, c_w = _rotate_f((w, -x, -y, -z), carried[:3]), carried[3:]
+    d = (b[0] - a_x[0], b[1] - a_x[1], b[2] - a_x[2])
+    g20 = [u + v for u, v in zip(_mv(p, d), a_w)]
+    k0 = [u - h * v for u, v in zip(s, _mm(_skew(b), xc))]
+    return b, _mv(mi, d), g20, c_w, xc, s, k0, h, 0.5 * h
+
+
+def composed_left_eval(k, w):
+    b, x0, g20, c_w, xc, s, _, h, _ = k
+    u, v = _mv(xc, w), _mv(s, w)
+    xd = (x0[0] + u[0], x0[1] + u[1], x0[2] + u[2])
+    g2 = (g20[0] + v[0], g20[1] + v[1], g20[2] + v[2])
+    m, n = _cx(w, g2), _cx(xd, b)
+    return [g2[i] + 0.5 * h * m[i] + h * n[i] - c_w[i] for i in range(3)], (xd, g2)
+
+
+def composed_left_jacobian(k, w, terms):
+    s, k0, hh = k[5], k[6], 0.5 * k[7]
+    return [u + hh * (v - g) for u, v, g in zip(k0, _mm(_skew(w), s), _skew(terms[1]))]
+
+
+def composed_velocities(c, d):
+    mi, xc, _, p, a_x, a_w = integrators._blocks(c)
+    e = [u - v for u, v in zip(d, a_x)]
+    om = _mv(c.schur_inverse, [u - v - w for u, v, w in zip(d[3:], a_w, _mv(p, e))])
+    return tuple([u + v for u, v in zip(_mv(mi, e), _mv(xc, om))]), om
+
+
+def composed_rk_rate(sched, c, t_s, q_s, x_s, d):
+    xd, om = composed_velocities(c, d)
+    m, n, o = _cx(om, d[:3]), _cx(om, d[3:]), _cx(xd, d[:3])
+    dd = [-m[0], -m[1], -m[2], -n[0] - o[0], -n[1] - o[1], -n[2] - o[2]]
+    if not sched.force_free:
+        f = integrators._force(sched, t_s, q_s, x_s, xd, om)
+        dd = [u + v for u, v in zip(dd, (*_rotate_f((q_s[0], -q_s[1], -q_s[2], -q_s[3]), f[:3]), *f[3:]))]
+    return om, _rotate_f(q_s, xd), dd
+
+
+def composed_step_rk(prev, sched, h):
+    t, q0, x0 = prev.t, prev.q, prev.x_e
+    c_half, c_end = integrators._coefficients(sched, t + 0.5 * h), integrators._coefficients(sched, t + h)
+    d0 = [v for d in _energy_momenta(prev.coeffs._flat, prev.xdot_b, prev.omega_b)[1:] for v in d]
+    k = [composed_rk_rate(sched, prev.coeffs, t, q0, x0, d0)]
+    for a, c in ((0.5, c_half), (0.5, c_half), (1.0, c_end)):
+        om, dx, dd = k[-1]
+        x_s, d_s = [u + a * h * v for u, v in zip(x0, dx)], [u + a * h * v for u, v in zip(d0, dd)]
+        k.append(composed_rk_rate(sched, c, t + a * h, integrators._advance(q0, om, a * h), x_s, d_s))
+
+    def weighted(i):
+        return [p + 2.0 * q + 2.0 * r + s for p, q, r, s in zip(*[ki[i] for ki in k])]
+
+    sixth = h / 6.0
+    xd, om = composed_velocities(c_end, [u + sixth * v for u, v in zip(d0, weighted(2))])
+    x_new = tuple([u + sixth * v for u, v in zip(x0, weighted(1))])
+    q_new = integrators._advance(q0, [w / 6.0 for w in weighted(0)], h)
+    return integrators._link(t + h, q_new, x_new, xd, om, None, None, (q_new, xd, om), c_end, 0, 0.0, True)
+
+
 def float_bits(values):
     """The bit patterns of nested tuples and lists of floats, so that a zero's sign counts."""
     return [float_bits(v) if isinstance(v, (tuple, list)) else float.hex(v) for v in values]
 
 
-@settings(max_examples=300, deadline=None)
-@given(
+KERNEL_INPUTS = dict(
     q=floats(-1.0, 1.0, 4).filter(lambda q: np.linalg.norm(q) > 0.1),
     omega=floats(-3.0, 3.0, 3),
     carried=floats(-10.0, 10.0, 6),
     h=st.floats(1e-3, 0.5),
     t=st.one_of(st.none(), st.floats(0.0, 2.0 * np.pi)),
+    full=st.booleans(),
 )
-def test_flat_mid_kernels_return_the_composed_floats(q, omega, carried, h, t):
+# added to a kernel test's set, so that no block entry, a_x or a_w is zero and every operand order shows
+FULL = CoefficientSet(
+    a_xx=[[0.4, 0.03, -0.02], [0.03, 0.5, 0.01], [-0.02, 0.01, 0.3]],
+    A_xw=[[0.1, 0.63, -0.04], [-0.59, 0.2, 0.07], [0.03, -0.08, 0.05]],
+    A_ww=[[0.2, 0.01, -0.03], [0.01, 0.3, 0.02], [-0.03, 0.02, 0.4]],
+    a_x=(0.3, -0.2, 0.1),
+    a_w=(-0.1, 0.4, 0.25),
+    a_0=0.7,
+)
+
+
+def kernel_set(t, full):
+    """The free body (t None) or the damped morphing set at t, plus FULL if full."""
+    c = CSET if t is None else MORPHING.coefficients(t)
+    return c + FULL if full else c
+
+
+@settings(max_examples=300, deadline=None)
+@given(**KERNEL_INPUTS)
+def test_flat_mid_kernels_return_the_composed_floats(q, omega, carried, h, t, full):
     # the residual and its terms equal the composed form bit for bit; the Jacobian leaves out the
     # products with a skew matrix's zeros, so only the sign of a zero entry may differ there
-    c = CSET if t is None else MORPHING.coefficients(t)
+    c = kernel_set(t, full)
     k = integrators._mid_setup((q / np.linalg.norm(q)).tolist(), c, h, carried.tolist())
     w = tuple(omega.tolist())
     r, terms = integrators._mid_eval(k, w)
@@ -351,19 +436,100 @@ def test_flat_mid_kernels_return_the_composed_floats(q, omega, carried, h, t):
     assert integrators._mid_jacobian(k, w, terms) == composed_mid_jacobian(k, w, terms)
 
 
-@pytest.mark.parametrize("sched,rp", [(SCHED, RP), (MORPHING, None)], ids=["free_body_rigid", "damped_morphing"])
-def test_mid_runs_with_the_composed_kernels_give_the_same_record(sched, rp, monkeypatch):
-    # 300 steps of mid on the flat kernels and on the composed ones: every record column, newton_iters too
-    start = BodyState(0.0, identity_quat(), np.zeros(3), np.array([0.3, 0.0, 0.1]), np.array([1.0, 1.0, 1.0]))
-    rec = integrate(start, sched, CFG, "mid", 3.0, rigid_params=rp)
-    monkeypatch.setattr(integrators, "_mid_eval", composed_mid_eval)
-    monkeypatch.setattr(integrators, "_mid_jacobian", composed_mid_jacobian)
-    want = integrate(start, sched, CFG, "mid", 3.0, rigid_params=rp)
-    assert len(rec) == len(want) == 301 and not rec.truncated and not want.truncated
+@settings(max_examples=300, deadline=None)
+@given(**KERNEL_INPUTS)
+def test_flat_left_kernels_return_the_composed_floats(q, omega, carried, h, t, full):
+    # the setup, the residual and its terms equal the composed form bit for bit; K0 (the Jacobian's
+    # constant part) and the Jacobian leave out the products with a skew matrix's zeros, so only the
+    # sign of a zero entry may differ there (float == ignores it)
+    c = kernel_set(t, full)
+    args = ((q / np.linalg.norm(q)).tolist(), c, h, carried.tolist())
+    k, want_k = integrators._left_setup(*args), composed_left_setup(*args)
+    assert float_bits(k[:6] + k[7:]) == float_bits(want_k[:6] + want_k[7:])
+    assert list(k[6]) == list(want_k[6])
+    w = tuple(omega.tolist())
+    r, terms = integrators._left_eval(k, w)
+    assert float_bits([r, terms]) == float_bits(composed_left_eval(k, w))
+    assert integrators._left_jacobian(k, w, terms) == composed_left_jacobian(k, w, terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    q=KERNEL_INPUTS["q"],
+    x=floats(-5.0, 5.0, 3),
+    d=floats(-10.0, 10.0, 6),
+    t=KERNEL_INPUTS["t"],
+    full=KERNEL_INPUTS["full"],
+    forced=st.booleans(),
+)
+def test_flat_rk_kernels_return_the_composed_floats(q, x, d, t, full, forced):
+    # velocity recovery and the stage rates, with and without a force, bit for bit
+    c = kernel_set(t, full)
+    d = d.tolist()
+    assert float_bits(integrators._velocities(c, d)) == float_bits(composed_velocities(c, d))
+    args = (MORPHING if forced else SCHED, c, t or 0.0, (q / np.linalg.norm(q)).tolist(), x.tolist(), d)
+    assert float_bits(integrators._rk_rate(*args)) == float_bits(composed_rk_rate(*args))
+
+
+def assert_same_record_bits(rec, want):
+    """Every float column of two records bit for bit (a zero's sign counts), P_x and P_w when present,
+    and newton_iters, truncated and stop_reason."""
+    assert (rec.P_x is None) == (want.P_x is None)
     names = ["t", "q", "x_e", "xdot_b", "omega_b", "energy", "p_x", "p_w", "newton_iters"]
-    for name in names + (["P_x", "P_w"] if rp is not None else []):
+    for name in names + (["P_x", "P_w"] if want.P_x is not None else []):
         got, ref = getattr(rec, name), getattr(want, name)
-        assert np.array_equal(got, ref) and got.tobytes() == ref.tobytes(), name  # bit for bit: a zero's sign counts
+        assert got.dtype == ref.dtype and got.shape == ref.shape, name
+        assert np.array_equal(got, ref) and got.tobytes() == ref.tobytes(), name
+    assert (rec.truncated, rec.stop_reason) == (want.truncated, want.stop_reason)
+
+
+RUN_CASES = ["free_body_rigid", "free_body", "damped_morphing", "force_free_morphing", "zero_sign_flip"]
+
+
+def run_case(name):
+    """(start, schedule, rigid_params) of a whole-run identity test; zero_sign_flip starts at omega = -0 on a
+    schedule whose a_w flips the sign of a zero each step."""
+    if name == "zero_sign_flip":
+        start = BodyState(0.0, identity_quat(), np.zeros(3), np.zeros(3), np.full(3, -0.0))
+        return start, fresh_sets(a_w_flips_the_sign_of_a_zero), None
+    start = BodyState(0.0, identity_quat(), np.zeros(3), np.array([0.3, 0.0, 0.1]), np.array([1.0, 1.0, 1.0]))
+    scheds = {"free_body_rigid": (SCHED, RP), "free_body": (SCHED, None), "damped_morphing": (MORPHING, None)}
+    scheds["force_free_morphing"] = (preset_morphing(damping=False), None)
+    return start, *scheds[name]
+
+
+COMPOSED = {
+    "mid": {"_mid_eval": composed_mid_eval, "_mid_jacobian": composed_mid_jacobian},
+    "left": {
+        "_left_setup": composed_left_setup,
+        "_left_eval": composed_left_eval,
+        "_left_jacobian": composed_left_jacobian,
+    },
+    # the composed step recovers velocities and stage rates with the composed forms too
+    "rk": {"step_rk_baseline": composed_step_rk},
+}
+
+
+def assert_composed_kernels_give_the_same_record(method, case, monkeypatch):
+    # 300 steps on the flat kernels and on the composed ones: every record column, newton_iters too
+    start, sched, rp = run_case(case)
+    rec = integrate(start, sched, CFG, method, 3.0, rigid_params=rp)
+    for name, fn in COMPOSED[method].items():
+        monkeypatch.setattr(integrators, name, fn)
+    want = integrate(start, sched, CFG, method, 3.0, rigid_params=rp)
+    assert len(rec) == len(want) == 301 and not rec.truncated and not want.truncated
+    assert_same_record_bits(rec, want)
+
+
+@pytest.mark.parametrize("case", RUN_CASES)
+def test_mid_runs_with_the_composed_kernels_give_the_same_record(case, monkeypatch):
+    assert_composed_kernels_give_the_same_record("mid", case, monkeypatch)
+
+
+@pytest.mark.parametrize("case", RUN_CASES)
+@pytest.mark.parametrize("method", ["left", "rk"])
+def test_left_and_rk_runs_with_the_composed_kernels_give_the_same_record(method, case, monkeypatch):
+    assert_composed_kernels_give_the_same_record(method, case, monkeypatch)
 
 
 # test-side oracles: the full 6-component balances and outgoing momenta in the

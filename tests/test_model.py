@@ -87,6 +87,28 @@ def test_coefficient_set_validation():
             RigidParams(m=1.0, c=np.zeros(3), I_ref=np.diag([1.0, bad, 1.0]))
 
 
+@pytest.mark.parametrize(
+    "m, c",
+    [(1.0, [1e200, 0.0, 0.0]), (1e200, [0.0, 1e200, 0.0]), (1e300, [0.0, 0.0, 1e5])],
+    ids=["c_c", "m_c", "m_c_c"],
+)
+def test_rigid_params_rejects_a_body_whose_products_overflow(m, c):
+    # finite fields whose |c|^2, m c or m |c|^2 overflow; with warnings as errors (pyproject.toml) a numpy
+    # overflow in the check would surface as a RuntimeWarning, not as this ValueError
+    with pytest.raises(ValueError, match=r"RigidParams\.c makes m c or the inertia about the center of mass"):
+        RigidParams(m=m, c=c, I_ref=1.0)
+
+
+def test_a_rigid_body_near_the_float_range_runs_without_a_warning():
+    # |c|^2 = 2e300 and m c stay finite: the body is kept, and its physical momentum columns are finite
+    rp = RigidParams(m=1.0, c=[1e150, 1e150, 0.0], I_ref=1.0)
+    start = BodyState(0.0, identity_quat(), np.zeros(3), np.zeros(3), np.array([1.0, 1.0, 1.0]))
+    assert np.isfinite(rigid_coefficients(rp).A_xw).all()
+    for method in ("left", "mid", "rk"):
+        rec = integrate(start, constant_schedule(CSET), SolverConfig(h=0.01), method, 0.05, rigid_params=rp)
+        assert not rec.truncated and np.isfinite(rec.P_x).all() and np.isfinite(rec.P_w).all(), method
+
+
 def test_coefficient_set_add_and_inverse():
     c1 = CoefficientSet(a_xx=2.0, A_xw=0.0, A_ww=1.0, a_x=(1, 0, 0), a_0=0.5)
     c2 = CoefficientSet(a_xx=1.0, A_xw=0.0, A_ww=2.0, a_w=(0, 1, 0))
