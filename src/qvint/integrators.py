@@ -30,13 +30,14 @@ _cx, _skew): records keep every bit, as the Jacobians (with left's constant part
 K0) drop only products with a skew matrix's zeros, which can change only the
 sign of a zero entry.
 
-A run is a chain of StepResult links on Python floats: seed_step makes the first
-from the initial BodyState, each stepper takes the previous link and returns the
-next, and integrate keeps each link's state, point and coefficients, evaluates the
-record's conserved quantities from the last two in numpy blocks of 128 rows with
-the float kernels (bit for bit), and stacks the record after the loop. A forced
-schedule's force reads a probe state's floats through _force, once per left or mid
-step and once per rk stage: left and mid add the impulse h (F, torque) to the
+A run is a chain of StepResult links on Python floats, one contract for all three
+methods: a link's history is the momentum the next step starts from (left's and
+mid's outgoing momentum, rk's body-axes momenta) and its coefficients only feed the
+record. seed_step makes the first link, each stepper maps a link to the next, and
+integrate evaluates the record's conserved quantities from each link's point and
+coefficients in numpy blocks of 128 rows with the float kernels (bit for bit). A
+forced schedule's force reads a probe state's floats through _force, once per left
+or mid step and once per rk stage: left and mid add the impulse h (F, torque) to the
 momentum they carry, rk adds (F, torque) to each stage's momentum rates.
 """
 
@@ -97,15 +98,15 @@ class NewtonResult(NamedTuple):
 class StepResult(NamedTuple):
     """One link of a run's chain, on Python floats: the state a step reached, and how.
 
-    t, q, x_e, xdot_b, omega_b are BodyState's fields (for mid, the fresh midpoint's velocities).
-    history (left and mid) is the outgoing momentum of the solved balance, which the next step
-    carries: carried[:3] verbatim, since the reduced solve balances it by construction, and a
-    rotational part from the solve's own terms, so the momentum sum telescopes to the Newton
-    floor. carried is the outgoing momentum plus step impulse the solve balanced (None for rk
-    and the seed). point (orientation, linear and angular velocity) is where the record
-    evaluates the step's conserved quantities, and coeffs is the coefficient set at its time
-    (the new step point for left and rk, the new midpoint for mid); integrate holds the point
-    and coeffs._flat, never the link or the set, until it evaluates their block of rows.
+    t, q, x_e, xdot_b, omega_b are BodyState's fields (for mid, the fresh midpoint's velocities). history is
+    the momentum the next step starts from: for left and mid the outgoing momentum of the solved balance
+    (carried[:3] verbatim, since the reduced solve balances it by construction, and a rotational part from
+    the solve's own terms, so the momentum sum telescopes to the Newton floor); for rk the body-axes momenta
+    (D1, D2) it integrates, which the link's velocities are recovered from. carried is the outgoing momentum
+    plus step impulse the solve balanced (None for rk and the seed). point (orientation, linear and angular
+    velocity) is where the record evaluates the step's conserved quantities, and coeffs is the coefficient
+    set at its time (the new step point for left and rk, the new midpoint for mid). No stepper reads coeffs:
+    integrate holds point and coeffs._flat, never the link or the set, until it evaluates their block of rows.
     """
 
     t: float
@@ -113,7 +114,7 @@ class StepResult(NamedTuple):
     x_e: Vec3
     xdot_b: Vec3
     omega_b: Vec3
-    history: tuple | None
+    history: tuple
     carried: tuple | None
     point: tuple[Quat, Vec3, Vec3]
     coeffs: CoefficientSet
@@ -267,21 +268,25 @@ def _solve_rate(k: tuple, evaluate, jacobian, prev: StepResult, cfg: SolverConfi
     return newton_solve(*bound, prev.omega_b, cfg.residual_tol * scale, cfg.max_iter)
 
 
-def _coefficients(sched: MorphingSchedule, t: float) -> CoefficientSet:
-    """sched.coefficients(t); an Exception other than ValueError becomes a ValueError naming the callback."""
+def _call(name: str, callback, *args):
+    """callback(*args); an Exception other than ValueError becomes a ValueError naming the callback."""
     try:
-        return sched.coefficients(t)
+        return callback(*args)
     except Exception as exc:  # a ValueError keeps its own message
-        raise exc if isinstance(exc, ValueError) else ValueError(f"coefficients raised {type(exc).__name__}: {exc}")
+        raise exc if isinstance(exc, ValueError) else ValueError(f"{name} raised {type(exc).__name__}: {exc}")
+
+
+def _coefficients(sched: MorphingSchedule, t: float) -> CoefficientSet:
+    """sched.coefficients(t), through _call; a result that is no CoefficientSet is a ValueError."""
+    c = _call("coefficients", sched.coefficients, t)
+    if not isinstance(c, CoefficientSet):
+        raise ValueError(f"coefficients returned {type(c).__name__}, not a CoefficientSet")
+    return c
 
 
 def _force(sched: MorphingSchedule, t: float, *state) -> list[float]:
-    """sched.force at (t, q, x_e, xdot_b, omega_b) as six floats: F on earth axes, then the torque on body axes.
-    An Exception other than ValueError from sched.force becomes a ValueError naming the callback."""
-    try:
-        f = sched.force(t, *state)
-    except Exception as exc:  # a ValueError keeps its own message
-        raise exc if isinstance(exc, ValueError) else ValueError(f"force raised {type(exc).__name__}: {exc}")
+    """sched.force at (t, q, x_e, xdot_b, omega_b) through _call, as six floats: F on earth axes, torque body axes."""
+    f = _call("force", sched.force, t, *state)
     try:
         out = [float(v) for v in (*f[0], *f[1])] if len(f) == 2 and len(f[0]) == len(f[1]) == 3 else []
     except (TypeError, ValueError, LookupError):
@@ -512,9 +517,8 @@ def step_mid(prev: StepResult, sched: MorphingSchedule, cfg: SolverConfig, scale
 # explicit RK4 baseline on the momentum form
 
 
-def _rk_rate(sched: MorphingSchedule, c: CoefficientSet, t_s: float, q_s, x_s, d) -> tuple[Vec3, Vec3, list[float]]:
-    """step_rk_baseline's rates at a stage (t_s, q_s, x_s, d = (D1, D2)) under set c: omega, R(q_s) xdot and d's."""
-    xd, om = _velocities(c, d)
+def _rk_rate(sched: MorphingSchedule, t_s: float, q_s, x_s, d, xd: Vec3, om: Vec3) -> tuple[Vec3, Vec3, list[float]]:
+    """The rates at an RK4 stage (t_s, q_s, x_s, d = (D1, D2)) with velocities (xd, om): omega, R(q_s) xdot and d's."""
     (x0, x1, x2), (w0, w1, w2), (d0, d1, d2, d3, d4, d5) = xd, om, d
     dd = [
         -(w1 * d2 - w2 * d1), -(w2 * d0 - w0 * d2), -(w0 * d1 - w1 * d0),
@@ -531,28 +535,27 @@ def _rk_rate(sched: MorphingSchedule, c: CoefficientSet, t_s: float, q_s, x_s, d
 def step_rk_baseline(prev: StepResult, sched: MorphingSchedule, h: float) -> StepResult:
     """One classical RK4 step on the body-frame momentum equations, on Python floats.
 
-    d/dt D1 = -omega x D1 + f on body axes, d/dt D2 = -omega x D2 - xdot x D1 + tau.
-    Each stage (_rk_rate) recovers its velocities with _velocities and advances orientation
-    from prev.q by _advance at its rate; prev.coeffs is the coefficient set at prev.t.
-    Under a force each stage probes it once at its own state, and F is rotated to body axes.
+    d/dt D1 = -omega x D1 + f on body axes, d/dt D2 = -omega x D2 - xdot x D1 + tau. Stage 1 is prev: its history
+    d = (D1, D2) and the velocities recovered from it. Stages 2-4 recover theirs with _velocities and advance q from
+    prev.q by _advance; the new link carries the RK4 update of d and the velocities recovered from it at t + h.
+    Under a force each stage (_rk_rate) probes it once at its own state, and F is rotated to body axes.
     """
-    t, q0, x0 = prev.t, prev.q, prev.x_e
+    t, q0, x0, d0 = prev.t, prev.q, prev.x_e, prev.history
     c_half, c_end = _coefficients(sched, t + 0.5 * h), _coefficients(sched, t + h)
-    _, d1, d2 = _energy_momenta(prev.coeffs._flat, prev.xdot_b, prev.omega_b)
-    d0 = d1 + d2
     (y0, y1, y2), (m0, m1, m2, m3, m4, m5) = x0, d0
-    k = [_rk_rate(sched, prev.coeffs, t, q0, x0, d0)]
+    k = [_rk_rate(sched, t, q0, x0, d0, prev.xdot_b, prev.omega_b)]
     for a, c in ((0.5, c_half), (0.5, c_half), (1.0, c_end)):
         (om, (v0, v1, v2), (e0, e1, e2, e3, e4, e5)), ah = k[-1], a * h
         x_s = [y0 + ah * v0, y1 + ah * v1, y2 + ah * v2]
         d_s = [m0 + ah * e0, m1 + ah * e1, m2 + ah * e2, m3 + ah * e3, m4 + ah * e4, m5 + ah * e5]
-        k.append(_rk_rate(sched, c, t + ah, _advance(q0, om, ah), x_s, d_s))
+        k.append(_rk_rate(sched, t + ah, _advance(q0, om, ah), x_s, d_s, *_velocities(c, d_s)))
 
     (w, v, e), sixth = zip(*k), h / 6.0  # the stages' rates of omega, x and d
-    xd, om = _velocities(c_end, [u + sixth * (p + 2.0 * q + 2.0 * r + s) for u, p, q, r, s in zip(d0, *e)])
+    d_new = tuple([u + sixth * (p + 2.0 * q + 2.0 * r + s) for u, p, q, r, s in zip(d0, *e)])
+    xd, om = _velocities(c_end, d_new)
     x_new = tuple([u + sixth * (p + 2.0 * q + 2.0 * r + s) for u, p, q, r, s in zip(x0, *v)])
     q_new = _advance(q0, [(p + 2.0 * q + 2.0 * r + s) / 6.0 for p, q, r, s in zip(*w)], h)
-    return _link(t + h, q_new, x_new, xd, om, None, None, (q_new, xd, om), c_end, 0, 0.0, True)
+    return _link(t + h, q_new, x_new, xd, om, d_new, None, (q_new, xd, om), c_end, 0, 0.0, True)
 
 
 # run driver
@@ -565,19 +568,14 @@ def seed_step(initial: BodyState, c0: CoefficientSet, method: str, h: float) -> 
     of the initial state, so the quantity the scheme conserves is the true initial
     momentum and the trajectory stays second-order accurate. (Seeding from a virtual
     midpoint shifted by exp((h/4) omega) instead conserves a momentum O(h) away from the
-    true one, which degrades the whole run to first order.) rk carries none. c0 is the
-    coefficient set at initial.t.
+    true one, which degrades the whole run to first order.) rk carries them on body axes, the
+    (D1, D2) its RK4 integrates. c0 is the coefficient set at initial.t.
     """
     q, x, xd, om = [tuple(a.tolist()) for a in (initial.q, initial.x_e, initial.xdot_b, initial.omega_b)]
     n = math.hypot(*q)  # BodyState admits a q up to 1e-6 off unit norm; a run starts on a unit one
     q = tuple([v / n for v in q]) if abs(n - 1.0) > 2**-50 else q
-    history = None
-    if method == "left":
-        _, p_x, p_w = _canonical_f(q, xd, om, c0._flat, -h)
-        history = (*p_x, *p_w)
-    elif method == "mid":
-        _, d1, d2 = _energy_momenta(c0._flat, xd, om)
-        history = (*_rotate_f(q, d1), *_rotate_f(q, d2))
+    _, d1, d2 = _canonical_f(q, xd, om, c0._flat, -h) if method == "left" else _energy_momenta(c0._flat, xd, om)
+    history = (*_rotate_f(q, d1), *_rotate_f(q, d2)) if method == "mid" else (*d1, *d2)
     return StepResult(initial.t, q, x, xd, om, history, None, (q, xd, om), c0, 0, 0.0, True)
 
 
@@ -624,10 +622,10 @@ def integrate(
     and ends at t + n h, the record's last time; step k's time t + k h is computed
     from k. Every accepted state is recorded. A step that fails (Newton does not
     converge, the Jacobian is singular, the state goes non-finite, a schedule
-    callback raises) truncates the record, flags it and names the cause in
-    stop_reason; so does a non-finite initial energy or momentum, with a one-row
-    record and no step (coefficients failing at t0 raises). Physical momentum
-    columns are filled when rigid_params is given (single rigid bodies).
+    callback raises or returns an unusable result) truncates the record, flags it
+    and names the cause in stop_reason; so does a non-finite initial energy or
+    momentum, with a one-row record and no step (coefficients failing at t0
+    raises). Physical momentum columns are filled when rigid_params is given.
 
     The conserved-quantity columns are evaluated after the steps, 128 rows at a
     time, by the float kernels that check row 0, run on numpy columns (each entry

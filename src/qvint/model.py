@@ -124,9 +124,11 @@ def _as_matrix(m, name: str) -> Array:
 def _check_symmetric(a: Array, name: str) -> None:
     if not np.isfinite(a).all():  # a run stops on a non-finite block with its reason; inf - inf would warn
         return
-    dev = float(np.linalg.norm(a - a.T))
-    if dev > _SYM_TOL * (1.0 + float(np.linalg.norm(a))):
-        raise ValueError(f"{name} must be symmetric, asymmetry norm {dev:g}")
+    e = max(int(np.frexp(np.abs(a).max())[1]), 0)  # at scale 2**-e (exact), no difference or square overflows
+    s = np.ldexp(a, -e)
+    dev = float(np.linalg.norm(s - s.T))
+    if dev > _SYM_TOL * (2.0**-e + float(np.linalg.norm(s))):  # the message scales back in two steps: 2.0**1024 raises
+        raise ValueError(f"{name} must be symmetric, asymmetry norm {dev * 2.0 ** (e - 1) * 2.0:g}")
 
 
 def _field(i: int, shape) -> property:

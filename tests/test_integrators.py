@@ -41,7 +41,7 @@ from qvint.integrators import (
     step_mid,
     step_rk_baseline,
 )
-from qvint.model import _canonical_f, _cx, _energy_momenta, _mm, _mv, _skew, canonical_momenta
+from qvint.model import _canonical_f, _cx, _mm, _mv, _skew, canonical_momenta
 from qvint.model import point_mass_coefficients, rigid_coefficients
 from qvint.quat import _exp_f, _right_jacobian, _rotate_f, exp_map, quat_mul
 
@@ -362,8 +362,7 @@ def composed_velocities(c, d):
     return tuple([u + v for u, v in zip(_mv(mi, e), _mv(xc, om))]), om
 
 
-def composed_rk_rate(sched, c, t_s, q_s, x_s, d):
-    xd, om = composed_velocities(c, d)
+def composed_rk_rate(sched, t_s, q_s, x_s, d, xd, om):
     m, n, o = _cx(om, d[:3]), _cx(om, d[3:]), _cx(xd, d[:3])
     dd = [-m[0], -m[1], -m[2], -n[0] - o[0], -n[1] - o[1], -n[2] - o[2]]
     if not sched.force_free:
@@ -373,23 +372,24 @@ def composed_rk_rate(sched, c, t_s, q_s, x_s, d):
 
 
 def composed_step_rk(prev, sched, h):
-    t, q0, x0 = prev.t, prev.q, prev.x_e
+    t, q0, x0, d0 = prev.t, prev.q, prev.x_e, prev.history
     c_half, c_end = integrators._coefficients(sched, t + 0.5 * h), integrators._coefficients(sched, t + h)
-    d0 = [v for d in _energy_momenta(prev.coeffs._flat, prev.xdot_b, prev.omega_b)[1:] for v in d]
-    k = [composed_rk_rate(sched, prev.coeffs, t, q0, x0, d0)]
+    k = [composed_rk_rate(sched, t, q0, x0, d0, prev.xdot_b, prev.omega_b)]
     for a, c in ((0.5, c_half), (0.5, c_half), (1.0, c_end)):
         om, dx, dd = k[-1]
         x_s, d_s = [u + a * h * v for u, v in zip(x0, dx)], [u + a * h * v for u, v in zip(d0, dd)]
-        k.append(composed_rk_rate(sched, c, t + a * h, integrators._advance(q0, om, a * h), x_s, d_s))
+        q_s = integrators._advance(q0, om, a * h)
+        k.append(composed_rk_rate(sched, t + a * h, q_s, x_s, d_s, *composed_velocities(c, d_s)))
 
     def weighted(i):
         return [p + 2.0 * q + 2.0 * r + s for p, q, r, s in zip(*[ki[i] for ki in k])]
 
     sixth = h / 6.0
-    xd, om = composed_velocities(c_end, [u + sixth * v for u, v in zip(d0, weighted(2))])
+    d_new = tuple([u + sixth * v for u, v in zip(d0, weighted(2))])
+    xd, om = composed_velocities(c_end, d_new)
     x_new = tuple([u + sixth * v for u, v in zip(x0, weighted(1))])
     q_new = integrators._advance(q0, [w / 6.0 for w in weighted(0)], h)
-    return integrators._link(t + h, q_new, x_new, xd, om, None, None, (q_new, xd, om), c_end, 0, 0.0, True)
+    return integrators._link(t + h, q_new, x_new, xd, om, d_new, None, (q_new, xd, om), c_end, 0, 0.0, True)
 
 
 def float_bits(values):
@@ -463,11 +463,12 @@ def test_flat_left_kernels_return_the_composed_floats(q, omega, carried, h, t, f
     forced=st.booleans(),
 )
 def test_flat_rk_kernels_return_the_composed_floats(q, x, d, t, full, forced):
-    # velocity recovery and the stage rates, with and without a force, bit for bit
+    # velocity recovery and the stage rates at the recovered velocities, with and without a force, bit for bit
     c = kernel_set(t, full)
     d = d.tolist()
-    assert float_bits(integrators._velocities(c, d)) == float_bits(composed_velocities(c, d))
-    args = (MORPHING if forced else SCHED, c, t or 0.0, (q / np.linalg.norm(q)).tolist(), x.tolist(), d)
+    v = composed_velocities(c, d)
+    assert float_bits(integrators._velocities(c, d)) == float_bits(v)
+    args = (MORPHING if forced else SCHED, t or 0.0, (q / np.linalg.norm(q)).tolist(), x.tolist(), d, *v)
     assert float_bits(integrators._rk_rate(*args)) == float_bits(composed_rk_rate(*args))
 
 
@@ -640,7 +641,8 @@ def as_state(link):
 @pytest.mark.parametrize("method", ["left", "mid", "rk"])
 def test_seed_step_is_the_initial_state_with_its_schemes_history(method):
     # left's chain starts from the canonical momenta at step -h, the midpoint chain from the
-    # continuous momenta on earth axes (its outgoing momentum at h = 0), rk's from none
+    # continuous momenta on earth axes (its outgoing momentum at h = 0), rk's from the continuous
+    # momenta on body axes, the (D1, D2) its RK4 integrates
     s = BodyState(0.3, random_unit_quat(RNG), RNG.standard_normal(3), RNG.standard_normal(3), RNG.standard_normal(3))
     seed = seed_step(s, CSET, method, CFG.h)
     assert seed.t == s.t and seed.coeffs is CSET and seed.carried is None
@@ -653,7 +655,7 @@ def test_seed_step_is_the_initial_state_with_its_schemes_history(method):
         want = mid_outgoing(s.q, s.xdot_b, s.omega_b, CSET, 0.0)
         assert_allclose(seed.history, want, rtol=0.0, atol=1e-15 * np.linalg.norm(want))
     else:
-        assert seed.history is None
+        assert seed.history == (*energy_grad_xdot(s, CSET).tolist(), *energy_grad_omega(s, CSET).tolist())
 
 
 def test_a_run_starts_on_a_unit_quaternion():
@@ -939,6 +941,60 @@ def test_rk_probes_the_force_once_at_each_of_its_four_stages():
         prev = res
 
 
+@pytest.mark.parametrize("case", ["free_body", "damped_morphing", "force_free_morphing"])
+def test_rk_links_carry_the_momenta_their_velocities_are_recovered_from(case):
+    # each rk link hands on as its history the momenta (D1, D2) its step integrated, and its velocities
+    # are the ones recovered from them under its own coefficient set, bit for bit
+    start, sched, _ = run_case(case)
+    link = seed_step(start, sched.coefficients(0.0), "rk", CFG.h)
+    for _ in range(50):
+        link = step_rk_baseline(link, sched, CFG.h)
+        assert isinstance(link.history, tuple) and len(link.history) == 6
+        assert float_bits(integrators._velocities(link.coeffs, link.history)) == float_bits(link[3:5])
+
+
+@pytest.mark.parametrize("case", ["free_body", "damped_morphing"])
+def test_an_rk_step_recovers_velocities_four_times_and_rebuilds_no_momenta(case, monkeypatch):
+    # stage 1 takes the previous link's velocities, stages 2-4 and the new link recover theirs once each
+    calls = []
+
+    def counting(name):
+        fn = getattr(integrators, name)
+
+        def call(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return call
+
+    start, sched, _ = run_case(case)
+    link = seed_step(start, sched.coefficients(0.0), "rk", CFG.h)
+    for name in ("_velocities", "_energy_momenta"):
+        monkeypatch.setattr(integrators, name, counting(name))
+    for _ in range(10):
+        calls.clear()
+        link = step_rk_baseline(link, sched, CFG.h)
+        assert calls == ["_velocities"] * 4
+
+
+@pytest.mark.parametrize("method", ["left", "mid", "rk"])
+def test_no_stepper_reads_the_previous_links_coefficients(method):
+    # a link's coefficient set feeds the record only: a chain whose links lose theirs steps the same
+    start, sched, _ = run_case("damped_morphing")
+    c0 = sched.coefficients(0.0)
+    link, scale = seed_step(start, c0, method, CFG.h), momentum_scale(start, c0, CFG.h)
+    step = {
+        "left": lambda r: step_left(r, sched, CFG, scale),
+        "mid": lambda r: step_mid(r, sched, CFG, scale),
+        "rk": lambda r: step_rk_baseline(r, sched, CFG.h),
+    }[method]
+    for _ in range(10):
+        res, other = step(link), step(link._replace(coeffs=None))
+        assert float_bits([*other[:6], other.point]) == float_bits([*res[:6], res.point])
+        assert other.carried == res.carried
+        link = res
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, "2-vector", None, "x"])
 @pytest.mark.parametrize("method", ["left", "mid", "rk"])
 def test_a_force_turning_non_finite_stops_the_run_with_a_named_reason(method, bad):
@@ -978,6 +1034,24 @@ def test_a_raising_schedule_callback_ends_the_run_and_keeps_its_record(method, c
     assert len(rec) == 51 and rec.t[-1] == pytest.approx(0.5)
     for col in (rec.q, rec.x_e, rec.xdot_b, rec.omega_b, rec.energy, rec.p_x, rec.p_w):
         assert np.all(np.isfinite(col))
+
+
+@pytest.mark.parametrize("bad", [None, "x", 3.0, (1.0, 2.0)], ids=["None", "str", "float", "tuple"])
+@pytest.mark.parametrize("method", ["left", "mid", "rk"])
+def test_a_coefficients_callback_returning_no_set_ends_the_run_and_keeps_its_record(method, bad):
+    # past t = 0.503 the callback returns something other than a CoefficientSet: the run stops at the first
+    # step that calls it there, keeps the 50 steps before and names the callback and what it returned
+    sched = dataclasses.replace(MORPHING, coefficients=lambda t: bad if t > 0.503 else MORPHING.coefficients(t))
+    start = BodyState(0.0, identity_quat(), np.zeros(3), (0.3, 0.0, 0.1), (1.0, 1.0, 1.0))
+    rec = integrate(start, sched, CFG, method, 1.0)
+    want = f"coefficients returned {type(bad).__name__}, not a CoefficientSet"
+    assert rec.truncated and rec.stop_reason == want
+    assert len(rec) == 51 and rec.t[-1] == pytest.approx(0.5)
+    for col in (rec.q, rec.x_e, rec.xdot_b, rec.omega_b, rec.energy, rec.p_x, rec.p_w):
+        assert np.all(np.isfinite(col))
+    # at t0 there is no row to keep, so integrate raises that ValueError
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        integrate(start, dataclasses.replace(MORPHING, coefficients=lambda t: bad), CFG, method, 0.1)
 
 
 class _Halt(BaseException):

@@ -99,6 +99,29 @@ def test_rigid_params_rejects_a_body_whose_products_overflow(m, c):
         RigidParams(m=m, c=c, I_ref=1.0)
 
 
+def test_the_symmetry_check_holds_near_the_float_range_without_a_warning():
+    # the asymmetry is compared at the scale of the largest entry: a huge symmetric block builds without
+    # an overflow, and a huge asymmetric one is rejected instead of passing because both norms are inf
+    huge = [[1e200, 1e190, 0.0], [0.0, 1e200, 0.0], [0.0, 0.0, 1e200]]
+    wide = [[1.0, 1e308, 0.0], [-1e308, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        CoefficientSet(a_xx=1e200, A_xw=0.0, A_ww=1.0)
+        CoefficientSet(a_xx=1.0, A_xw=0.0, A_ww=np.diag([1.7e308, 1.0, 1e-300]))
+        RigidParams(m=1.0, c=[0, 0, 0], I_ref=1.7e308)
+        for a in (huge, wide):
+            with pytest.raises(ValueError, match="^a_xx must be symmetric"):
+                CoefficientSet(a_xx=a, A_xw=0.0, A_ww=1.0)
+            with pytest.raises(ValueError, match="^A_ww must be symmetric"):
+                CoefficientSet(a_xx=1.0, A_xw=0.0, A_ww=a)
+        with pytest.raises(ValueError, match=r"^I_ref must be symmetric, asymmetry norm 1\.41421e\+190$"):
+            RigidParams(m=1.0, c=np.zeros(3), I_ref=huge)
+    # ordinary blocks keep the tolerance 1e-12 (1 + |a|) and the message's asymmetry norm
+    CoefficientSet(a_xx=[[1.0, 1e-12, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], A_xw=0.0, A_ww=1.0)
+    with pytest.raises(ValueError, match=r"^a_xx must be symmetric, asymmetry norm 1\.41421e-11$"):
+        CoefficientSet(a_xx=[[1.0, 1e-11, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], A_xw=0.0, A_ww=1.0)
+
+
 def test_a_rigid_body_near_the_float_range_runs_without_a_warning():
     # |c|^2 = 2e300 and m c stay finite: the body is kept, and its physical momentum columns are finite
     rp = RigidParams(m=1.0, c=[1e150, 1e150, 0.0], I_ref=1.0)
