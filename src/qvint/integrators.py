@@ -23,12 +23,12 @@ derivative (jacobian_left, jacobian_mid) wrap one balance evaluation
 reuses its terms. A classical RK4 baseline on the momentum form of the equations
 of motion is included for accuracy comparisons; it is not structure preserving,
 but it shares their elimination blocks (velocity recovery, _velocities) and
-_advance (orientation update). Each scheme's balance, its Jacobian and left's
-setup, and rk's velocity recovery and stage rate (_rk_rate), are single flat
-float kernels in the operand order of the composed helpers (_rotate_f, _mv, _mm,
-_cx, _skew): records keep every bit, as the Jacobians (with left's constant part
-K0) drop only products with a skew matrix's zeros, which can change only the
-sign of a zero entry.
+_advance (orientation update). Each scheme's balance, its Jacobian and left's setup,
+rk's velocity recovery and stage rate (_rk_rate), and the elimination blocks, once
+per set (CoefficientSet.elimination_blocks), are flat float kernels in the operand
+order of the composed helpers (_rotate_f, _mv, _mm, _cx, _skew, _solve3's quotients):
+records keep every bit, as the Jacobians (with left's constant part K0) drop only
+products with a skew matrix's zeros, which can change only the sign of a zero entry.
 
 A run is a chain of StepResult links on Python floats, one contract for all three
 methods: a link's history is the momentum the next step starts from (left's and

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -140,17 +139,21 @@ def _field(i: int, shape) -> property:
     return property(get, doc=f"{_FIELDS[i]} as a fresh read-only numpy array.")
 
 
+class _once(cached_property):
+    """cached_property without the lock Python 3.11 takes on each first access; a failure is not kept either."""
+
+    def __get__(self, obj, cls=None):
+        return self if obj is None else obj.__dict__.setdefault(self.attrname, self.func(obj))
+
+
 class CoefficientSet:
     """Coefficients of the body-frame kinetic energy quadratic form.
 
-    a_xx and A_ww must be symmetric; A_xw carries the translation-rotation
-    coupling and is unrestricted. Scalars passed for the matrix blocks are
-    promoted to multiples of the identity. A set stores its values once, as
-    Python floats in _flat (a_xx, A_xw, A_ww as row-major 9-tuples, a_x, a_w,
-    a_0), which every kernel reads. The fields a_xx ... a_w are fresh read-only
-    numpy copies of it and a_0 is its float, so no field can drift from the
-    kernels' values. The derived forms are computed once per set. Sets compare
-    and hash by identity.
+    a_xx and A_ww must be symmetric; A_xw, the translation-rotation coupling, is free. A scalar for a matrix block
+    is that multiple of the identity. A set holds its values once, as Python floats in _flat (a_xx, A_xw, A_ww
+    row-major, a_x, a_w, a_0), which every kernel reads; the fields are read-only numpy copies of it (a_0 its float).
+    The derived forms are computed on first access and kept, a failure not (_once); elimination_blocks is one flat
+    float kernel, with _solve3's reciprocal quotients for a diagonal Mxx. Sets compare and hash by identity.
     """
 
     a_xx, A_xw, A_ww = (_field(i, (3, 3)) for i in range(3))
@@ -174,7 +177,7 @@ class CoefficientSet:
     def __add__(self, other: "CoefficientSet") -> "CoefficientSet":
         return CoefficientSet(*[getattr(self, f) + getattr(other, f) for f in _FIELDS])
 
-    @cached_property
+    @_once
     def elimination_blocks(self) -> tuple:
         """Python-float blocks that eliminate xdot from the momenta g = M v + a.
 
@@ -185,14 +188,28 @@ class CoefficientSet:
         non-finite blocks.
         """
         xx, xw, ww, a_x, a_w, _ = self._flat
-        mxx, wx = [2.0 * v for v in xx], xw[0::3] + xw[1::3] + xw[2::3]
-        mi, x = _solve3(mxx, (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0), [-v for v in xw])
-        b = (mi, x, tuple([2.0 * u + v for u, v in zip(ww, _mm(wx, x))]), _mm(wx, mi), a_x, a_w)
-        if not all(map(math.isfinite, chain(*b))):
+        (a, b, c, d, e, f, g, h, i), (c0, c1, c2, c3, c4, c5, c6, c7, c8) = xx, xw
+        (a, e, i), (d0, d1, d2, d3, d4, d5, d6, d7, d8) = (2.0 * a, 2.0 * e, 2.0 * i), ww
+        if not (b or c or d or f or g or h) and 0.0 < abs(a * e * i) < math.inf:  # _solve3's quotients, inline
+            mi = (1.0 / a, 0.0 / a, 0.0 / a, 0.0 / e, 1.0 / e, 0.0 / e, 0.0 / i, 0.0 / i, 1.0 / i)
+            x = (-c0 / a, -c1 / a, -c2 / a, -c3 / e, -c4 / e, -c5 / e, -c6 / i, -c7 / i, -c8 / i)
+        else:  # every other Mxx, a singular or non-finite diagonal one too, raises or is solved there
+            mi, x = _solve3([2.0 * v for v in xx], (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0), [-v for v in xw])
+        (m0, m1, m2, m3, m4, m5, m6, m7, m8), (x0, x1, x2, x3, x4, x5, x6, x7, x8) = mi, x
+        s = (2.0 * d0 + (c0 * x0 + c3 * x3 + c6 * x6), 2.0 * d1 + (c0 * x1 + c3 * x4 + c6 * x7),
+             2.0 * d2 + (c0 * x2 + c3 * x5 + c6 * x8), 2.0 * d3 + (c1 * x0 + c4 * x3 + c7 * x6),
+             2.0 * d4 + (c1 * x1 + c4 * x4 + c7 * x7), 2.0 * d5 + (c1 * x2 + c4 * x5 + c7 * x8),
+             2.0 * d6 + (c2 * x0 + c5 * x3 + c8 * x6), 2.0 * d7 + (c2 * x1 + c5 * x4 + c8 * x7),
+             2.0 * d8 + (c2 * x2 + c5 * x5 + c8 * x8))  # fmt: skip
+        p = (c0 * m0 + c3 * m3 + c6 * m6, c0 * m1 + c3 * m4 + c6 * m7, c0 * m2 + c3 * m5 + c6 * m8,
+             c1 * m0 + c4 * m3 + c7 * m6, c1 * m1 + c4 * m4 + c7 * m7, c1 * m2 + c4 * m5 + c7 * m8,
+             c2 * m0 + c5 * m3 + c8 * m6, c2 * m1 + c5 * m4 + c8 * m7, c2 * m2 + c5 * m5 + c8 * m8)  # fmt: skip
+        # S and P carry a non-finite entry of Mxx^-1 or X (inf times 0 is NaN); a finite sum has finite terms
+        if not math.isfinite(sum(v := (*s, *p, *a_x, *a_w))) and not all(map(math.isfinite, v)):
             raise ValueError("non-finite coefficients")
-        return b
+        return mi, x, s, p, a_x, a_w
 
-    @cached_property
+    @_once
     def schur_inverse(self) -> tuple[float, ...]:
         """Row-major S^-1 for elimination_blocks' Schur complement S, which recovers omega from the momenta.
 

@@ -2,12 +2,16 @@
 
 import dataclasses
 import math
+import operator
+import sys
+import threading
 import warnings
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -32,6 +36,7 @@ from qvint.model import (
     _adjugate,
     _cx,
     _energy_momenta,
+    _mm,
     _solve3,
     canonical_momenta,
     point_mass_coefficients,
@@ -234,6 +239,124 @@ def test_nan_in_a_zero_translational_block_is_non_finite_not_singular():
     c = CoefficientSet(a_xx=[[0.0, np.nan, 0.0], [np.nan, 0.0, 0.0], [0.0, 0.0, 0.0]], A_xw=0.0, A_ww=1.0)
     with pytest.raises(ValueError, match="non-finite coefficients"):
         c.elimination_blocks
+
+
+def composed_elimination_blocks(c):
+    """elimination_blocks composed from _solve3 and _mm: the oracle its flat kernel keeps to the bit."""
+    xx, xw, ww, a_x, a_w, _ = c._flat
+    mxx, wx = [2.0 * v for v in xx], xw[0::3] + xw[1::3] + xw[2::3]
+    mi, x = _solve3(mxx, (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0), [-v for v in xw])
+    b = (mi, x, tuple([2.0 * u + v for u, v in zip(ww, _mm(wx, x))]), _mm(wx, mi), a_x, a_w)
+    if not all(map(math.isfinite, chain(*b))):
+        raise ValueError("non-finite coefficients")
+    return b
+
+
+def blocks_outcome(blocks):
+    """Each block entry with its sign (== alone equates 0.0 and -0.0), or the exception's class and text."""
+    try:
+        return [[(v, math.copysign(1.0, v)) for v in blk] for blk in blocks()]
+    except ValueError as exc:  # np.linalg.LinAlgError is one
+        return type(exc), str(exc)
+
+
+ZERO = st.sampled_from([0.0, -0.0])
+#: an entry's sign, or one time in four a signed zero; the property gives each nonzero entry a dense mantissa
+SIGN = st.sampled_from([1.0, -1.0] * 3 + [0.0, -0.0])
+PIVOT_SIGN = st.sampled_from([1.0, -1.0] * 7 + [0.0, -0.0])
+DIAGONAL = st.tuples(PIVOT_SIGN, ZERO, ZERO, ZERO, PIVOT_SIGN, ZERO, ZERO, ZERO, PIVOT_SIGN)
+SYMMETRIC = st.lists(SIGN, min_size=6, max_size=6).map(lambda u: [u[0], u[1], u[2], u[1], u[3], u[4], u[2], u[4], u[5]])
+#: one decade for the whole set, from 1e-150 to 1e150, and each block's offset from it: near, so that S's
+#: terms meet, or far, so that blocks overflow
+DECADES = st.tuples(st.integers(-150, 150), *[st.integers(-3, 3) | st.sampled_from([-150, 150])] * 3)
+
+
+@settings(max_examples=400, deadline=None)
+@given(DIAGONAL | SYMMETRIC, st.lists(SIGN, min_size=9, max_size=9), SYMMETRIC, st.lists(SIGN, min_size=6, max_size=6),
+       DECADES, st.integers(0, 2**32 - 1))  # fmt: skip
+@example([0.4e308, 0.0, 0.0, -0.0, 0.4e308, 0.0, 0.0, 0.0, 0.4e308], [1.0] * 9, [1.0] * 9, [0.0] * 6, (0, 0, 0, 0), 1)
+@example([1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0], [0.0] * 9, [0.3, 0, 0, 0, 0.3, 0, 0, 0, 0.3], [0.0] * 6,
+         (0, 0, 0, 308), 1)  # fmt: skip
+@example([1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0], [0.5] * 9, [1.0] * 9, [0] * 4 + [math.inf, 0], (0, 0, 0, 0), 1)
+@example([1.0, 0.0, 0.0, 0.0, math.nan, 0.0, 0.0, 0.0, 1.0], [0.5] * 9, [1.0] * 9, [0.0] * 6, (0, 0, 0, 0), 1)
+@example([math.inf, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0], [0.5] * 9, [1.0] * 9, [0.0] * 6, (0, 0, 0, 0), 1)
+@example([1.0, 0.0, 0.0, 0.0, -0.0, 0.0, 0.0, 0.0, -math.inf], [0.5] * 9, [1.0] * 9, [0.0] * 6, (0, 0, 0, 0), 1)
+def test_flat_elimination_blocks_keep_the_composed_bits(a_xx, a_xw, a_ww, a, decades, seed):
+    # the flat kernel inlines _solve3's diagonal quotients and writes S and P out in _mm's operand order;
+    # every other Mxx goes to _solve3, so errors keep their class and message. The examples: finite pivots
+    # whose doubled sum overflows, an S whose entries are finite but sum past the float range, a non-finite
+    # a_w, and NaN, infinite and zero pivots.
+    rng, (k, *offsets) = np.random.default_rng(seed), decades
+
+    def scaled(m, offset):  # the pattern m times a symmetric matrix of mantissas in [1, 2), at its decade
+        u = np.triu(rng.uniform(1.0, 2.0, (3, 3)))
+        return np.reshape(m, (3, 3)) * (u + np.triu(u, 1).T) * 10.0 ** (k + offset)
+
+    c = CoefficientSet(*[scaled(m, o) for m, o in zip((a_xx, a_xw, a_ww), offsets)], a[:3], a[3:])
+    assert blocks_outcome(lambda: c.elimination_blocks) == blocks_outcome(lambda: composed_elimination_blocks(c))
+
+
+def test_a_set_computes_its_blocks_once_and_never_keeps_a_failure(monkeypatch):
+    kernel, calls = CoefficientSet.elimination_blocks.func, []
+    monkeypatch.setattr(CoefficientSet.elimination_blocks, "func", lambda c: calls.append(c) or kernel(c))
+    c = CoefficientSet(a_xx=2.0, A_xw=0.5, A_ww=1.0)
+    first = c.elimination_blocks
+    assert c.elimination_blocks is first and c.schur_inverse is c.schur_inverse and calls == [c]
+    # a failure is raised afresh on each access, and schur_inverse meets the blocks' error before its own
+    for bad, error, message in (
+        (CoefficientSet(a_xx=np.diag([2.0, 0.0, 2.0]), A_xw=0.5, A_ww=1.0), np.linalg.LinAlgError, "Singular matrix"),
+        (CoefficientSet(a_xx=2.0, A_xw=0.5, A_ww=1.0, a_w=(0.0, math.inf, 0.0)), ValueError, "non-finite coefficients"),
+    ):
+        calls.clear()
+        for name in ("elimination_blocks", "elimination_blocks", "schur_inverse"):
+            with pytest.raises(error) as err:
+                getattr(bad, name)
+            assert type(err.value) is error and str(err.value) == message, name
+        assert calls == [bad] * 3 and "elimination_blocks" not in vars(bad) and "schur_inverse" not in vars(bad)
+    assert CoefficientSet.elimination_blocks.__doc__.startswith(
+        "Python-float blocks that eliminate xdot from the momenta g = M v + a.\n"
+    )
+    assert CoefficientSet.schur_inverse.__doc__.startswith(
+        "Row-major S^-1 for elimination_blocks' Schur complement S, which recovers omega from the momenta.\n"
+    )
+
+
+def test_threads_reading_fresh_sets_get_the_one_stored_tuple():
+    # the cache takes no lock, so threads may race to compute a set's blocks; setdefault hands each of them
+    # the tuple stored first, the one every later read returns
+    sched = preset_morphing(damping=True)
+    sets = [sched.coefficients(0.01 * k) for k in range(300)]
+    seen = [[] for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=out.extend, args=((c.elimination_blocks for c in sets),)) for out in seen]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for out in seen:
+        assert len(out) == len(sets) and all(map(operator.is_, out, (c.elimination_blocks for c in sets)))
+
+
+@pytest.mark.parametrize("method, per_step", [("left", 1), ("mid", 1), ("rk", 2)])
+def test_each_step_computes_the_blocks_of_each_fresh_set_once(monkeypatch, method, per_step):
+    # a damped morphing step builds one set (rk two: c_half, c_end) and eliminates with each once
+    kernel, calls = CoefficientSet.elimination_blocks.func, []
+    monkeypatch.setattr(CoefficientSet.elimination_blocks, "func", lambda c: calls.append(c) or kernel(c))
+    sched = preset_morphing(damping=True)
+    start = BodyState(0.0, identity_quat(), np.zeros(3), (0.3, 0.0, 0.1), (1.0, 1.0, 1.0))
+    counts = []
+    for t_end in (0.1, 0.3):
+        calls.clear()
+        rec = integrate(start, sched, SolverConfig(h=0.01), method, t_end)
+        assert not rec.truncated
+        counts.append(len(calls))
+        assert len(set(map(id, calls))) == len(calls)  # no set computes its blocks twice
+    assert counts[1] - counts[0] == 20 * per_step
 
 
 PIVOT = st.floats(1e-150, 1e150) | st.floats(-1e150, -1e-150)
