@@ -44,6 +44,7 @@ momentum they carry, rk adds (F, torque) to each stage's momentum rates.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -64,7 +65,7 @@ _METHODS = ("left", "mid", "rk")
 
 
 class SingularJacobianError(RuntimeError):
-    """The Newton Jacobian is singular or numerically unusable."""
+    """The rate solve failed: a non-finite residual, an unusable Jacobian, or no convergence."""
 
 
 @dataclass(frozen=True)
@@ -83,8 +84,8 @@ class SolverConfig:
         for name in ("h", "residual_tol"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"SolverConfig.{name} must be positive and finite")
-        if self.max_iter < 1:
-            raise ValueError("SolverConfig.max_iter must be at least 1")
+        if not (hasattr(type(self.max_iter), "__index__") and operator.index(self.max_iter) >= 1):
+            raise ValueError("SolverConfig.max_iter must be an integer of at least 1")
 
 
 class NewtonResult(NamedTuple):
@@ -96,7 +97,7 @@ class NewtonResult(NamedTuple):
 
 
 class StepResult(NamedTuple):
-    """One link of a run's chain, on Python floats: the state a step reached, and how.
+    """One link of a run's chain, on Python floats: an accepted step, the state it reached and how.
 
     t, q, x_e, xdot_b, omega_b are BodyState's fields (for mid, the fresh midpoint's velocities). history is
     the momentum the next step starts from: for left and mid the outgoing momentum of the solved balance
@@ -120,7 +121,6 @@ class StepResult(NamedTuple):
     coeffs: CoefficientSet
     iterations: int
     residual_norm: float
-    converged: bool
 
 
 def newton_solve(
@@ -262,10 +262,12 @@ def _link(*fields) -> StepResult:
 
 
 def _solve_rate(k: tuple, evaluate, jacobian, prev: StepResult, cfg: SolverConfig, scale: float) -> NewtonResult:
-    """newton_solve on a scheme's balance, its _eval and _jacobian bound to its setup k: from prev's rate, to
-    residual_tol times the run's momentum scale. Both steppers hand Newton their balance through this one call."""
-    bound = partial(evaluate, k), partial(jacobian, k)
-    return newton_solve(*bound, prev.omega_b, cfg.residual_tol * scale, cfg.max_iter)
+    """Both steppers' one hand-off to newton_solve: their _eval and _jacobian bound to setup k, from prev's rate to
+    residual_tol times the run's momentum scale. A stalled solve raises, so every link is an accepted step."""
+    sol = newton_solve(partial(evaluate, k), partial(jacobian, k), prev.omega_b, cfg.residual_tol * scale, cfg.max_iter)
+    if not sol.converged:
+        raise SingularJacobianError("Newton did not converge")
+    return sol
 
 
 def _call(name: str, callback, *args):
@@ -397,7 +399,7 @@ def step_left(prev: StepResult, sched: MorphingSchedule, cfg: SolverConfig, scal
     m = _cx(om, g2)
     history = (*carried[:3], g2[0] - hh * m[0], g2[1] - hh * m[1], g2[2] - hh * m[2])
     fields = (t_k, q_k, x_k, xd, om, history, carried, (q_k, xd, om), c_k)
-    return _link(*fields, sol.iterations, sol.residual_norm, sol.converged)
+    return _link(*fields, sol.iterations, sol.residual_norm)
 
 
 # midpoint scheme
@@ -511,7 +513,7 @@ def step_mid(prev: StepResult, sched: MorphingSchedule, cfg: SolverConfig, scale
     v = _rotate_f(q_t, xd)
     x_next = (x[0] + h * v[0], x[1] + h * v[1], x[2] + h * v[2])
     fields = (prev.t + h, _advance(q_k, om, h), x_next, xd, om, history, carried, (q_t, xd, om), c_mid)
-    return _link(*fields, sol.iterations, sol.residual_norm, sol.converged)
+    return _link(*fields, sol.iterations, sol.residual_norm)
 
 
 # explicit RK4 baseline on the momentum form
@@ -555,7 +557,7 @@ def step_rk_baseline(prev: StepResult, sched: MorphingSchedule, h: float) -> Ste
     xd, om = _velocities(c_end, d_new)
     x_new = tuple([u + sixth * (p + 2.0 * q + 2.0 * r + s) for u, p, q, r, s in zip(x0, *v)])
     q_new = _advance(q0, [(p + 2.0 * q + 2.0 * r + s) / 6.0 for p, q, r, s in zip(*w)], h)
-    return _link(t + h, q_new, x_new, xd, om, d_new, None, (q_new, xd, om), c_end, 0, 0.0, True)
+    return _link(t + h, q_new, x_new, xd, om, d_new, None, (q_new, xd, om), c_end, 0, 0.0)
 
 
 # run driver
@@ -576,7 +578,7 @@ def seed_step(initial: BodyState, c0: CoefficientSet, method: str, h: float) -> 
     q = tuple([v / n for v in q]) if abs(n - 1.0) > 2**-50 else q
     _, d1, d2 = _canonical_f(q, xd, om, c0._flat, -h) if method == "left" else _energy_momenta(c0._flat, xd, om)
     history = (*_rotate_f(q, d1), *_rotate_f(q, d2)) if method == "mid" else (*d1, *d2)
-    return StepResult(initial.t, q, x, xd, om, history, None, (q, xd, om), c0, 0, 0.0, True)
+    return StepResult(initial.t, q, x, xd, om, history, None, (q, xd, om), c0, 0, 0.0)
 
 
 def momentum_scale(state: BodyState, c: CoefficientSet, h: float) -> float:
@@ -690,9 +692,6 @@ def integrate(
                 res = take_step(last)
             except (SingularJacobianError, ValueError) as exc:
                 stop_reason = str(exc)
-                break
-            if not res.converged:
-                stop_reason = "Newton did not converge"
                 break
             last = StepResult(t0 + h * k, *res[1:])  # the stepper reached prev.t + h; keep the chain on the grid
             states.append((*res[1:5], res.iterations))

@@ -114,7 +114,7 @@ def _solve3(m, *rhs) -> list[tuple[float, ...]]:
 def _as_matrix(m, name: str) -> Array:
     a = np.array(m, dtype=float)
     if a.shape == ():
-        a = a * np.eye(3)
+        a = np.where(np.eye(3, dtype=bool), a, np.copysign(0.0, a))  # a * eye would give inf * 0 = NaN
     if a.shape != (3, 3):
         raise ValueError(f"{name} must be a scalar or 3x3 matrix, got shape {a.shape}")
     return a

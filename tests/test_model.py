@@ -34,6 +34,7 @@ from qvint import (
 from qvint.model import (
     WING_MASS,
     _adjugate,
+    _as_matrix,
     _cx,
     _energy_momenta,
     _mm,
@@ -424,15 +425,18 @@ def test_a_non_finite_input_is_rejected_or_stops_the_run_without_a_warning(bad):
         for make in (
             lambda: SolverConfig(h=bad),
             lambda: SolverConfig(h=0.01, residual_tol=bad),
+            lambda: SolverConfig(h=0.01, max_iter=bad),
             lambda: RigidParams(m=bad, c=np.zeros(3), I_ref=1.0),
             lambda: RigidParams(m=1.0, c=[bad, 0.0, 0.0], I_ref=1.0),
             lambda: RigidParams(m=1.0, c=np.zeros(3), I_ref=np.diag([1.0, bad, 1.0])),
+            lambda: RigidParams(m=1.0, c=np.zeros(3), I_ref=bad),
             lambda: BodyState(bad, identity_quat(), np.zeros(3), np.zeros(3), np.zeros(3)),
         ):
             with pytest.raises(ValueError):
                 make()
         fields = dict(a_xx=CSET.a_xx, A_xw=CSET.A_xw, A_ww=CSET.A_ww, a_x=CSET.a_x, a_w=CSET.a_w, a_0=CSET.a_0)
-        for name, value in [(n, np.diag([4.0, bad, 4.0])) for n in ("a_xx", "A_xw", "A_ww")] + [
+        blocks = [(n, v) for n in ("a_xx", "A_xw", "A_ww") for v in (np.diag([4.0, bad, 4.0]), bad)]
+        for name, value in blocks + [
             ("a_x", [0.0, bad, 0.0]),
             ("a_w", [bad, 0.0, 0.0]),
             ("a_0", bad),
@@ -446,6 +450,19 @@ def test_a_non_finite_input_is_rejected_or_stops_the_run_without_a_warning(bad):
                     except ValueError:
                         continue
                     assert rec.truncated and rec.stop_reason, (name, method)
+
+
+def test_a_scalar_block_is_its_value_on_the_diagonal():
+    # a finite scalar gives the bits of a * eye(3), signed zeros off the diagonal included; a non-finite one
+    # keeps zeros there, where a * eye(3) would give inf * 0 = NaN with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in (2.0, -2.0, 0.0, -0.0, 5e-324, -1e300):
+            assert _as_matrix(a, "A").tobytes() == (a * np.eye(3)).tobytes(), a
+        for a in (math.inf, -math.inf, math.nan):
+            m = _as_matrix(a, "A")
+            assert np.array_equal(np.diag(m), [a] * 3, equal_nan=True)
+            assert (m[~np.eye(3, dtype=bool)] == 0.0).all()
 
 
 def test_body_state_validation():
