@@ -99,12 +99,13 @@ def parse_config(text: str) -> RunConfig:
         if "=" not in line:
             raise ConfigError("expected 'key = value'", ln)
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, value = key.strip(), value.strip()
         if key not in _DEFAULTS:
             raise ConfigError(f"unknown key {key!r}", ln)
         if not value:
             raise ConfigError(f"empty value for {key!r}", ln)
+        if "\0" in value:  # no path or number holds one; out_dir's mkdir would raise ValueError after the run
+            raise ConfigError(f"{key!r} must not contain a NUL byte", ln)
         kind = type(_DEFAULTS[key])
         try:
             parsed = kind(value)

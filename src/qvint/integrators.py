@@ -25,8 +25,8 @@ of motion is included for accuracy comparisons; it is not structure preserving,
 but it shares their elimination blocks (velocity recovery, _velocities) and
 _advance (orientation update). Each scheme's balance, its Jacobian and left's setup,
 rk's velocity recovery and stage rate (_rk_rate), and the elimination blocks, once
-per set (CoefficientSet.elimination_blocks), are flat float kernels in the operand
-order of the composed helpers (_rotate_f, _mv, _mm, _cx, _skew, _solve3's quotients):
+per set (CoefficientSet.elimination_blocks), are flat float kernels that rotate through
+_rotate_f and follow the operand order of _mv, _mm, _cx, _skew and _solve3's quotients:
 records keep every bit, as the Jacobians (with left's constant part K0) drop only
 products with a skew matrix's zeros, which can change only the sign of a zero entry.
 
@@ -310,16 +310,13 @@ def _left_setup(q_k, c_k: CoefficientSet, h: float, carried) -> tuple:
     mi, xc, s, p, a_x, a_w = _blocks(c_k)
     (m0, m1, m2, m3, m4, m5, m6, m7, m8), (p0, p1, p2, p3, p4, p5, p6, p7, p8), (aw0, aw1, aw2) = mi, p, a_w
     (c0, c1, c2, c3, c4, c5, c6, c7, c8), (s0, s1, s2, s3, s4, s5, s6, s7, s8) = xc, s
-    (w, x, y, z), (vx, vy, vz, *c_w) = q_k, carried
-    x, y, z = -x, -y, -z  # b = R(q_k)^T carried_x rotates by the conjugate
-    tx, ty, tz = 2.0 * (y * vz - z * vy), 2.0 * (z * vx - x * vz), 2.0 * (x * vy - y * vx)
-    b0, b1, b2 = vx + w * tx + y * tz - z * ty, vy + w * ty + z * tx - x * tz, vz + w * tz + x * ty - y * tx
+    b0, b1, b2 = _rotate_f((q_k[0], -q_k[1], -q_k[2], -q_k[3]), carried[:3])
     d0, d1, d2 = b0 - a_x[0], b1 - a_x[1], b2 - a_x[2]
     return (
         (b0, b1, b2),
         (m0 * d0 + m1 * d1 + m2 * d2, m3 * d0 + m4 * d1 + m5 * d2, m6 * d0 + m7 * d1 + m8 * d2),
         (p0 * d0 + p1 * d1 + p2 * d2 + aw0, p3 * d0 + p4 * d1 + p5 * d2 + aw1, p6 * d0 + p7 * d1 + p8 * d2 + aw2),
-        c_w,
+        carried[3:],
         xc,
         s,
         (
@@ -602,11 +599,17 @@ def _midpoint_step_velocities(v: Array) -> Array:
 
 
 def _step_count(t0: float, t_end: float, h: float) -> int:
-    """round((t_end - t0)/h), at least 1; past 2**53 steps the times t0 + k h stop being distinct."""
+    """The one rule for a run's time span: n = round((t_end - t0)/h) steps, at least 1.
+
+    ValueError if (t_end - t0)/h is not positive (t_end <= t0 or NaN) or exceeds 2**53, or if the grid times
+    t0 + k h would not strictly increase. Each lies within 1.5 ulp of t0 + k h, so h > 4 ulp(max(|t0|, |t0 + n h|))
+    suffices; it also rejects some grids whose times are distinct but each up to 1.5 ulp off.
+    """
     n = (t_end - t0) / h
-    if not (math.isfinite(n) and round(n) <= 2**53):
-        raise ValueError(f"(t_end - t0)/h = {n:g} is not finite or exceeds 2**53 steps")
-    return max(1, round(n))
+    steps = max(1, round(n)) if 0.0 < n <= 2**53 else 0
+    if not (steps and h > 4.0 * math.ulp(max(abs(t0), abs(t0 + steps * h)))):
+        raise ValueError(f"(t_end - t0)/h = {n:g} is not positive, exceeds 2**53 steps or makes t0 + k h collide")
+    return steps
 
 
 def integrate(
@@ -620,27 +623,25 @@ def integrate(
     """Fixed-step run from initial.t to (approximately) t_end.
 
     method is one of left, mid, rk. The run takes n = round((t_end - t)/h) steps
-    (halves to even, at least 1; ValueError if n is not finite or exceeds 2**53)
-    and ends at t + n h, the record's last time; step k's time t + k h is computed
-    from k. Every accepted state is recorded. A step that fails (Newton does not
-    converge, the Jacobian is singular, the state goes non-finite, a schedule
-    callback raises or returns an unusable result) truncates the record, flags it
-    and names the cause in stop_reason; so does a non-finite initial energy or
-    momentum, with a one-row record and no step (coefficients failing at t0
-    raises). Physical momentum columns are filled when rigid_params is given.
+    (halves to even, at least 1), or _step_count, the one time-span rule, raises
+    ValueError before any step or coefficients call. It ends at t + n h, the record's
+    last time; step k's time t + k h is computed from k. Every accepted state is
+    recorded. A step that fails (Newton does not converge, the Jacobian is singular,
+    the state goes non-finite, a schedule callback raises or returns an unusable
+    result) truncates the record, flags it and names the cause in stop_reason
+    (coefficients failing at t0 raises). rigid_params fills the physical momenta.
 
     The conserved-quantity columns are evaluated after the steps, 128 rows at a
-    time, by the float kernels that check row 0, run on numpy columns (each entry
-    rounds as on floats). The first non-finite row ends the record, with stop_reason
-    "diverged: non-finite energy or momentum" over any later step's failure, and
-    the loop at the end of its block, at most 127 steps later. For mid the columns
+    time, by row 0's float kernels run on numpy columns (each entry rounds as on
+    floats); a non-finite row 0 takes no step. One scan finds every non-finite row:
+    the first ends the record (the loop stopped at the end of its block, at most 127
+    steps later) with stop_reason "diverged: non-finite energy or momentum" over any
+    later step's failure, or "... initial energy ..." keeping row 0 alone. For mid the columns
     are evaluated at the midpoint quadrature states (row 0 repeats the first
     midpoint); the velocity columns hold second-order step-point reconstructions.
     """
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
-    if not t_end > initial.t:
-        raise ValueError("t_end must exceed the initial time")
     t0, h = initial.t, cfg.h
     n_steps = _step_count(t0, t_end, h)
     c0 = _coefficients(sched, t0)
@@ -684,9 +685,7 @@ def integrate(
         scale = momentum_scale(initial, c0, h)
         row0 = conserved(last.point, c0._flat)
         states, blocks, pending = [(*last[1:5], 0)], [np.array([row0])], []  # q, x_e, xdot_b, omega_b, iterations
-        if not all(map(math.isfinite, row0)):
-            stop_reason = "diverged: non-finite initial energy or momentum"
-            n_steps = 0
+        n_steps = n_steps if all(map(math.isfinite, row0)) else 0  # the scan below names a bad row 0
         for k in range(1, n_steps + 1):
             try:
                 res = take_step(last)
@@ -704,10 +703,10 @@ def integrate(
         if pending:
             blocks.append(rows(pending))
     diag = np.concatenate(blocks)
-    bad = np.flatnonzero(~np.isfinite(diag[1:]).all(axis=1))
-    if bad.size:  # the record ends where the loop would have stopped, and this reason wins over a later one
-        n, stop_reason = int(bad[0]) + 1, "diverged: non-finite energy or momentum"
-        diag, states = diag[:n], states[:n]
+    bad = np.flatnonzero(~np.isfinite(diag).all(axis=1))
+    if bad.size:  # the record ends where the loop stopped (a bad row 0 stays), and this reason wins over a later one
+        n, stop_reason = int(bad[0]), f"diverged: non-finite {'' if bad[0] else 'initial '}energy or momentum"
+        diag, states = diag[: n or 1], states[: n or 1]
 
     q, x_e, xdot_b, omega_b, iterations = [np.array(col) for col in zip(*states)]
     if method == "mid" and len(diag) > 1:

@@ -471,6 +471,19 @@ def test_step_count_past_2_pow_53_is_a_config_error(tmp_path, capsys, t_end):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_a_nul_byte_in_out_dir_is_a_config_error_before_any_run(tmp_path, capsys, monkeypatch, command):
+    # out_dir's mkdir once raised ValueError: embedded null byte after the whole run, a traceback and exit 1
+    runs = []
+    monkeypatch.setattr("qvint.cli.integrate", lambda *args, **kwargs: runs.append(args))
+    good, bad = tmp_path / "good.cfg", tmp_path / "bad.cfg"
+    good.write_text(f"t_end = 0.05\nout_dir = {tmp_path}")
+    bad.write_text(f"t_end = 0.05\nout_dir = {tmp_path}/a\0b\n")
+    assert main([command, str(bad)] if command == "run" else [command, str(good), str(bad)]) == 2
+    assert "config error: line 2: 'out_dir' must not contain a NUL byte" in capsys.readouterr().err
+    assert runs == [] and not list(tmp_path.rglob("*.csv"))
+
+
 def test_compare_guards():
     with pytest.raises(ConfigError):
         compare([parse_config("")])

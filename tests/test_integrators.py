@@ -1386,11 +1386,50 @@ def test_record_times_lie_on_the_exact_grid(method):
     assert np.array_equal(rec.t, start.t + CFG.h * np.arange(len(rec)))
 
 
-@pytest.mark.parametrize("t_end", [1e300, 1.0])
-def test_step_counts_past_2_pow_53_are_rejected(t_end):
-    # (t_end - t0)/h is infinite, or finite but past the count where the times t0 + k h stay distinct
+@pytest.mark.parametrize("t_end", [1e300, 1.0, 0.0, -1.0, math.nan])
+def test_step_counts_past_2_pow_53_are_rejected(t_end, monkeypatch):
+    # (t_end - t0)/h is infinite, finite but past the count where the times t0 + k h stay distinct, or not
+    # positive (t_end = t0, t_end < t0, a NaN t_end): each is rejected before any coefficients or stepper call
+    calls, coefficients = stepper_calls(monkeypatch), []
+    sched = dataclasses.replace(SCHED, coefficients=lambda t: coefficients.append(t) or CSET)
     with pytest.raises(ValueError, match=r"2\*\*53"):
-        integrate(SPIN, SCHED, SolverConfig(h=1e-300), "mid", t_end)
+        integrate(SPIN, sched, SolverConfig(h=1e-300), "mid", t_end)
+    assert calls == coefficients == []
+
+
+def test_a_grid_whose_times_collide_is_rejected_before_any_step(monkeypatch):
+    # from t0 = 1e15 floats are 0.125 apart, so the times t0 + k h of h = 0.01 collide: such a run once
+    # took all 6400 steps before the record rejected its times, and the run was lost
+    calls = stepper_calls(monkeypatch)
+    with pytest.raises(ValueError, match=r"collide"):
+        integrate(dataclasses.replace(SPIN, t=1e15), SCHED, CFG, "mid", 1e15 + 64.0)
+    assert calls == []
+    rec = integrate(dataclasses.replace(SPIN, t=1e6), SCHED, CFG, "mid", 1e6 + 1.0)
+    assert len(rec) == 101 and not rec.truncated and len(calls) == 100
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    t0=st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-3.0, 17.0)).map(lambda s: s[0] * 10.0 ** s[1]),
+    e=st.floats(-3.0, 3.0),
+    near_ulp=st.booleans(),
+    steps=st.integers(1, 40),
+    method=st.sampled_from(["left", "mid", "rk"]),
+)
+def test_a_run_is_rejected_before_any_step_or_lies_on_an_increasing_grid(t0, e, near_ulp, steps, method):
+    # h is 10**e, or 4**e float spacings at t0 (1/64 to 64), where grids start to collide; a start at
+    # rest keeps every run finite, so the record's times alone decide its fate
+    h = 4.0**e * math.ulp(t0) if near_ulp else 10.0**e
+    rest = BodyState(t0, identity_quat(), np.zeros(3), np.zeros(3), np.zeros(3))
+    with pytest.MonkeyPatch.context() as mp:
+        calls = stepper_calls(mp)
+        try:
+            rec = integrate(rest, SCHED, SolverConfig(h=h), method, t0 + steps * h)
+        except ValueError:
+            assert calls == []
+            return
+    assert not rec.truncated and len(calls) == len(rec) - 1
+    assert np.array_equal(rec.t, t0 + h * np.arange(len(rec))) and (np.diff(rec.t) > 0).all()
 
 
 def test_long_run_ends_on_the_grid():
