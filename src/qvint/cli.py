@@ -62,8 +62,8 @@ class RunConfig:
     x0: Array = (0.0, 0.0, 0.0)
     xdot0: Array = (0.0, 0.0, 0.0)
     omega0: Array = (1.0, 1.0, 1.0)
-    tol: float = 1e-12
-    max_iter: int = 50
+    tol: float = SolverConfig.residual_tol
+    max_iter: int = SolverConfig.max_iter
     out_dir: str = "."
 
 

@@ -149,12 +149,12 @@ def newton_solve(
     tolerance is first met, kept only when it improves the residual, drives the
     balance defect to the roundoff floor so momentum sums telescoped over many
     steps stay at machine precision. Raises SingularJacobianError for a
-    non-finite residual or an unusable Jacobian (non-finite entries, a zero or
-    non-finite determinant, a step beyond 1e12 (1 + |x|)); a stalled line
-    search returns converged=False. A reused Jacobian neither raises nor
-    stalls: where a fresh one would, it is replaced by a fresh one at the same
-    x. tol is the absolute tolerance on the residual norm; at most max_iter
-    iterations run.
+    non-finite residual or an unusable Jacobian (a zero or non-finite
+    determinant, which any non-finite entry gives, or a step beyond
+    1e12 (1 + |x|)); a stalled line search returns converged=False. A reused
+    Jacobian neither raises nor stalls: where a fresh one would, it is
+    replaced by a fresh one at the same x. tol is the absolute tolerance on
+    the residual norm; at most max_iter iterations run.
     """
     x = tuple([float(v) for v in guess])
     r, terms = residual(x)
@@ -173,10 +173,7 @@ def newton_solve(
             raise SingularJacobianError("residual is non-finite")
         fresh = adj is None
         if fresh:
-            jac = jacobian(x, terms)
-            if not all(map(math.isfinite, jac)):
-                raise SingularJacobianError("Jacobian has non-finite entries")
-            adj, det = _adjugate(jac)
+            adj, det = _adjugate(jacobian(x, terms))
             if det == 0.0:
                 raise SingularJacobianError("singular Jacobian: zero determinant")
             if not math.isfinite(det):
@@ -217,18 +214,11 @@ def newton_solve(
 # shrinks it, and its per-size tuple free lists then hoard thousands of them (about 0.3 MB).
 
 
-def _blocks(c: CoefficientSet) -> tuple:
-    try:
-        return c.elimination_blocks
-    except np.linalg.LinAlgError as exc:
-        raise SingularJacobianError(f"translational mass block 2 a_xx: {exc}") from exc
-
-
 def _velocities(c: CoefficientSet, d) -> tuple[Vec3, Vec3]:
     """(xdot, omega) with momenta M v + a = d = (D1, D2): omega = S^-1 (D2 - a_w - P e), xdot = Mxx^-1 e + X omega,
     e = D1 - a_x."""
-    (m0, m1, m2, m3, m4, m5, m6, m7, m8), (c0, c1, c2, c3, c4, c5, c6, c7, c8), _, p, a_x, a_w = _blocks(c)
-    i0, i1, i2, i3, i4, i5, i6, i7, i8 = c.schur_inverse  # after _blocks, whose failure comes first
+    (m0, m1, m2, m3, m4, m5, m6, m7, m8), (c0, c1, c2, c3, c4, c5, c6, c7, c8), _, p, a_x, a_w = c.elimination_blocks
+    i0, i1, i2, i3, i4, i5, i6, i7, i8 = c.schur_inverse  # after the blocks, whose failure comes first
     (p0, p1, p2, p3, p4, p5, p6, p7, p8), (d0, d1, d2, d3, d4, d5) = p, d
     e0, e1, e2 = d0 - a_x[0], d1 - a_x[1], d2 - a_x[2]
     f0 = d3 - a_w[0] - (p0 * e0 + p1 * e1 + p2 * e2)
@@ -307,7 +297,7 @@ def _left_setup(q_k, c_k: CoefficientSet, h: float, carried) -> tuple:
     (b, Mxx^-1 (b - a_x), P (b - a_x) + a_w, carried_w, X, S, K0 = S - h b^ X, h, h/2): K0 is the
     Jacobian's constant part, formed without the products with a zero of b^.
     """
-    mi, xc, s, p, a_x, a_w = _blocks(c_k)
+    mi, xc, s, p, a_x, a_w = c_k.elimination_blocks
     (m0, m1, m2, m3, m4, m5, m6, m7, m8), (p0, p1, p2, p3, p4, p5, p6, p7, p8), (aw0, aw1, aw2) = mi, p, a_w
     (c0, c1, c2, c3, c4, c5, c6, c7, c8), (s0, s1, s2, s3, s4, s5, s6, s7, s8) = xc, s
     b0, b1, b2 = _rotate_f((q_k[0], -q_k[1], -q_k[2], -q_k[3]), carried[:3])
@@ -404,8 +394,8 @@ def step_left(prev: StepResult, sched: MorphingSchedule, cfg: SolverConfig, scal
 
 def _mid_setup(q_k, c: CoefficientSet, h: float, carried) -> tuple:
     """The omega-independent terms of residual_mid: u = R(q_k)^T carried, both halves."""
-    w, x, y, z = q_k
-    return _rotate_f((w, -x, -y, -z), carried[:3]), _rotate_f((w, -x, -y, -z), carried[3:]), _blocks(c), 0.5 * h
+    qc = (q_k[0], -q_k[1], -q_k[2], -q_k[3])
+    return _rotate_f(qc, carried[:3]), _rotate_f(qc, carried[3:]), c.elimination_blocks, 0.5 * h
 
 
 def _mid_eval(k: tuple, w: Vec3) -> tuple[list[float], tuple]:
@@ -489,7 +479,10 @@ def step_mid(prev: StepResult, sched: MorphingSchedule, cfg: SolverConfig, scale
     velocities of prev are the previous midpoint's (the initial state's for
     the first step): they warm-start the solve and probe the force. The
     returned link carries the fresh midpoint velocities. Reversal negates
-    the link's velocities and history.
+    the link's velocities and history. Known limitation: a forced step adds
+    the body-axes torque to the earth-axes carried momentum and centres the
+    impulse half a step late, so forced runs are first order and converge to
+    the wrong motion under a torque.
     """
     h, q_k, x = cfg.h, prev.q, prev.x_e
     t_mid = prev.t + 0.5 * h
@@ -589,12 +582,12 @@ def _midpoint_step_velocities(v: Array) -> Array:
 
     Entry 0 keeps the exact initial data, inner entries average adjacent
     midpoints, and the final entry extrapolates linearly (the nearest-midpoint
-    value would be off by O(h/2) there).
+    value would be off by O(h/2) there): from m_{n-1} and m_n, or for one step
+    from v_0, half a step before m_1.
     """
     out = v.copy()
     out[1:-1] = 0.5 * (v[1:-1] + v[2:])
-    if len(v) >= 3:
-        out[-1] = 1.5 * v[-1] - 0.5 * v[-2]
+    out[-1] = 1.5 * v[-1] - 0.5 * v[-2] if len(v) >= 3 else 2.0 * v[-1] - v[0]
     return out
 
 

@@ -44,6 +44,9 @@ _SYM_TOL = 1e-12
 #: CoefficientSet's fields, in order
 _FIELDS = ("a_xx", "A_xw", "A_ww", "a_x", "a_w", "a_0")
 
+#: the names a singular or ill-conditioned elimination block's error carries
+_MXX, _S = "translational mass block 2 a_xx", "Schur complement S"
+
 
 def skew(v: Array) -> Array:
     """Cross-product matrix: skew(v) @ w == v x w."""
@@ -88,24 +91,24 @@ def _adjugate(m) -> tuple[tuple[float, ...], float]:
     return adj, a * c0 + b * c1 + c * c2
 
 
-def _solve3(m, *rhs) -> list[tuple[float, ...]]:
+def _solve3(m, *rhs, name: str) -> list[tuple[float, ...]]:
     """m^-1 r for each row-major 3x3 r in rhs, by the adjugate of m / max |m_ij|, then x + m^-1 (r - m x) once.
 
     The scaling keeps the determinant from overflowing or underflowing at any finite scale. The refinement
     step wins back what the cofactors lose to cancellation (up to 50x at condition number 1e3). A finite m
     whose off-diagonal entries are all zero is solved by the correctly rounded quotients r_ij / m_ii instead,
-    which no scaling or refinement can improve. Raises np.linalg.LinAlgError for a singular m; a non-finite
-    m gives non-finite solutions.
+    which no scaling or refinement can improve. Raises np.linalg.LinAlgError "<name>: Singular matrix" for a
+    singular m; a non-finite m gives non-finite solutions.
     """
     a, b, c, d, e, f, g, h, i = m
     if not (b or c or d or f or g or h) and all(map(math.isfinite, (a, e, i))):  # a NaN off the diagonal is truthy
         if not (a and e and i):
-            raise np.linalg.LinAlgError("Singular matrix")
+            raise np.linalg.LinAlgError(f"{name}: Singular matrix")
         return [(r[0] / a, r[1] / a, r[2] / a, r[3] / e, r[4] / e, r[5] / e, r[6] / i, r[7] / i, r[8] / i) for r in rhs]
     s = max(map(abs, m)) if all(map(math.isfinite, m)) else math.nan  # max would skip a NaN
     adj, det = _adjugate([v / s for v in m] if s else m)  # s = 0: m is zero, and singular
     if det == 0.0:
-        raise np.linalg.LinAlgError("Singular matrix")
+        raise np.linalg.LinAlgError(f"{name}: Singular matrix")
     mi = [v / det / s for v in adj]
     xs = [_mm(mi, r) for r in rhs]
     return [tuple([u + v for u, v in zip(x, _mm(mi, [p - q for p, q in zip(r, _mm(m, x))]))]) for x, r in zip(xs, rhs)]
@@ -184,7 +187,7 @@ class CoefficientSet:
         With M = [[Mxx, Mxw], [Mwx, Mww]]: row-major Mxx^-1, X = -Mxx^-1 Mxw, the Schur
         complement S = Mww + Mwx X, P = Mwx Mxx^-1, then a_x and a_w, so that
         xdot = Mxx^-1 (g1 - a_x) + X omega and g2 = P (g1 - a_x) + S omega + a_w.
-        Raises np.linalg.LinAlgError for a singular Mxx and ValueError for
+        Raises np.linalg.LinAlgError naming Mxx = 2 a_xx for a singular Mxx and ValueError for
         non-finite blocks.
         """
         xx, xw, ww, a_x, a_w, _ = self._flat
@@ -194,7 +197,8 @@ class CoefficientSet:
             mi = (1.0 / a, 0.0 / a, 0.0 / a, 0.0 / e, 1.0 / e, 0.0 / e, 0.0 / i, 0.0 / i, 1.0 / i)
             x = (-c0 / a, -c1 / a, -c2 / a, -c3 / e, -c4 / e, -c5 / e, -c6 / i, -c7 / i, -c8 / i)
         else:  # every other Mxx, a singular or non-finite diagonal one too, raises or is solved there
-            mi, x = _solve3([2.0 * v for v in xx], (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0), [-v for v in xw])
+            eye = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+            mi, x = _solve3([2.0 * v for v in xx], eye, [-v for v in xw], name=_MXX)
         (m0, m1, m2, m3, m4, m5, m6, m7, m8), (x0, x1, x2, x3, x4, x5, x6, x7, x8) = mi, x
         s = (2.0 * d0 + (c0 * x0 + c3 * x3 + c6 * x6), 2.0 * d1 + (c0 * x1 + c3 * x4 + c6 * x7),
              2.0 * d2 + (c0 * x2 + c3 * x5 + c6 * x8), 2.0 * d3 + (c1 * x0 + c4 * x3 + c7 * x6),
@@ -213,16 +217,13 @@ class CoefficientSet:
     def schur_inverse(self) -> tuple[float, ...]:
         """Row-major S^-1 for elimination_blocks' Schur complement S, which recovers omega from the momenta.
 
-        Raises ValueError naming the block for a singular S, or for Mxx = 2 a_xx or S with a 1-norm
-        condition estimate |m|_1 |m^-1|_1 above 1e12.
+        Raises np.linalg.LinAlgError naming S for a singular S, and ValueError naming the block for Mxx = 2 a_xx
+        or S with a 1-norm condition estimate |m|_1 |m^-1|_1 above 1e12.
         """
         mi, _, s, _, _, _ = self.elimination_blocks
-        try:
-            (si,) = _solve3(s, (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0))
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(f"Schur complement S: {exc}") from exc
+        (si,) = _solve3(s, (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0), name=_S)
         mxx = [2.0 * v for v in self._flat[0]]
-        for name, m, inv in (("translational mass block 2 a_xx", mxx, mi), ("Schur complement S", s, si)):
+        for name, m, inv in ((_MXX, mxx, mi), (_S, s, si)):
             cond = math.prod(max(abs(a[j]) + abs(a[j + 3]) + abs(a[j + 6]) for j in (0, 1, 2)) for a in (m, inv))
             if not cond <= 1e12:
                 raise ValueError(f"{name}: condition estimate {cond:.3g} exceeds 1e12")

@@ -50,6 +50,9 @@ RNG = np.random.default_rng(905)
 
 CSET, RP = preset_free_body()
 
+#: the block name a singular translational mass block's error carries
+MXX = "translational mass block 2 a_xx"
+
 #: the documented free-body coefficient table
 TABLE_A_XW = np.array([[0.0, 0.0400, 0.0], [-0.0400, 0.0, 6.350], [0.0, -6.350, 0.0]])
 TABLE_A_WW = np.array([[0.2342, 0.0, -6.4761e-5], [0.0, 3.0539, 0.0], [-6.4761e-5, 0.0, 3.2699]])
@@ -246,7 +249,7 @@ def composed_elimination_blocks(c):
     """elimination_blocks composed from _solve3 and _mm: the oracle its flat kernel keeps to the bit."""
     xx, xw, ww, a_x, a_w, _ = c._flat
     mxx, wx = [2.0 * v for v in xx], xw[0::3] + xw[1::3] + xw[2::3]
-    mi, x = _solve3(mxx, (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0), [-v for v in xw])
+    mi, x = _solve3(mxx, (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0), [-v for v in xw], name=MXX)
     b = (mi, x, tuple([2.0 * u + v for u, v in zip(ww, _mm(wx, x))]), _mm(wx, mi), a_x, a_w)
     if not all(map(math.isfinite, chain(*b))):
         raise ValueError("non-finite coefficients")
@@ -304,8 +307,9 @@ def test_a_set_computes_its_blocks_once_and_never_keeps_a_failure(monkeypatch):
     first = c.elimination_blocks
     assert c.elimination_blocks is first and c.schur_inverse is c.schur_inverse and calls == [c]
     # a failure is raised afresh on each access, and schur_inverse meets the blocks' error before its own
+    singular = CoefficientSet(a_xx=np.diag([2.0, 0.0, 2.0]), A_xw=0.5, A_ww=1.0)
     for bad, error, message in (
-        (CoefficientSet(a_xx=np.diag([2.0, 0.0, 2.0]), A_xw=0.5, A_ww=1.0), np.linalg.LinAlgError, "Singular matrix"),
+        (singular, np.linalg.LinAlgError, f"{MXX}: Singular matrix"),
         (CoefficientSet(a_xx=2.0, A_xw=0.5, A_ww=1.0, a_w=(0.0, math.inf, 0.0)), ValueError, "non-finite coefficients"),
     ):
         calls.clear()
@@ -373,7 +377,7 @@ def test_a_diagonal_solve_is_the_correctly_rounded_quotient(pivots, zeros, r):
     # one IEEE division per entry is the best any solve can return; zeros of either sign are off the diagonal
     a, e, i = pivots
     m = (a, *zeros[:3], e, *zeros[3:], i)
-    (x,) = _solve3(m, r)
+    (x,) = _solve3(m, r, name="m")
     assert x == tuple(float(Fraction(v) / Fraction(pivots[k // 3])) for k, v in enumerate(r))
 
 
