@@ -72,8 +72,8 @@ class SingularJacobianError(RuntimeError):
 class SolverConfig:
     """Step size and Newton parameters shared by both variational schemes.
 
-    residual_tol is relative; steppers multiply it by the run's initial
-    momentum scale to obtain the absolute tolerance on the balance defect.
+    residual_tol is relative: each step solves its balance defect to residual_tol
+    times the norm of the momentum it starts from (its history), floored at 1.
     """
 
     h: float
@@ -251,10 +251,11 @@ def _link(*fields) -> StepResult:
     return r
 
 
-def _solve_rate(k: tuple, evaluate, jacobian, prev: StepResult, cfg: SolverConfig, scale: float) -> NewtonResult:
+def _solve_rate(k: tuple, evaluate, jacobian, prev: StepResult, cfg: SolverConfig) -> NewtonResult:
     """Both steppers' one hand-off to newton_solve: their _eval and _jacobian bound to setup k, from prev's rate to
-    residual_tol times the run's momentum scale. A stalled solve raises, so every link is an accepted step."""
-    sol = newton_solve(partial(evaluate, k), partial(jacobian, k), prev.omega_b, cfg.residual_tol * scale, cfg.max_iter)
+    residual_tol times max(1, |prev.history|). A stalled solve raises, so every link is an accepted step."""
+    tol = cfg.residual_tol * max(1.0, math.hypot(*prev.history))  # follows a momentum that grows in the run
+    sol = newton_solve(partial(evaluate, k), partial(jacobian, k), prev.omega_b, tol, cfg.max_iter)
     if not sol.converged:
         raise SingularJacobianError("Newton did not converge")
     return sol
@@ -365,11 +366,11 @@ def jacobian_left(q_k: Array, omega: Array, c_k: CoefficientSet, h: float, carri
     return np.array(_left_jacobian(k, w, _left_eval(k, w)[1])).reshape(3, 3)
 
 
-def step_left(prev: StepResult, sched: MorphingSchedule, cfg: SolverConfig, scale: float) -> StepResult:
+def step_left(prev: StepResult, sched: MorphingSchedule, cfg: SolverConfig) -> StepResult:
     """Advance one left-rectangle step from the previous link, carrying its history.
 
     Kinematics first (exponential orientation update and position quadrature
-    with step k-1 values), then the implicit solve for the step-k rate.
+    with step k-1 values), then the implicit solve for the step-k rate (_solve_rate).
     """
     h, v = cfg.h, _rotate_f(prev.q, prev.xdot_b)
     q_k = _advance(prev.q, prev.omega_b, h)
@@ -381,7 +382,7 @@ def step_left(prev: StepResult, sched: MorphingSchedule, cfg: SolverConfig, scal
         f = _force(sched, t_k, q_k, x_k, prev.xdot_b, prev.omega_b)
         carried = [c + h * u for c, u in zip(carried, f)]
 
-    sol = _solve_rate(_left_setup(q_k, c_k, h, carried), _left_eval, _left_jacobian, prev, cfg, scale)
+    sol = _solve_rate(_left_setup(q_k, c_k, h, carried), _left_eval, _left_jacobian, prev, cfg)
     (xd, g2), om, hh = sol.terms, sol.x, 0.5 * h
     m = _cx(om, g2)
     history = (*carried[:3], g2[0] - hh * m[0], g2[1] - hh * m[1], g2[2] - hh * m[2])
@@ -471,11 +472,11 @@ def jacobian_mid(q_k: Array, omega: Array, c_mid: CoefficientSet, h: float, carr
     return np.array(_mid_jacobian(k, w, _mid_eval(k, w)[1])).reshape(3, 3)
 
 
-def step_mid(prev: StepResult, sched: MorphingSchedule, cfg: SolverConfig, scale: float) -> StepResult:
+def step_mid(prev: StepResult, sched: MorphingSchedule, cfg: SolverConfig) -> StepResult:
     """Advance one midpoint step from the previous link, carrying its history.
 
-    Solves for the midpoint rate (the midpoint velocity follows in closed
-    form), then updates orientation and position with the midpoint rule. The
+    Solves for the midpoint rate (_solve_rate; the midpoint velocity follows in
+    closed form), then updates orientation and position with the midpoint rule. The
     velocities of prev are the previous midpoint's (the initial state's for
     the first step): they warm-start the solve and probe the force. The
     returned link carries the fresh midpoint velocities. Reversal negates
@@ -495,7 +496,7 @@ def step_mid(prev: StepResult, sched: MorphingSchedule, cfg: SolverConfig, scale
         f = _force(sched, t_mid, q_pred, x_pred, prev.xdot_b, prev.omega_b)
         carried = [c + h * u for c, u in zip(carried, f)]
 
-    sol = _solve_rate(_mid_setup(q_k, c_mid, h, carried), _mid_eval, _mid_jacobian, prev, cfg, scale)
+    sol = _solve_rate(_mid_setup(q_k, c_mid, h, carried), _mid_eval, _mid_jacobian, prev, cfg)
     (e, g1, xd, _), om, c = sol.terms, sol.x, carried
     q_t = _mul_f(q_k, e)
     m = _rotate_f(q_t, _cx(xd, g1))  # outgoing = incoming - h R_t (xdot x g1)
@@ -561,20 +562,16 @@ def seed_step(initial: BodyState, c0: CoefficientSet, method: str, h: float) -> 
     momentum and the trajectory stays second-order accurate. (Seeding from a virtual
     midpoint shifted by exp((h/4) omega) instead conserves a momentum O(h) away from the
     true one, which degrades the whole run to first order.) rk carries them on body axes, the
-    (D1, D2) its RK4 integrates. c0 is the coefficient set at initial.t.
+    (D1, D2) its RK4 integrates. c0 is the coefficient set at initial.t. Any other method is a ValueError.
     """
+    if method not in _METHODS:
+        raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
     q, x, xd, om = [tuple(a.tolist()) for a in (initial.q, initial.x_e, initial.xdot_b, initial.omega_b)]
     n = math.hypot(*q)  # BodyState admits a q up to 1e-6 off unit norm; a run starts on a unit one
     q = tuple([v / n for v in q]) if abs(n - 1.0) > 2**-50 else q
     _, d1, d2 = _canonical_f(q, xd, om, c0._flat, -h) if method == "left" else _energy_momenta(c0._flat, xd, om)
     history = (*_rotate_f(q, d1), *_rotate_f(q, d2)) if method == "mid" else (*d1, *d2)
     return StepResult(initial.t, q, x, xd, om, history, None, (q, xd, om), c0, 0, 0.0)
-
-
-def momentum_scale(state: BodyState, c: CoefficientSet, h: float) -> float:
-    """Absolute scale for Newton tolerances: initial canonical momentum norm, floored at 1."""
-    _, p_x, p_w = _canonical_f(state.q.tolist(), state.xdot_b.tolist(), state.omega_b.tolist(), c._flat, h)
-    return max(1.0, math.hypot(*p_x, *p_w))
 
 
 def _midpoint_step_velocities(v: Array) -> Array:
@@ -615,14 +612,16 @@ def integrate(
 ) -> TrajectoryRecord:
     """Fixed-step run from initial.t to (approximately) t_end.
 
-    method is one of left, mid, rk. The run takes n = round((t_end - t)/h) steps
-    (halves to even, at least 1), or _step_count, the one time-span rule, raises
-    ValueError before any step or coefficients call. It ends at t + n h, the record's
-    last time; step k's time t + k h is computed from k. Every accepted state is
-    recorded. A step that fails (Newton does not converge, the Jacobian is singular,
-    the state goes non-finite, a schedule callback raises or returns an unusable
-    result) truncates the record, flags it and names the cause in stop_reason
-    (coefficients failing at t0 raises). rigid_params fills the physical momenta.
+    The run takes n = round((t_end - t)/h) steps (halves to even, at least 1), or
+    _step_count, the one time-span rule, raises ValueError before any step or
+    coefficients call; method is left, mid or rk, or seed_step, the one method rule,
+    raises ValueError after the t0 coefficients call and before any step. The run ends
+    at t + n h, the record's last time; step k's time t + k h is computed from k. Every
+    accepted state is recorded. A step that fails (Newton does not converge, the
+    Jacobian is singular, the state goes non-finite, a schedule callback raises or
+    returns an unusable result) truncates the record, flags it and names the cause in
+    stop_reason (coefficients failing at t0 raises). rigid_params fills the physical
+    momenta.
 
     The conserved-quantity columns are evaluated after the steps, 128 rows at a
     time, by row 0's float kernels run on numpy columns (each entry rounds as on
@@ -633,15 +632,14 @@ def integrate(
     are evaluated at the midpoint quadrature states (row 0 repeats the first
     midpoint); the velocity columns hold second-order step-point reconstructions.
     """
-    if method not in _METHODS:
-        raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
     t0, h = initial.t, cfg.h
     n_steps = _step_count(t0, t_end, h)
     c0 = _coefficients(sched, t0)
+    last = seed_step(initial, c0, method, h)  # raises for an unknown method, before any step
     # the lambdas look the steppers up at each call, so a wrapper set on this module sees every step
     take_step = {
-        "left": lambda r: step_left(r, sched, cfg, scale),
-        "mid": lambda r: step_mid(r, sched, cfg, scale),
+        "left": lambda r: step_left(r, sched, cfg),
+        "mid": lambda r: step_mid(r, sched, cfg),
         "rk": lambda r: step_rk_baseline(r, sched, h),
     }[method]
     if rigid_params is not None:
@@ -674,8 +672,6 @@ def integrate(
     stop_reason = ""
     # a diverging run surfaces as a non-finite state or row; row 0 and the seed are held to the same rule
     with np.errstate(over="ignore", invalid="ignore"):  # for a schedule's numpy force and the row blocks
-        last = seed_step(initial, c0, method, h)
-        scale = momentum_scale(initial, c0, h)
         row0 = conserved(last.point, c0._flat)
         states, blocks, pending = [(*last[1:5], 0)], [np.array([row0])], []  # q, x_e, xdot_b, omega_b, iterations
         n_steps = n_steps if all(map(math.isfinite, row0)) else 0  # the scan below names a bad row 0

@@ -126,6 +126,6 @@ def _right_jacobian(phi: tuple[float, float, float]) -> tuple[float, ...]:
 def rotate_to_earth(q: Array, v_body: Array) -> Array:
     """Coordinates of a body-frame vector on earth axes, q (x) v (x) q*."""
     n = float(np.sqrt(q @ q))
-    if abs(n - 1.0) > UNIT_TOL:
+    if not abs(n - 1.0) <= UNIT_TOL:  # also true for a NaN norm
         raise ValueError(f"rotate_to_earth: quaternion norm {n!r} is not 1 within {UNIT_TOL}")
     return np.array(_rotate_f(q, v_body))

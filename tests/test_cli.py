@@ -110,6 +110,9 @@ def q0_note(off: str) -> str:
     return f"WARNING: q0 is off unit norm by {off}; normalizing\n"
 
 
+STOPPED_AT_0 = "WARNING: integration stopped early at t=0 (Newton did not converge); partial output written\n"
+
+
 def test_parse_off_norm_q0_warns_and_normalizes(capsys):
     # the note is one line on stderr, not a Python warning (the suite turns warnings into errors)
     cfg = parse_config("q0_w = 2.0")
@@ -130,16 +133,30 @@ def test_parse_off_norm_q0_warns_and_normalizes(capsys):
         assert build_scenario(cfg)[0].q.tolist() == cfg.q0.tolist()  # BodyState accepts it
 
 
-def test_the_q0_note_is_a_stderr_line_even_when_warnings_are_errors(tmp_path):
-    # a Python warning would end this run with a traceback and exit 1, and print this file's path
+@pytest.mark.parametrize(
+    "text,code,stderr",
+    [
+        ("q0_w = 0.9\nh = 0.05\nt_end = 0.1\nout_dir = {out}\n", 0, q0_note("0.1")),
+        ("h = 0\nout_dir = {out}\n", 2, "config error: line 1: 'h' must be positive\n"),
+        ("max_iter = 1\nt_end = 0.1\nout_dir = {out}\n", 3, STOPPED_AT_0),
+        ("t_end = 0.1\nout_dir = {blocker}\n", 4, "output failed: [Errno 17] File exists: '{blocker}'\n"),
+    ],
+    ids=["q0_note", "config_error", "truncated", "output_failed"],
+)
+def test_exit_codes_and_stderr_lines_of_a_real_process(tmp_path, text, code, stderr):
+    # each exit code ends the process with its one stderr line and no traceback, even when warnings are
+    # errors: a Python warning would end the run with a traceback and exit 1, and print this file's path
+    blocker = tmp_path / "occupied"
+    blocker.write_text("occupied", encoding="utf-8")
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"q0_w = 0.9\nh = 0.05\nt_end = 0.1\nout_dir = {tmp_path}\n", encoding="utf-8")
+    cfg.write_text(text.format(out=tmp_path, blocker=blocker), encoding="utf-8")
     env = {**os.environ, "PYTHONPATH": str(Path(qvint.__file__).parents[1])}
     done = subprocess.run(
         [sys.executable, "-W", "error", "-m", "qvint.cli", "run", str(cfg)], capture_output=True, text=True, env=env
     )
-    assert (done.returncode, done.stderr) == (0, q0_note("0.1")), done.stderr
-    assert len(list(tmp_path.glob("*.csv"))) == 2
+    assert (done.returncode, done.stderr) == (code, stderr.format(blocker=blocker)), done.stderr
+    assert "Traceback" not in done.stderr
+    assert len(list(tmp_path.glob("*.csv"))) == (2 if code in (0, 3) else 0)
 
 
 def test_build_scenario_branches():

@@ -59,6 +59,10 @@ def test_rotations_closed_forms():
     assert_allclose(rotate_to_earth(q, np.array([0.0, 1.0, 0.0])), [0, 0, 1], atol=1e-15)
     with pytest.raises(ValueError):
         rotate_to_earth(np.array([1.0, 1.0, 0.0, 0.0]), x)
+    # a NaN component makes the norm NaN, which no tolerance comparison admits; an infinite one overflows it
+    for bad in ([math.nan, 0.0, 0.0, 0.0], [1.0, 0.0, math.nan, 0.0], [1.0, math.inf, 0.0, 0.0], [-math.inf, 0, 0, 0]):
+        with pytest.raises(ValueError, match="rotate_to_earth: quaternion norm"):
+            rotate_to_earth(np.array(bad), x)
 
 
 def test_rotation_inverse_pair_sweep():
