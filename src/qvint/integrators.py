@@ -156,11 +156,14 @@ def newton_solve(
     replaced by a fresh one at the same x. tol is the absolute tolerance on
     the residual norm; at most max_iter iterations run.
     """
-    x = tuple([float(v) for v in guess])
-    r, terms = residual(x)
-    rn = math.hypot(*r)
+    g0, g1, g2 = guess
+    x = x0, x1, x2 = float(g0), float(g1), float(g2)
+    (r0, r1, r2), terms = residual(x)
+    rn = math.hypot(r0, r1, r2)
     iterations = 0
     polish_left = 1
+    if 0 < max_iter and not math.isfinite(rn):  # a trial is accepted only below rn, so no later rn is non-finite
+        raise SingularJacobianError("residual is non-finite")
     # the kept Jacobian as its adjugate (9 row-major floats) and determinant det; dividing by det
     # last makes a step whose adj @ r overflows non-finite, and so rejected
     adj = None
@@ -169,8 +172,6 @@ def newton_solve(
             if polish_left == 0 or rn == 0.0:
                 break
             polish_left -= 1
-        if not math.isfinite(rn):
-            raise SingularJacobianError("residual is non-finite")
         fresh = adj is None
         if fresh:
             adj, det = _adjugate(jacobian(x, terms))
@@ -178,34 +179,33 @@ def newton_solve(
                 raise SingularJacobianError("singular Jacobian: zero determinant")
             if not math.isfinite(det):
                 raise SingularJacobianError("Jacobian determinant is non-finite")
-        a0, a1, a2, a3, a4, a5, a6, a7, a8 = adj
-        r0, r1, r2 = r
-        dx = (
-            -(a0 * r0 + a1 * r1 + a2 * r2) / det,
-            -(a3 * r0 + a4 * r1 + a5 * r2) / det,
-            -(a6 * r0 + a7 * r1 + a8 * r2) / det,
-        )
+            a0, a1, a2, a3, a4, a5, a6, a7, a8 = adj
+        d0 = -(a0 * r0 + a1 * r1 + a2 * r2) / det
+        d1 = -(a3 * r0 + a4 * r1 + a5 * r2) / det
+        d2 = -(a6 * r0 + a7 * r1 + a8 * r2) / det
         # the comparison is also false for a step with NaN or infinite entries
-        if not math.hypot(*dx) <= 1e12 * (1.0 + math.hypot(*x)):
+        if not math.hypot(d0, d1, d2) <= 1e12 * (1.0 + math.hypot(x0, x1, x2)):
             if fresh:
                 raise SingularJacobianError("Jacobian is numerically singular")
             adj = None
             continue
         iterations += 1
-        alpha = 1.0
-        for _ in range(9):
-            x_try = (x[0] + alpha * dx[0], x[1] + alpha * dx[1], x[2] + alpha * dx[2])
-            r_try, terms_try = residual(x_try)
-            rn_try = math.hypot(*r_try)
-            if rn_try < rn:
-                if alpha < 1.0 or 100.0 * rn_try > rn:  # not a full step that contracted 100-fold
-                    adj = None
-                x, r, rn, terms = x_try, r_try, rn_try, terms_try
+        alpha, x_try = 1.0, (x0 + d0, x1 + d1, x2 + d2)  # the full step first: x + 1.0 dx has the bits of x + dx
+        while True:  # trials at alpha = 1, 1/2, ..., 1/256
+            (t0, t1, t2), terms_try = residual(x_try)
+            rn_try = math.hypot(t0, t1, t2)
+            if rn_try < rn or alpha == 1.0 / 256:
                 break
             alpha *= 0.5
-        else:  # the line search stalled
-            if fresh:
-                break
+            x_try = (x0 + alpha * d0, x1 + alpha * d1, x2 + alpha * d2)
+        if rn_try < rn:
+            if alpha < 1.0 or 100.0 * rn_try > rn:  # not a full step that contracted 100-fold
+                adj = None
+            x, r0, r1, r2, rn, terms = x_try, t0, t1, t2, rn_try, terms_try
+            x0, x1, x2 = x
+        elif fresh:  # the line search stalled
+            break
+        else:
             adj = None
     return NewtonResult(x, iterations, rn, rn <= tol, terms)
 
@@ -234,20 +234,20 @@ def _velocities(c: CoefficientSet, d) -> tuple[Vec3, Vec3]:
 
 def _advance(q, omega, h: float) -> tuple[float, float, float, float]:
     """q (x) exp((h/2) omega), sign-matched to q and renormalized: every scheme's orientation update."""
-    p = _mul_f(q, _exp_f((0.5 * h * omega[0], 0.5 * h * omega[1], 0.5 * h * omega[2])))
-    if p[0] * q[0] + p[1] * q[1] + p[2] * q[2] + p[3] * q[3] < 0.0:
-        p = (-p[0], -p[1], -p[2], -p[3])
-    n = math.sqrt(p[0] * p[0] + p[1] * p[1] + p[2] * p[2] + p[3] * p[3])
+    p0, p1, p2, p3 = _mul_f(q, _exp_f((0.5 * h * omega[0], 0.5 * h * omega[1], 0.5 * h * omega[2])))
+    if p0 * q[0] + p1 * q[1] + p2 * q[2] + p3 * q[3] < 0.0:
+        p0, p1, p2, p3 = -p0, -p1, -p2, -p3
+    n = math.sqrt(p0 * p0 + p1 * p1 + p2 * p2 + p3 * p3)
     if not 0.0 < n < math.inf:
         raise ValueError("cannot normalize quaternion with zero or non-finite norm")
-    return (p[0] / n, p[1] / n, p[2] / n, p[3] / n)
+    return (p0 / n, p1 / n, p2 / n, p3 / n)
 
 
 def _link(*fields) -> StepResult:
     """StepResult(*fields), after BodyState's finiteness test on the 13 state components; BodyState names a failure."""
     r = StepResult(*fields)
-    if not all(map(math.isfinite, r.q + r.x_e + r.xdot_b + r.omega_b)):  # the four are tuples
-        BodyState(*r[:5])  # raises, naming the non-finite field
+    if not math.isfinite(sum(r.q + r.x_e + r.xdot_b + r.omega_b)):  # the four are tuples; a NaN or inf shows here
+        BodyState(*r[:5])  # raises, naming the non-finite field; finite entries whose sum overflowed pass
     return r
 
 
@@ -682,7 +682,7 @@ def integrate(
                 stop_reason = str(exc)
                 break
             last = StepResult(t0 + h * k, *res[1:])  # the stepper reached prev.t + h; keep the chain on the grid
-            states.append((*res[1:5], res.iterations))
+            states.append((res.q, res.x_e, res.xdot_b, res.omega_b, res.iterations))
             pending.append((res.point, res.coeffs._flat))  # not the set, which caches its elimination blocks
             if len(pending) == 128:  # spreads numpy's per-call cost; bounds the rows held and steps past a bad one
                 blocks.append(rows(pending))
@@ -697,7 +697,10 @@ def integrate(
         n, stop_reason = int(bad[0]), f"diverged: non-finite {'' if bad[0] else 'initial '}energy or momentum"
         diag, states = diag[: n or 1], states[: n or 1]
 
-    q, x_e, xdot_b, omega_b, iterations = [np.array(col) for col in zip(*states)]
+    *cols, iterations = zip(*states)
+    n = len(iterations)
+    q, x_e, xdot_b, omega_b = [np.fromiter(chain.from_iterable(c), float, n * len(c[0])).reshape(n, -1) for c in cols]
+    iterations = np.fromiter(iterations, int, n)
     if method == "mid" and len(diag) > 1:
         xdot_b, omega_b = _midpoint_step_velocities(xdot_b), _midpoint_step_velocities(omega_b)
         diag[0] = diag[1]

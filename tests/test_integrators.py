@@ -8,7 +8,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -241,6 +241,33 @@ def test_newton_replaces_a_reused_jacobian_whose_step_is_numerically_singular():
     res = newton_solve(residual, jacobian, (1.0, 0.0, 0.0), 1e-12, 50)
     assert res.converged and res.x == (0.0, -0.005, 0.0)
     assert jac_at == [(1.0, 0.0, 0.0), (0.0, 0.0, 0.0)]
+
+
+@pytest.mark.parametrize("accepted", [0, 1, 3, 8, None], ids=["full_step", "half", "eighth", "last_halving", "stall"])
+def test_newton_line_search_tries_the_full_step_then_each_halving_in_order(accepted):
+    # r = (0.75, -0.5, 0.25) at the guess and an identity Jacobian give dx = -r; every trial climbs but the
+    # one at alpha = 2**-accepted, which lands on r = 0. The trials are x + alpha dx for alpha = 1, 1/2, ...,
+    # 1/256 in that order, at most 9 in an iteration, and a search that stalls from a fresh Jacobian returns
+    # converged=False after exactly 9
+    x0, r0 = (0.1, 0.2, 0.3), (0.75, -0.5, 0.25)
+    dx = tuple(-r for r in r0)
+    trials = []
+
+    def residual(v):
+        trials.append(v)
+        if len(trials) == 1:
+            return r0, None
+        return ((0.0, 0.0, 0.0) if len(trials) - 2 == accepted else (2.0, 2.0, 2.0)), None
+
+    res = newton_solve(residual, lambda v, _: diag3((1.0, 1.0, 1.0)), x0, 1e-12, 50)
+    n = 9 if accepted is None else accepted + 1
+    assert trials[0] == x0
+    assert trials[1:] == [tuple(x + 2.0**-j * d for x, d in zip(x0, dx)) for j in range(n)]
+    assert res.iterations == 1 and res.converged == (accepted is not None)
+    if accepted is None:
+        assert res.x == x0 and res.residual_norm == math.hypot(*r0)
+    else:
+        assert res.x == trials[-1] and res.residual_norm == 0.0
 
 
 def call_counted(fn):
@@ -1118,6 +1145,32 @@ def test_a_state_turning_non_finite_stops_the_run_with_its_field_named(method, r
     assert len(rec) == 1 and rec.t.tolist() == [0.0]
 
 
+def link_of(q, x_e, xdot_b, omega_b):
+    """integrators._link on a state, with an empty history and the free body's set."""
+    return integrators._link(0.0, q, x_e, xdot_b, omega_b, (), None, (q, xdot_b, omega_b), CSET, 0, 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    size=st.lists(st.floats(1e307, 1.7976931348623157e308), min_size=9, max_size=9),
+    sign=st.lists(st.sampled_from([-1.0, 1.0]), min_size=9, max_size=9),
+    field=st.integers(0, 3),
+    at=st.integers(0, 3),
+    bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+@example(size=[1.7e308] * 9, sign=[1.0, 1.0, -1.0] * 3, field=1, at=2, bad=math.nan)
+def test_a_link_takes_every_finite_state_and_names_a_non_finite_field(size, sign, field, at, bad):
+    # entries near the float limit of both signs: their sum often overflows (always in the example), and a
+    # finite state is accepted all the same; one NaN or infinity in a field raises BodyState's error naming it
+    v = [s * m for s, m in zip(sign, size)]
+    fields = [(0.5, 0.5, 0.5, 0.5), tuple(v[:3]), tuple(v[3:6]), tuple(v[6:])]
+    assert link_of(*fields)[1:5] == tuple(fields)
+    fields[field] = tuple(bad if i == min(at, len(fields[field]) - 1) else u for i, u in enumerate(fields[field]))
+    name = ("q", "x_e", "xdot_b", "omega_b")[field]
+    with pytest.raises(ValueError, match=rf"^BodyState\.{name} has non-finite components$"):
+        link_of(*fields)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     force=floats(-5.0, 5.0, 3),
@@ -1828,6 +1881,29 @@ def test_a_non_finite_row_zero_takes_no_step(method, monkeypatch):
     rec = integrate(start, MORPHING, CFG, method, 1.0)
     assert len(rec) == 1 and rec.stop_reason == "diverged: non-finite initial energy or momentum"
     assert calls == []
+
+
+@pytest.mark.parametrize("case", ["full", "truncated", "non_finite_row_zero"])
+@pytest.mark.parametrize("method", ["left", "mid", "rk"])
+def test_record_state_columns_are_float64_rows_and_newton_iters_integers(method, case):
+    # each state column is its own C-contiguous float64 (n, 4) or (n, 3) array and newton_iters an integer (n,)
+    # one, for a whole run, a run a failing force truncates, and the one row a non-finite row 0 leaves
+    def force(t, *state):
+        return ((math.nan if t > 0.05 else 0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+
+    start = SPIN if case != "non_finite_row_zero" else dataclasses.replace(SPIN, omega_b=np.array([1e200, 1.0, 1.0]))
+    sched = dataclasses.replace(SCHED, force=force, force_free=False) if case == "truncated" else SCHED
+    rec = integrate(start, sched, CFG, method, 0.2, rigid_params=RP)
+    n = len(rec)
+    if case == "full":
+        assert n == 21 and not rec.truncated
+    else:
+        assert rec.truncated and (n == 1 if case == "non_finite_row_zero" else 1 < n < 21)
+    for name, width in (("q", 4), ("x_e", 3), ("xdot_b", 3), ("omega_b", 3)):
+        col = getattr(rec, name)
+        assert col.dtype == np.float64 and col.shape == (n, width) and col.flags.c_contiguous, name
+    assert np.issubdtype(rec.newton_iters.dtype, np.integer) and rec.newton_iters.shape == (n,)
+    assert rec.newton_iters[0] == 0 and (rec.newton_iters[1:] > 0).all() == (method != "rk" or n == 1)
 
 
 @pytest.mark.parametrize("method", ["left", "mid", "rk"])
