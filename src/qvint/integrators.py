@@ -104,10 +104,11 @@ class StepResult(NamedTuple):
     (carried[:3] verbatim, since the reduced solve balances it by construction, and a rotational part from
     the solve's own terms, so the momentum sum telescopes to the Newton floor); for rk the body-axes momenta
     (D1, D2) it integrates, which the link's velocities are recovered from. carried is the outgoing momentum
-    plus step impulse the solve balanced (None for rk and the seed). point (orientation, linear and angular
-    velocity) is where the record evaluates the step's conserved quantities, and coeffs is the coefficient
-    set at its time (the new step point for left and rk, the new midpoint for mid). No stepper reads coeffs:
-    integrate holds point and coeffs._flat, never the link or the set, until it evaluates their block of rows.
+    plus step impulse the solve balanced (None for rk and the seed). point (an orientation and, for every
+    method, the link's own xdot_b and omega_b tuples, which the record's velocity columns are read from) is
+    where the record evaluates the step's conserved quantities, and coeffs is the coefficient set at its time
+    (the new step point for left and rk, the new midpoint for mid). No stepper reads coeffs: integrate holds
+    point and coeffs._flat, never the link or the set, until it evaluates their block of rows.
     """
 
     t: float
@@ -660,20 +661,22 @@ def integrate(
 
     def rows(pending: list) -> Array:
         """conserved over (point, _flat) pairs, run once on numpy columns (the coefficients as scalars when all rows
-        share one _flat, a constant schedule's): elementwise float64 operations round as on floats."""
+        share one _flat, a constant schedule's): elementwise float64 operations round as on floats. The point's
+        velocities follow as the last six columns, so each link's floats become numpy once."""
         points, flats = zip(*pending)
         v = np.fromiter(chain.from_iterable(chain.from_iterable(points)), float).reshape(-1, 10).T.copy()
         f = flats[0]
         if any(g is not f for g in flats):
             c = np.fromiter(chain.from_iterable(chain(*g[:5], g[5:]) for g in flats), float).reshape(-1, 34).T.copy()
             f = (tuple(c[:9]), tuple(c[9:18]), tuple(c[18:27]), tuple(c[27:30]), tuple(c[30:33]), c[33])
-        return np.column_stack(conserved((tuple(v[:4]), tuple(v[4:7]), tuple(v[7:])), f))
+        return np.column_stack((*conserved((tuple(v[:4]), tuple(v[4:7]), tuple(v[7:])), f), *v[4:]))
 
     stop_reason = ""
     # a diverging run surfaces as a non-finite state or row; row 0 and the seed are held to the same rule
     with np.errstate(over="ignore", invalid="ignore"):  # for a schedule's numpy force and the row blocks
         row0 = conserved(last.point, c0._flat)
-        states, blocks, pending = [(*last[1:5], 0)], [np.array([row0])], []  # q, x_e, xdot_b, omega_b, iterations
+        # states hold q, x_e and the iterations; a row block carries the points' velocities after row0's columns
+        states, blocks, pending = [(*last[1:3], 0)], [np.array([(*row0, *last.point[1], *last.point[2])])], []
         n_steps = n_steps if all(map(math.isfinite, row0)) else 0  # the scan below names a bad row 0
         for k in range(1, n_steps + 1):
             try:
@@ -682,7 +685,7 @@ def integrate(
                 stop_reason = str(exc)
                 break
             last = StepResult(t0 + h * k, *res[1:])  # the stepper reached prev.t + h; keep the chain on the grid
-            states.append((res.q, res.x_e, res.xdot_b, res.omega_b, res.iterations))
+            states.append((res.q, res.x_e, res.iterations))
             pending.append((res.point, res.coeffs._flat))  # not the set, which caches its elimination blocks
             if len(pending) == 128:  # spreads numpy's per-call cost; bounds the rows held and steps past a bad one
                 blocks.append(rows(pending))
@@ -699,7 +702,8 @@ def integrate(
 
     *cols, iterations = zip(*states)
     n = len(iterations)
-    q, x_e, xdot_b, omega_b = [np.fromiter(chain.from_iterable(c), float, n * len(c[0])).reshape(n, -1) for c in cols]
+    q, x_e = [np.fromiter(chain.from_iterable(c), float, n * len(c[0])).reshape(n, -1) for c in cols]
+    xdot_b, omega_b = diag[:, -6:-3].copy(), diag[:, -3:].copy()  # the rows' copies of the links' velocities
     iterations = np.fromiter(iterations, int, n)
     if method == "mid" and len(diag) > 1:
         xdot_b, omega_b = _midpoint_step_velocities(xdot_b), _midpoint_step_velocities(omega_b)

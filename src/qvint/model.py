@@ -445,12 +445,13 @@ def preset_morphing(damping: bool = False) -> MorphingSchedule:
     """
     xx, xw, ww, f_x, f_w, f_0 = preset_free_body()[0]._flat
     m = WING_MASS
+    a_xx = (xx[0] + m, *xx[1:4], xx[4] + m, *xx[5:8], xx[8] + m)  # the pair's m I, the same at every t
 
     def coefficients(t: float) -> CoefficientSet:
         a, b, ad, bd = _wing_state(t)
         rr, mb = a * a + b * b, 2.0 * m * b
         return CoefficientSet._trusted(
-            (xx[0] + m, *xx[1:4], xx[4] + m, *xx[5:8], xx[8] + m),
+            a_xx,
             (xw[0], xw[1] + mb, xw[2], xw[3] - mb, *xw[4:]),
             (ww[0] + m * rr, *ww[1:4], ww[4] + m * (rr - a * a), *ww[5:8], ww[8] + m * (rr - b * b)),
             (*f_x[:2], f_x[2] + 2.0 * m * bd), f_w, f_0 + m * (ad * ad + bd * bd),
