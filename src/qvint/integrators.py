@@ -31,14 +31,15 @@ records keep every bit, as the Jacobians (with left's constant part K0) drop onl
 products with a skew matrix's zeros, which can change only the sign of a zero entry.
 
 A run is a chain of StepResult links on Python floats, one contract for all three
-methods: a link's history is the momentum the next step starts from (left's and
-mid's outgoing momentum, rk's body-axes momenta) and its coefficients only feed the
-record. seed_step makes the first link, each stepper maps a link to the next, and
-integrate evaluates the record's conserved quantities from each link's point and
-coefficients in numpy blocks of 128 rows with the float kernels (bit for bit). A
-forced schedule's force reads a probe state's floats through _force, once per left
-or mid step and once per rk stage: left and mid add the impulse h (F, torque) to the
-momentum they carry, rk adds (F, torque) to each stage's momentum rates.
+methods: a link's history is the momentum the next step starts from (left's and mid's
+outgoing momentum, rk's body-axes momenta) and its coefficients only feed the record.
+seed_step makes the first link and each stepper, step(prev, t, sched, cfg), the next
+one at the grid time t = t0 + k h that integrate computes from k. integrate evaluates
+the record's conserved quantities from each link's point, velocities and coefficients
+in numpy blocks of 128 rows with the float kernels (bit for bit). A forced schedule's
+force reads a probe state's floats through _force, once per left or mid step and once
+per rk stage: left and mid add the impulse h (F, torque) to the momentum they carry,
+rk adds (F, torque) to each stage's momentum rates.
 """
 
 from __future__ import annotations
@@ -99,16 +100,16 @@ class NewtonResult(NamedTuple):
 class StepResult(NamedTuple):
     """One link of a run's chain, on Python floats: an accepted step, the state it reached and how.
 
-    t, q, x_e, xdot_b, omega_b are BodyState's fields (for mid, the fresh midpoint's velocities). history is
-    the momentum the next step starts from: for left and mid the outgoing momentum of the solved balance
-    (carried[:3] verbatim, since the reduced solve balances it by construction, and a rotational part from
-    the solve's own terms, so the momentum sum telescopes to the Newton floor); for rk the body-axes momenta
-    (D1, D2) it integrates, which the link's velocities are recovered from. carried is the outgoing momentum
-    plus step impulse the solve balanced (None for rk and the seed). point (an orientation and, for every
-    method, the link's own xdot_b and omega_b tuples, which the record's velocity columns are read from) is
-    where the record evaluates the step's conserved quantities, and coeffs is the coefficient set at its time
-    (the new step point for left and rk, the new midpoint for mid). No stepper reads coeffs: integrate holds
-    point and coeffs._flat, never the link or the set, until it evaluates their block of rows.
+    t, q, x_e, xdot_b, omega_b are BodyState's fields (t the grid time the stepper was given; for mid, the fresh
+    midpoint's velocities). history is the momentum the next step starts from: for left and mid the outgoing
+    momentum of the solved balance (carried[:3] verbatim, since the reduced solve balances it by construction,
+    and a rotational part from the solve's own terms, so the momentum sum telescopes to the Newton floor); for
+    rk the body-axes momenta (D1, D2) it integrates, which the link's velocities are recovered from. carried is
+    the outgoing momentum plus step impulse the solve balanced (None for rk and the seed). point is the
+    orientation where the record evaluates the step's conserved quantities with the link's own xdot_b and
+    omega_b (q for left and rk, the new midpoint's q_t for mid), and coeffs is the coefficient set at its time
+    (t for left and rk, the new midpoint for mid). No stepper reads coeffs: integrate holds the state, point and
+    coeffs._flat, never the link or the set, until it evaluates their block of rows.
     """
 
     t: float
@@ -118,7 +119,7 @@ class StepResult(NamedTuple):
     omega_b: Vec3
     history: tuple
     carried: tuple | None
-    point: tuple[Quat, Vec3, Vec3]
+    point: Quat
     coeffs: CoefficientSet
     iterations: int
     residual_norm: float
@@ -367,27 +368,27 @@ def jacobian_left(q_k: Array, omega: Array, c_k: CoefficientSet, h: float, carri
     return np.array(_left_jacobian(k, w, _left_eval(k, w)[1])).reshape(3, 3)
 
 
-def step_left(prev: StepResult, sched: MorphingSchedule, cfg: SolverConfig) -> StepResult:
-    """Advance one left-rectangle step from the previous link, carrying its history.
+def step_left(prev: StepResult, t: float, sched: MorphingSchedule, cfg: SolverConfig) -> StepResult:
+    """Advance one left-rectangle step from the previous link to grid time t, carrying its history.
 
     Kinematics first (exponential orientation update and position quadrature
     with step k-1 values), then the implicit solve for the step-k rate (_solve_rate).
+    The coefficients and the force are probed at t.
     """
     h, v = cfg.h, _rotate_f(prev.q, prev.xdot_b)
     q_k = _advance(prev.q, prev.omega_b, h)
     x_k = (prev.x_e[0] + h * v[0], prev.x_e[1] + h * v[1], prev.x_e[2] + h * v[2])
-    t_k = prev.t + h
-    c_k = _coefficients(sched, t_k)
+    c_k = _coefficients(sched, t)
     carried = prev.history
     if not sched.force_free:
-        f = _force(sched, t_k, q_k, x_k, prev.xdot_b, prev.omega_b)
+        f = _force(sched, t, q_k, x_k, prev.xdot_b, prev.omega_b)
         carried = [c + h * u for c, u in zip(carried, f)]
 
     sol = _solve_rate(_left_setup(q_k, c_k, h, carried), _left_eval, _left_jacobian, prev, cfg)
     (xd, g2), om, hh = sol.terms, sol.x, 0.5 * h
     m = _cx(om, g2)
     history = (*carried[:3], g2[0] - hh * m[0], g2[1] - hh * m[1], g2[2] - hh * m[2])
-    fields = (t_k, q_k, x_k, xd, om, history, carried, (q_k, xd, om), c_k)
+    fields = (t, q_k, x_k, xd, om, history, carried, q_k, c_k)
     return _link(*fields, sol.iterations, sol.residual_norm)
 
 
@@ -473,11 +474,12 @@ def jacobian_mid(q_k: Array, omega: Array, c_mid: CoefficientSet, h: float, carr
     return np.array(_mid_jacobian(k, w, _mid_eval(k, w)[1])).reshape(3, 3)
 
 
-def step_mid(prev: StepResult, sched: MorphingSchedule, cfg: SolverConfig) -> StepResult:
-    """Advance one midpoint step from the previous link, carrying its history.
+def step_mid(prev: StepResult, t: float, sched: MorphingSchedule, cfg: SolverConfig) -> StepResult:
+    """Advance one midpoint step from the previous link to grid time t, carrying its history.
 
     Solves for the midpoint rate (_solve_rate; the midpoint velocity follows in
     closed form), then updates orientation and position with the midpoint rule. The
+    coefficients and the force are probed at the midpoint time prev.t + h/2. The
     velocities of prev are the previous midpoint's (the initial state's for
     the first step): they warm-start the solve and probe the force. The
     returned link carries the fresh midpoint velocities. Reversal negates
@@ -504,7 +506,7 @@ def step_mid(prev: StepResult, sched: MorphingSchedule, cfg: SolverConfig) -> St
     history = (*c[:3], c[3] - h * m[0], c[4] - h * m[1], c[5] - h * m[2])
     v = _rotate_f(q_t, xd)
     x_next = (x[0] + h * v[0], x[1] + h * v[1], x[2] + h * v[2])
-    fields = (prev.t + h, _advance(q_k, om, h), x_next, xd, om, history, carried, (q_t, xd, om), c_mid)
+    fields = (t, _advance(q_k, om, h), x_next, xd, om, history, carried, q_t, c_mid)
     return _link(*fields, sol.iterations, sol.residual_norm)
 
 
@@ -526,30 +528,31 @@ def _rk_rate(sched: MorphingSchedule, t_s: float, q_s, x_s, d, xd: Vec3, om: Vec
     return om, _rotate_f(q_s, xd), dd
 
 
-def step_rk_baseline(prev: StepResult, sched: MorphingSchedule, h: float) -> StepResult:
-    """One classical RK4 step on the body-frame momentum equations, on Python floats.
+def step_rk_baseline(prev: StepResult, t: float, sched: MorphingSchedule, cfg: SolverConfig) -> StepResult:
+    """One classical RK4 step on the body-frame momentum equations from the previous link to grid time t.
 
     d/dt D1 = -omega x D1 + f on body axes, d/dt D2 = -omega x D2 - xdot x D1 + tau. Stage 1 is prev: its history
-    d = (D1, D2) and the velocities recovered from it. Stages 2-4 recover theirs with _velocities and advance q from
-    prev.q by _advance; the new link carries the RK4 update of d and the velocities recovered from it at t + h.
-    Under a force each stage (_rk_rate) probes it once at its own state, and F is rotated to body axes.
+    d = (D1, D2) and the velocities recovered from it. Stages 2-4 (at prev.t + h/2, twice, and t) recover theirs
+    with _velocities and advance q from prev.q by _advance; the new link carries the RK4 update of d and the
+    velocities recovered from it at t. Under a force each stage (_rk_rate) probes it once at its own state, and F
+    is rotated to body axes.
     """
-    t, q0, x0, d0 = prev.t, prev.q, prev.x_e, prev.history
-    c_half, c_end = _coefficients(sched, t + 0.5 * h), _coefficients(sched, t + h)
+    h, q0, x0, d0, t_half = cfg.h, prev.q, prev.x_e, prev.history, prev.t + 0.5 * cfg.h
+    c_half, c_end = _coefficients(sched, t_half), _coefficients(sched, t)
     (y0, y1, y2), (m0, m1, m2, m3, m4, m5) = x0, d0
-    k = [_rk_rate(sched, t, q0, x0, d0, prev.xdot_b, prev.omega_b)]
-    for a, c in ((0.5, c_half), (0.5, c_half), (1.0, c_end)):
+    k = [_rk_rate(sched, prev.t, q0, x0, d0, prev.xdot_b, prev.omega_b)]
+    for a, t_s, c in ((0.5, t_half, c_half), (0.5, t_half, c_half), (1.0, t, c_end)):
         (om, (v0, v1, v2), (e0, e1, e2, e3, e4, e5)), ah = k[-1], a * h
         x_s = [y0 + ah * v0, y1 + ah * v1, y2 + ah * v2]
         d_s = [m0 + ah * e0, m1 + ah * e1, m2 + ah * e2, m3 + ah * e3, m4 + ah * e4, m5 + ah * e5]
-        k.append(_rk_rate(sched, t + ah, _advance(q0, om, ah), x_s, d_s, *_velocities(c, d_s)))
+        k.append(_rk_rate(sched, t_s, _advance(q0, om, ah), x_s, d_s, *_velocities(c, d_s)))
 
     (w, v, e), sixth = zip(*k), h / 6.0  # the stages' rates of omega, x and d
     d_new = tuple([u + sixth * (p + 2.0 * q + 2.0 * r + s) for u, p, q, r, s in zip(d0, *e)])
     xd, om = _velocities(c_end, d_new)
     x_new = tuple([u + sixth * (p + 2.0 * q + 2.0 * r + s) for u, p, q, r, s in zip(x0, *v)])
     q_new = _advance(q0, [(p + 2.0 * q + 2.0 * r + s) / 6.0 for p, q, r, s in zip(*w)], h)
-    return _link(t + h, q_new, x_new, xd, om, d_new, None, (q_new, xd, om), c_end, 0, 0.0)
+    return _link(t, q_new, x_new, xd, om, d_new, None, q_new, c_end, 0, 0.0)
 
 
 # run driver
@@ -572,7 +575,7 @@ def seed_step(initial: BodyState, c0: CoefficientSet, method: str, h: float) -> 
     q = tuple([v / n for v in q]) if abs(n - 1.0) > 2**-50 else q
     _, d1, d2 = _canonical_f(q, xd, om, c0._flat, -h) if method == "left" else _energy_momenta(c0._flat, xd, om)
     history = (*_rotate_f(q, d1), *_rotate_f(q, d2)) if method == "mid" else (*d1, *d2)
-    return StepResult(initial.t, q, x, xd, om, history, None, (q, xd, om), c0, 0, 0.0)
+    return StepResult(initial.t, q, x, xd, om, history, None, q, c0, 0, 0.0)
 
 
 def _midpoint_step_velocities(v: Array) -> Array:
@@ -617,12 +620,13 @@ def integrate(
     _step_count, the one time-span rule, raises ValueError before any step or
     coefficients call; method is left, mid or rk, or seed_step, the one method rule,
     raises ValueError after the t0 coefficients call and before any step. The run ends
-    at t + n h, the record's last time; step k's time t + k h is computed from k. Every
-    accepted state is recorded. A step that fails (Newton does not converge, the
-    Jacobian is singular, the state goes non-finite, a schedule callback raises or
-    returns an unusable result) truncates the record, flags it and names the cause in
-    stop_reason (coefficients failing at t0 raises). rigid_params fills the physical
-    momenta.
+    at t + n h, the record's last time; step k is step(prev, t + k h, sched, cfg), its
+    time computed from k, with step read from this module's step_left, step_mid or
+    step_rk_baseline as the run starts. Every accepted state is recorded. A step that
+    fails (Newton does not converge, the Jacobian is singular, the state goes
+    non-finite, a schedule callback raises or returns an unusable result) truncates the
+    record, flags it and names the cause in stop_reason (coefficients failing at t0
+    raises). rigid_params fills the physical momenta.
 
     The conserved-quantity columns are evaluated after the steps, 128 rows at a
     time, by row 0's float kernels run on numpy columns (each entry rounds as on
@@ -637,22 +641,15 @@ def integrate(
     n_steps = _step_count(t0, t_end, h)
     c0 = _coefficients(sched, t0)
     last = seed_step(initial, c0, method, h)  # raises for an unknown method, before any step
-    # the lambdas look the steppers up at each call, so a wrapper set on this module sees every step
-    take_step = {
-        "left": lambda r: step_left(r, sched, cfg),
-        "mid": lambda r: step_mid(r, sched, cfg),
-        "rk": lambda r: step_rk_baseline(r, sched, h),
-    }[method]
+    step = {"left": step_left, "mid": step_mid, "rk": step_rk_baseline}[method]
     if rigid_params is not None:
         i_com, c_b, mass = rigid_params.com_inertia().ravel().tolist(), rigid_params.c.tolist(), rigid_params.m
 
-    def conserved(point, f) -> tuple:
-        """Row [T, p_x, p_w, given rigid_params P_x = m R (xdot + omega x c), P_w = R I_com omega] at a point
-        (q, xdot, omega) and a set's _flat f, on floats (row 0) or numpy columns (rows). The momenta are
-        recomputed from the recorded velocities, not read from the solve's terms: for both schemes the solve's
-        R(q) g1 equals the carried p_x by construction, so an e_x taken from it would check nothing.
-        """
-        q, xdot, omega = point
+    def conserved(q, xdot, omega, f) -> tuple:
+        """Row [T, p_x, p_w, given rigid_params P_x = m R (xdot + omega x c), P_w = R I_com omega] at (q, xdot,
+        omega) and a set's _flat f, on floats (row 0) or numpy columns (rows). The momenta are recomputed from
+        the recorded velocities, not read from the solve's terms: for both schemes the solve's R(q) g1 equals
+        the carried p_x by construction, so an e_x taken from it would check nothing."""
         t, p_x, p_w = _canonical_f(q, xdot, omega, f, h)
         if rigid_params is None:
             return (t, *p_x, *p_w)
@@ -660,33 +657,31 @@ def integrate(
         return (t, *p_x, *p_w, *[mass * v for v in v_com], *_rotate_f(q, _mv(i_com, omega)))
 
     def rows(pending: list) -> Array:
-        """conserved over (point, _flat) pairs, run once on numpy columns (the coefficients as scalars when all rows
-        share one _flat, a constant schedule's): elementwise float64 operations round as on floats. The point's
-        velocities follow as the last six columns, so each link's floats become numpy once."""
-        points, flats = zip(*pending)
-        v = np.fromiter(chain.from_iterable(chain.from_iterable(points)), float).reshape(-1, 10).T.copy()
-        f = flats[0]
+        """conserved over (_flat, point, q, x_e, xdot_b, omega_b) rows, run once on numpy columns (the coefficients
+        as scalars when all rows share one _flat, a constant schedule's): elementwise float64 operations round as
+        on floats. The state follows as the last 13 columns, so each link's floats become numpy once."""
+        flats = [r[0] for r in pending]
+        v = np.fromiter(chain.from_iterable(chain.from_iterable(r[1:] for r in pending)), float)
+        v, f = v.reshape(-1, 17).T.copy(), flats[0]
         if any(g is not f for g in flats):
             c = np.fromiter(chain.from_iterable(chain(*g[:5], g[5:]) for g in flats), float).reshape(-1, 34).T.copy()
             f = (tuple(c[:9]), tuple(c[9:18]), tuple(c[18:27]), tuple(c[27:30]), tuple(c[30:33]), c[33])
-        return np.column_stack((*conserved((tuple(v[:4]), tuple(v[4:7]), tuple(v[7:])), f), *v[4:]))
+        return np.column_stack((*conserved(tuple(v[:4]), tuple(v[11:14]), tuple(v[14:]), f), *v[4:]))
 
     stop_reason = ""
     # a diverging run surfaces as a non-finite state or row; row 0 and the seed are held to the same rule
     with np.errstate(over="ignore", invalid="ignore"):  # for a schedule's numpy force and the row blocks
-        row0 = conserved(last.point, c0._flat)
-        # states hold q, x_e and the iterations; a row block carries the points' velocities after row0's columns
-        states, blocks, pending = [(*last[1:3], 0)], [np.array([(*row0, *last.point[1], *last.point[2])])], []
+        row0 = conserved(last.point, last.xdot_b, last.omega_b, c0._flat)
+        blocks, pending, iterations = [np.array([(*row0, *chain(*last[1:5]))])], [], [0]
         n_steps = n_steps if all(map(math.isfinite, row0)) else 0  # the scan below names a bad row 0
         for k in range(1, n_steps + 1):
             try:
-                res = take_step(last)
+                last = step(last, t0 + h * k, sched, cfg)
             except (SingularJacobianError, ValueError) as exc:
                 stop_reason = str(exc)
                 break
-            last = StepResult(t0 + h * k, *res[1:])  # the stepper reached prev.t + h; keep the chain on the grid
-            states.append((res.q, res.x_e, res.iterations))
-            pending.append((res.point, res.coeffs._flat))  # not the set, which caches its elimination blocks
+            iterations.append(last.iterations)
+            pending.append((last.coeffs._flat, last.point, *last[1:5]))  # not the set, which caches its blocks
             if len(pending) == 128:  # spreads numpy's per-call cost; bounds the rows held and steps past a bad one
                 blocks.append(rows(pending))
                 pending = []
@@ -698,13 +693,9 @@ def integrate(
     bad = np.flatnonzero(~np.isfinite(diag).all(axis=1))
     if bad.size:  # the record ends where the loop stopped (a bad row 0 stays), and this reason wins over a later one
         n, stop_reason = int(bad[0]), f"diverged: non-finite {'' if bad[0] else 'initial '}energy or momentum"
-        diag, states = diag[: n or 1], states[: n or 1]
-
-    *cols, iterations = zip(*states)
-    n = len(iterations)
-    q, x_e = [np.fromiter(chain.from_iterable(c), float, n * len(c[0])).reshape(n, -1) for c in cols]
-    xdot_b, omega_b = diag[:, -6:-3].copy(), diag[:, -3:].copy()  # the rows' copies of the links' velocities
-    iterations = np.fromiter(iterations, int, n)
+        diag, iterations = diag[: n or 1], iterations[: n or 1]
+    # the rows' copies of the links' states, taken before mid's row 0 repeats row 1
+    q, x_e, xdot_b, omega_b = [diag[:, i:j].copy() for i, j in ((-13, -9), (-9, -6), (-6, -3), (-3, None))]
     if method == "mid" and len(diag) > 1:
         xdot_b, omega_b = _midpoint_step_velocities(xdot_b), _midpoint_step_velocities(omega_b)
         diag[0] = diag[1]

@@ -5,6 +5,7 @@ import math
 import re
 import warnings
 import weakref
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -415,15 +416,15 @@ def composed_rk_rate(sched, t_s, q_s, x_s, d, xd, om):
     return om, _rotate_f(q_s, xd), dd
 
 
-def composed_step_rk(prev, sched, h):
-    t, q0, x0, d0 = prev.t, prev.q, prev.x_e, prev.history
-    c_half, c_end = integrators._coefficients(sched, t + 0.5 * h), integrators._coefficients(sched, t + h)
-    k = [composed_rk_rate(sched, t, q0, x0, d0, prev.xdot_b, prev.omega_b)]
-    for a, c in ((0.5, c_half), (0.5, c_half), (1.0, c_end)):
+def composed_step_rk(prev, t, sched, cfg):
+    h, q0, x0, d0 = cfg.h, prev.q, prev.x_e, prev.history
+    c_half, c_end = integrators._coefficients(sched, prev.t + 0.5 * h), integrators._coefficients(sched, t)
+    k = [composed_rk_rate(sched, prev.t, q0, x0, d0, prev.xdot_b, prev.omega_b)]
+    for a, t_s, c in ((0.5, prev.t + 0.5 * h, c_half), (0.5, prev.t + 0.5 * h, c_half), (1.0, t, c_end)):
         om, dx, dd = k[-1]
         x_s, d_s = [u + a * h * v for u, v in zip(x0, dx)], [u + a * h * v for u, v in zip(d0, dd)]
         q_s = integrators._advance(q0, om, a * h)
-        k.append(composed_rk_rate(sched, t + a * h, q_s, x_s, d_s, *composed_velocities(c, d_s)))
+        k.append(composed_rk_rate(sched, t_s, q_s, x_s, d_s, *composed_velocities(c, d_s)))
 
     def weighted(i):
         return [p + 2.0 * q + 2.0 * r + s for p, q, r, s in zip(*[ki[i] for ki in k])]
@@ -433,7 +434,7 @@ def composed_step_rk(prev, sched, h):
     xd, om = composed_velocities(c_end, d_new)
     x_new = tuple([u + sixth * v for u, v in zip(x0, weighted(1))])
     q_new = integrators._advance(q0, [w / 6.0 for w in weighted(0)], h)
-    return integrators._link(t + h, q_new, x_new, xd, om, d_new, None, (q_new, xd, om), c_end, 0, 0.0)
+    return integrators._link(t, q_new, x_new, xd, om, d_new, None, q_new, c_end, 0, 0.0)
 
 
 def float_bits(values):
@@ -663,7 +664,7 @@ def test_residual_mid_equilibrium_and_zero_step():
 def test_residual_mid_local_linearity():
     # the residual is smooth in the trial rate: doubling a small
     # perturbation about the solved point doubles the defect
-    res = step_mid(seed_step(SPIN, CSET, "mid", CFG.h), SCHED, CFG)
+    res = step_mid(seed_step(SPIN, CSET, "mid", CFG.h), SPIN.t + CFG.h, SCHED, CFG)
 
     def defect(w):
         return residual_mid(SPIN.q, w, CSET, CFG.h, res.carried)
@@ -697,7 +698,7 @@ def test_seed_step_is_the_initial_state_with_its_schemes_history(method):
     seed = seed_step(s, CSET, method, CFG.h)
     assert seed.t == s.t and seed.coeffs is CSET and seed.carried is None
     assert (seed.iterations, seed.residual_norm) == (0, 0.0)
-    for got, want in zip((*seed[1:5], *seed.point), (s.q, s.x_e, s.xdot_b, s.omega_b, s.q, s.xdot_b, s.omega_b)):
+    for got, want in zip((*seed[1:5], seed.point), (s.q, s.x_e, s.xdot_b, s.omega_b, s.q)):
         assert isinstance(got, tuple) and np.array_equal(got, want)
     if method == "left":
         assert np.array_equal(seed.history, left_outgoing(s, CSET, CFG.h))
@@ -734,7 +735,7 @@ def test_a_run_starts_on_a_unit_quaternion():
         s = dataclasses.replace(start, q=q)
         for method in ("left", "mid", "rk"):
             seed = seed_step(s, CSET, method, CFG.h)
-            assert seed.q == seed.point[0] == tuple(q.tolist())
+            assert seed.q == seed.point == tuple(q.tolist())
 
 
 @settings(max_examples=30, deadline=None)
@@ -757,7 +758,7 @@ def test_accepted_steps_satisfy_the_full_balance(q0, omega0, xdot0, h, morphing,
     prev = seed_step(start, c0, method, h)
     for _ in range(20):
         try:
-            res = (step_left if method == "left" else step_mid)(prev, sched, cfg)
+            res = (step_left if method == "left" else step_mid)(prev, prev.t + h, sched, cfg)
         except SingularJacobianError as exc:
             assert str(exc) == "Newton did not converge"
             break  # left steps past its stability limit stall, and a stalled step returns no link
@@ -778,7 +779,7 @@ def test_steppers_solve_the_public_residuals(sched):
     for method, step, residual in (("left", step_left, residual_left), ("mid", step_mid, residual_mid)):
         prev = seed_step(SPIN, c0, method, CFG.h)
         for _ in range(5):
-            res = step(prev, sched, CFG)
+            res = step(prev, prev.t + CFG.h, sched, CFG)
             if sched.force_free:
                 assert np.array_equal(res.carried, prev.history)
             q_k = res.q if method == "left" else prev.q
@@ -819,7 +820,7 @@ def test_one_balance_evaluation_per_newton_residual(sched, monkeypatch):
     monkeypatch.setattr(integrators, "newton_solve", recording_solve)
     c0 = sched.coefficients(0.0)
     seed, seed_mid = seed_step(SPIN, c0, "left", CFG.h), seed_step(SPIN, c0, "mid", CFG.h)
-    res, res_mid = step_left(seed, sched, CFG), step_mid(seed_mid, sched, CFG)
+    res, res_mid = step_left(seed, CFG.h, sched, CFG), step_mid(seed_mid, CFG.h, sched, CFG)
     (sol, jac, n_left, hand_off), (sol_mid, jac_mid, n_mid, hand_off_mid) = solves
     # both steppers start Newton from the previous rate and solve to residual_tol times the norm of the
     # momentum they start from, floored at 1; forced or not, the tolerance reads the history, not the impulse
@@ -886,7 +887,7 @@ def test_coefficients_evaluated_once_per_new_time(method, per_step):
 @pytest.mark.parametrize("method", ["left", "mid", "rk"])
 def test_integrate_steps_and_solves_through_the_module_globals(method, sched, monkeypatch):
     # a wrapper set on integrators.step_* and integrators.newton_solve, as a tracer sets one, sees
-    # every step and every solve: integrate looks its stepper up at each call, and the steppers
+    # every step and every solve: integrate looks its stepper up when the run starts, and the steppers
     # call newton_solve by its module global with the residual callable as the first argument
     steps, solves = [], []
     for name in ("step_left", "step_mid", "step_rk_baseline"):
@@ -960,7 +961,7 @@ def test_left_probes_the_force_at_the_new_step_point_with_the_previous_velocitie
     prev = seed_step(SPIN, MORPHING.coefficients(0.0), "left", h)
     for _ in range(20):
         calls.clear()
-        res = step_left(prev, sched, CFG)
+        res = step_left(prev, prev.t + h, sched, CFG)
         [(t, q, x, xd, om)] = calls
         assert t == prev.t + h and (q, x, xd, om) == (res.q, res.x_e, prev.xdot_b, prev.omega_b)
         assert_allclose(q, cg_step(np.array(prev.q), np.array(prev.omega_b), h), rtol=0.0, atol=1e-15)
@@ -976,7 +977,7 @@ def test_mid_probes_the_force_at_the_half_step_predictor():
     prev = seed_step(start, MORPHING.coefficients(0.0), "mid", h)
     for _ in range(20):
         calls.clear()
-        res = step_mid(prev, sched, CFG)
+        res = step_mid(prev, prev.t + h, sched, CFG)
         [(t, q, x, xd, om)] = calls
         assert t == prev.t + 0.5 * h and (xd, om) == (prev.xdot_b, prev.omega_b)
         assert_allclose(q, cg_step(np.array(prev.q), np.array(om), 0.5 * h), rtol=0.0, atol=1e-15)
@@ -992,7 +993,7 @@ def test_rk_probes_the_force_once_at_each_of_its_four_stages():
     prev = seed_step(start, MORPHING.coefficients(0.0), "rk", h)
     for _ in range(20):
         calls.clear()
-        res = step_rk_baseline(prev, sched, h)
+        res = step_rk_baseline(prev, prev.t + h, sched, CFG)
         assert [c[0] for c in calls] == [prev.t, prev.t + 0.5 * h, prev.t + 0.5 * h, prev.t + h]
         q0, x0 = np.array(prev.q), np.array(prev.x_e)
         assert calls[0][1:3] == (prev.q, prev.x_e)
@@ -1010,7 +1011,7 @@ def test_rk_links_carry_the_momenta_their_velocities_are_recovered_from(case):
     start, sched, _ = run_case(case)
     link = seed_step(start, sched.coefficients(0.0), "rk", CFG.h)
     for _ in range(50):
-        link = step_rk_baseline(link, sched, CFG.h)
+        link = step_rk_baseline(link, link.t + CFG.h, sched, CFG)
         assert isinstance(link.history, tuple) and len(link.history) == 6
         assert float_bits(integrators._velocities(link.coeffs, link.history)) == float_bits(link[3:5])
 
@@ -1035,7 +1036,7 @@ def test_an_rk_step_recovers_velocities_four_times_and_rebuilds_no_momenta(case,
         monkeypatch.setattr(integrators, name, counting(name))
     for _ in range(10):
         calls.clear()
-        link = step_rk_baseline(link, sched, CFG.h)
+        link = step_rk_baseline(link, link.t + CFG.h, sched, CFG)
         assert calls == ["_velocities"] * 4
 
 
@@ -1045,13 +1046,10 @@ def test_no_stepper_reads_the_previous_links_coefficients(method):
     start, sched, _ = run_case("damped_morphing")
     c0 = sched.coefficients(0.0)
     link = seed_step(start, c0, method, CFG.h)
-    step = {
-        "left": lambda r: step_left(r, sched, CFG),
-        "mid": lambda r: step_mid(r, sched, CFG),
-        "rk": lambda r: step_rk_baseline(r, sched, CFG.h),
-    }[method]
+    step = {"left": step_left, "mid": step_mid, "rk": step_rk_baseline}[method]
     for _ in range(10):
-        res, other = step(link), step(link._replace(coeffs=None))
+        t = link.t + CFG.h
+        res, other = step(link, t, sched, CFG), step(link._replace(coeffs=None), t, sched, CFG)
         assert float_bits([*other[:6], other.point]) == float_bits([*res[:6], res.point])
         assert other.carried == res.carried
         link = res
@@ -1196,18 +1194,18 @@ def test_a_constant_force_adds_its_impulse_to_the_translational_momentum(force, 
 
 def test_rest_state_is_fixed_point():
     rest = BodyState(0.0, identity_quat(), np.array([1.0, -2.0, 3.0]), np.zeros(3), np.zeros(3))
-    res_left = step_left(seed_step(rest, CSET, "left", CFG.h), SCHED, CFG)
+    res_left = step_left(seed_step(rest, CSET, "left", CFG.h), CFG.h, SCHED, CFG)
     res = as_state(res_left)
     assert res_left.iterations == 0
     assert np.all(res.xdot_b == 0.0) and np.all(res.omega_b == 0.0)
     assert np.all(res.x_e == rest.x_e)
     assert np.all(res.q == rest.q)
-    res_mid = step_mid(seed_step(rest, CSET, "mid", CFG.h), SCHED, CFG)
+    res_mid = step_mid(seed_step(rest, CSET, "mid", CFG.h), CFG.h, SCHED, CFG)
     res = as_state(res_mid)
     assert np.all(res.xdot_b == 0.0) and np.all(res.omega_b == 0.0)
     assert np.all(res.x_e == rest.x_e)
     assert np.all(res.q == rest.q)
-    rk = as_state(step_rk_baseline(seed_step(rest, CSET, "rk", CFG.h), SCHED, CFG.h))
+    rk = as_state(step_rk_baseline(seed_step(rest, CSET, "rk", CFG.h), CFG.h, SCHED, CFG))
     assert np.all(rk.xdot_b == 0.0) and np.all(rk.omega_b == 0.0)
     assert np.all(rk.x_e == rest.x_e)
 
@@ -1218,7 +1216,7 @@ def test_left_interstep_balance_holds_at_reported_tolerance():
     # rather than read back from the history, reproduces the solver's defect
     states = [seed_step(SPIN, CSET, "left", CFG.h)]
     for _ in range(50):
-        res = step_left(states[-1], SCHED, CFG)
+        res = step_left(states[-1], states[-1].t + CFG.h, SCHED, CFG)
         assert res.residual_norm <= step_tol(CFG, states[-1])
         states.append(res)
     for prev, cur in zip(states[:-1], states[1:]):
@@ -1230,7 +1228,7 @@ def test_mid_interstep_balance_holds_at_reported_tolerance():
     state = seed_step(SPIN, CSET, "mid", CFG.h)
     chain = []
     for _ in range(50):
-        res = step_mid(state, SCHED, CFG)
+        res = step_mid(state, state.t + CFG.h, SCHED, CFG)
         assert res.residual_norm <= step_tol(CFG, state)
         chain.append((state.q, res, step_tol(CFG, state)))
         state = res
@@ -1251,7 +1249,7 @@ def test_the_polish_iteration_leaves_each_step_at_the_roundoff_floor(method, sch
     step = step_left if method == "left" else step_mid
     link = seed_step(start, sched.coefficients(0.0), method, CFG.h)
     for _ in range(2000):
-        res = step(link, sched, CFG)
+        res = step(link, link.t + CFG.h, sched, CFG)
         assert res.residual_norm <= 4.0 * np.finfo(float).eps * max(1.0, math.hypot(*link.history))
         link = res
 
@@ -1339,12 +1337,12 @@ def test_midpoint_time_reversal_retrace(q0, omega0, xdot0):
     state = seed_step(start, CSET, "mid", CFG.h)
     first_mid = None
     for _ in range(100):
-        state = step_mid(state, SCHED, CFG)
+        state = step_mid(state, state.t + CFG.h, SCHED, CFG)
         if first_mid is None:
             first_mid = as_state(state)
     state = state._replace(**{f: tuple(-v for v in getattr(state, f)) for f in ("xdot_b", "omega_b", "history")})
     for _ in range(100):
-        state = step_mid(state, SCHED, CFG)
+        state = step_mid(state, state.t + CFG.h, SCHED, CFG)
     state = as_state(state)
     q_err = quat_mul(start.q * (1.0, -1.0, -1.0, -1.0), state.q)  # q_start* (x) q
     q_err = q_err if q_err[0] >= 0.0 else -q_err
@@ -1450,7 +1448,7 @@ def test_rk_spherical_body_is_exact():
     omega0 = np.array([0.4, -0.3, 0.8])
     state = seed_step(BodyState(0.0, identity_quat(), np.zeros(3), np.zeros(3), omega0), c, "rk", 0.01)
     for _ in range(100):
-        state = step_rk_baseline(state, sched, 0.01)
+        state = step_rk_baseline(state, state.t + 0.01, sched, SolverConfig(h=0.01))
         assert np.abs(np.array(state.omega_b) - omega0).max() <= 1e-12
         assert np.abs(state.xdot_b).max() <= 1e-12
 
@@ -1541,7 +1539,7 @@ def test_newton_tolerance_floor_and_value(method, monkeypatch):
     for start, sched in ((rest, spin_up(CSET, 1e4)), (SPIN, SCHED)):
         link = seed_step(start, CSET, method, CFG.h)
         for _ in range(20):
-            res = step(link, sched, CFG)
+            res = step(link, link.t + CFG.h, sched, CFG)
             assert tols[-1] == step_tol(CFG, link)
             link = res
         assert tols[-1] > 10.0 * CFG.residual_tol
@@ -1573,11 +1571,23 @@ def test_integrate_record_shape_and_guards():
 
 @pytest.mark.parametrize("method", ["left", "mid", "rk"])
 def test_record_times_lie_on_the_exact_grid(method):
-    # step k's time is t0 + k h, computed from k rather than accumulated
-    start = dataclasses.replace(SPIN, t=0.3)
-    rec = integrate(start, preset_morphing(damping=True), CFG, method, 1.3)
-    assert len(rec) == 101
-    assert np.array_equal(rec.t, start.t + CFG.h * np.arange(len(rec)))
+    # step k's time is t0 + k h, computed from k rather than accumulated; integrate hands it to step k, which
+    # probes coefficients and force there (left; rk's last stage) or half a step past row k - 1 (mid; rk's
+    # middle stages). From t0 = 0.3 a stepper that recomputed prev.t + h probed one ulp off row k's time on
+    # 230 of these 1000 steps
+    sched, forces = recording(MORPHING)
+    sched, coefficients = counting(sched)
+    rec = integrate(dataclasses.replace(SPIN, t=0.3), sched, CFG, method, 0.3 + 1000 * CFG.h)
+    assert len(rec) == 1001 and not rec.truncated
+    grid = rec.t.tolist()
+    assert grid == [0.3 + CFG.h * k for k in range(1001)]
+    half, probes = [t + 0.5 * CFG.h for t in grid[:-1]], [call[0] for call in forces]
+    if method == "rk":
+        assert coefficients == [0.3, *chain.from_iterable(zip(half, grid[1:]))]
+        assert probes == list(chain.from_iterable(zip(grid[:-1], half, half, grid[1:])))
+    else:
+        want = grid[1:] if method == "left" else half
+        assert coefficients == [0.3, *want] and probes == want
 
 
 @pytest.mark.parametrize("t_end", [1e300, 1.0, 0.0, -1.0, math.nan])
@@ -1651,7 +1661,7 @@ def test_a_stalled_step_raises_and_returns_no_link(method):
     seed = seed_step(SPIN, CSET, method, cfg.h)
     step = step_left if method == "left" else step_mid
     with pytest.raises(SingularJacobianError) as err:
-        step(seed, SCHED, cfg)
+        step(seed, seed.t + cfg.h, SCHED, cfg)
     assert str(err.value) == "Newton did not converge"
     assert "converged" not in integrators.StepResult._fields
 
@@ -1739,14 +1749,10 @@ def hand_rows(start, sched, method, n, rp):
     the time grid, each link's point evaluated on Python floats with _canonical_f and, given rp, the
     rigid P_x = m R (xdot + omega x c) and P_w = R I_com omega."""
     h, c0 = CFG.h, sched.coefficients(start.t)
-    step = {
-        "left": lambda r: step_left(r, sched, CFG),
-        "mid": lambda r: step_mid(r, sched, CFG),
-        "rk": lambda r: step_rk_baseline(r, sched, h),
-    }[method]
+    step = {"left": step_left, "mid": step_mid, "rk": step_rk_baseline}[method]
 
     def row(link):
-        q, xd, om = link.point
+        q, xd, om = link.point, link.xdot_b, link.omega_b
         t, p_x, p_w = _canonical_f(q, xd, om, link.coeffs._flat, h)
         if rp is None:
             return (t, *p_x, *p_w)
@@ -1757,9 +1763,8 @@ def hand_rows(start, sched, method, n, rp):
     link = seed_step(start, c0, method, h)
     rows = [row(link)]
     for k in range(1, n + 1):
-        link = step(link)
+        link = step(link, start.t + h * k, sched, CFG)
         rows.append(row(link))
-        link = link._replace(t=start.t + h * k)
     if method == "mid":
         rows[0] = rows[1]
     return np.array(rows)
@@ -1886,8 +1891,9 @@ def test_a_non_finite_row_zero_takes_no_step(method, monkeypatch):
 @pytest.mark.parametrize("case", ["full", "truncated", "non_finite_row_zero"])
 @pytest.mark.parametrize("method", ["left", "mid", "rk"])
 def test_record_state_columns_are_float64_rows_and_newton_iters_integers(method, case):
-    # each state column is its own C-contiguous float64 (n, 4) or (n, 3) array and newton_iters an integer (n,)
-    # one, for a whole run, a run a failing force truncates, and the one row a non-finite row 0 leaves
+    # each state column is its own C-contiguous float64 (n, 4) or (n, 3) array whose row 0 is the initial state
+    # (mid's too, whose conserved-quantity row 0 repeats row 1) and newton_iters an integer (n,) one, for a
+    # whole run, a run a failing force truncates, and the one row a non-finite row 0 leaves
     def force(t, *state):
         return ((math.nan if t > 0.05 else 0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
@@ -1902,13 +1908,14 @@ def test_record_state_columns_are_float64_rows_and_newton_iters_integers(method,
     for name, width in (("q", 4), ("x_e", 3), ("xdot_b", 3), ("omega_b", 3)):
         col = getattr(rec, name)
         assert col.dtype == np.float64 and col.shape == (n, width) and col.flags.c_contiguous, name
+        assert np.array_equal(col[0], getattr(start, name)), name
     assert np.issubdtype(rec.newton_iters.dtype, np.integer) and rec.newton_iters.shape == (n,)
     assert rec.newton_iters[0] == 0 and (rec.newton_iters[1:] > 0).all() == (method != "rk" or n == 1)
 
 
 @pytest.mark.parametrize("method", ["left", "mid", "rk"])
 def test_integrate_holds_only_a_few_coefficient_sets(method):
-    # a row keeps its point and its set's _flat, never the set, which caches its elimination
+    # a row keeps its link's state, point and set's _flat, never the set, which caches its elimination
     # blocks: over 300 steps no more than the sets a step itself needs are alive at once
     live, most = weakref.WeakSet(), [0]
 
@@ -1979,10 +1986,10 @@ def test_singular_translational_mass_block_is_a_solver_failure(method):
         assert rec.stop_reason == "translational mass block 2 a_xx: Singular matrix"
         with pytest.raises(np.linalg.LinAlgError, match="^translational mass block 2 a_xx: Singular matrix$"):
             if method == "rk":
-                step_rk_baseline(seed_step(SPIN, c, "rk", CFG.h), sched, CFG.h)
+                step_rk_baseline(seed_step(SPIN, c, "rk", CFG.h), CFG.h, sched, CFG)
             else:
                 step = step_left if method == "left" else step_mid
-                step(seed_step(SPIN, c, method, CFG.h), sched, CFG)
+                step(seed_step(SPIN, c, method, CFG.h), CFG.h, sched, CFG)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,12 @@
-"""Package root: the names a run needs, and the building blocks that are module API."""
+"""Package contracts: the names a run needs, the module API, the steppers' signature and the oldest grammar."""
 
+import ast
+import inspect
+import re
 import types
+from pathlib import Path
+
+import pytest
 
 import qvint
 from qvint import diagnostics, integrators, model, quat
@@ -58,3 +64,24 @@ def test_building_blocks_are_defined_in_their_modules_and_not_in_the_root():
         for name in names:
             assert getattr(module, name).__module__ == module.__name__
             assert name not in vars(qvint)
+
+
+def test_the_three_steppers_share_one_signature():
+    # each maps the previous link to the one at grid time t, which integrate computes from the step index
+    for step in (integrators.step_left, integrators.step_mid, integrators.step_rk_baseline):
+        params = inspect.signature(step).parameters.values()
+        assert [p.name for p in params] == ["prev", "t", "sched", "cfg"], step.__name__
+        assert all(p.default is p.empty and p.kind is p.POSITIONAL_OR_KEYWORD for p in params), step.__name__
+
+
+def test_every_python_file_parses_under_the_oldest_supported_python():
+    # the suite runs on newer Pythons too, so the grammar of requires-python's floor is checked here
+    root = Path(__file__).resolve().parent.parent
+    floor = re.search(r'requires-python = ">=3\.(\d+)"', (root / "pyproject.toml").read_text(encoding="utf-8"))
+    version = (3, int(floor.group(1)))
+    files = sorted(path for part in ("src", "tests", "perfbench") for path in (root / part).rglob("*.py"))
+    assert version == (3, 10) and len(files) >= 18
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=version)
+    with pytest.raises(SyntaxError, match="only supported in Python 3.11"):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=version)
