@@ -12,7 +12,8 @@ Exit codes: 0 success, 2 bad config (including an unreadable config file),
 Floats are serialized with 17 significant digits, so parsing an emitted
 trajectory CSV recovers the recorded states bit-identically and repeated
 identical runs produce byte-identical files. A CSV is the header line, then
-one ``%.17g`` row format per row, written 256 rows at a time: the bytes
+blocks of 256 rows, each formatted by one %-operation of the ``%.17g`` row
+format repeated once per row and written at once: the bytes
 ``np.savetxt(fmt="%.17g", delimiter=",")`` writes, at formatting cost.
 """
 
@@ -160,13 +161,14 @@ def build_scenario(cfg: RunConfig):
 
 
 def _write_csv(path: Path, header: str, columns) -> None:
-    """savetxt's bytes on Python floats: one %-operation per row, 256 rows (a bounded memory) per write."""
+    """savetxt's bytes on Python floats: one %-operation per block of 256 rows (a bounded memory), one write each."""
     data = np.column_stack(columns)
     row = ",".join(["%.17g"] * data.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for i in range(0, len(data), 256):
-            fh.write("".join([row % tuple(r) for r in data[i : i + 256].tolist()]))
+            block = data[i : i + 256]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_trajectory_csv(rec: TrajectoryRecord, path: Path) -> None:

@@ -72,32 +72,6 @@ def running_max(series: Array) -> Array:
     return np.maximum.accumulate(np.asarray(series, dtype=float))
 
 
-def _deviation_series(values: Array, /) -> tuple[Array, bool]:
-    """Per-sample deviation from the first sample.
-
-    Relative when the first sample has nonzero norm, absolute otherwise
-    (flagged True). values is (n,) or (n, d). A non-finite first sample
-    leaves every deviation undefined (NaN), without a warning.
-    """
-    v = np.asarray(values, dtype=float)
-    if v.ndim == 1:
-        v = v[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        dev = _row_norms(v - v[0])
-        base = float(_row_norms(v[:1])[0])
-        return (dev, True) if base == 0.0 else (dev / base, False)
-
-
-def _row_norms(v: Array) -> Array:
-    """Euclidean norms of the rows of v, finite for every finite row.
-
-    Each row is scaled by an exact power of two before squaring, so a huge
-    row cannot overflow and a tiny one cannot underflow.
-    """
-    exp2 = np.frexp(np.abs(v).max(axis=1))[1]
-    return np.ldexp(np.linalg.norm(np.ldexp(v, -exp2[:, None]), axis=1), exp2)
-
-
 def _momenta(rec: TrajectoryRecord) -> tuple[Array, Array]:
     """(px, pw): the physical momenta when recorded, the canonical ones otherwise."""
     return (rec.P_x, rec.P_w) if rec.P_x is not None else (rec.p_x, rec.p_w)
@@ -148,21 +122,39 @@ class ErrorReport:
 
 
 def summarize(rec: TrajectoryRecord) -> ErrorReport:
-    """Build the ErrorReport for a record.
+    """Build the ErrorReport for a record, its three series in one pass.
 
     Physical momenta are used when recorded. With only canonical momenta the
     rotational series of a run under applied forces is marked a diagnostic.
+    The momenta and the energy fill one (3, 3, n + 1) block, one series per
+    leading index (the energy in one component, the other two zero): column 0
+    holds the first sample and column k + 1 sample k's deviation from it. Each
+    column's Euclidean norm is taken after an exact power-of-two scaling, so a
+    huge one cannot overflow nor a tiny one underflow, with its squares summed
+    left to right. A deviation is relative to the first sample's norm, or
+    absolute (flagged) when that is zero; a non-finite first sample leaves every
+    deviation of its series undefined (NaN), without a warning.
     """
     px, pw = _momenta(rec)
-    raw_x, abs_x = _deviation_series(px)
-    raw_w, abs_w = _deviation_series(pw)
-    raw_T, abs_T = _deviation_series(rec.energy)
+    v = np.zeros((3, 3, len(rec) + 1))
+    v[0, :, 1:], v[1, :, 1:], v[2, 0, 1:] = px.T, pw.T, rec.energy
+    v[..., 0] = v[..., 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        v[..., 1:] -= v[..., :1]
+        exp2 = np.frexp(np.abs(v).max(axis=1))[1]
+        s = np.ldexp(v, -exp2[:, None])
+        s *= s
+        norms = np.ldexp(np.sqrt(s[:, 0] + s[:, 1] + s[:, 2]), exp2)
+        absolute = norms[:, :1] == 0.0
+        raw = np.divide(norms[:, 1:], norms[:, :1], out=norms[:, 1:], where=~absolute)
+    run = np.maximum.accumulate(raw, axis=1)
+    abs_x, abs_w, abs_T = absolute[:, 0].tolist()
     physical = rec.P_x is not None
     return ErrorReport(
-        e_x=running_max(raw_x),
-        e_w=running_max(raw_w),
-        e_T=running_max(raw_T),
-        instantaneous=(raw_x, raw_w, raw_T),
+        e_x=run[0],
+        e_w=run[1],
+        e_T=run[2],
+        instantaneous=(raw[0], raw[1], raw[2]),
         e_x_absolute=abs_x,
         e_w_absolute=abs_w,
         e_T_absolute=abs_T,

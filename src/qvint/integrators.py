@@ -24,7 +24,7 @@ reuses its terms. A classical RK4 baseline on the momentum form of the equations
 of motion is included for accuracy comparisons; it is not structure preserving,
 but it shares their elimination blocks (velocity recovery, _velocities) and
 _advance (orientation update). Each scheme's balance, its Jacobian and left's setup,
-rk's velocity recovery and stage rate (_rk_rate), and the elimination blocks, once
+rk's four-stage step, velocity recovery and stage rate (_rk_rate), and the elimination blocks, once
 per set (CoefficientSet.elimination_blocks), are flat float kernels that rotate through
 _rotate_f and follow the operand order of _mv, _mm, _cx, _skew and _solve3's quotients:
 records keep every bit, as the Jacobians (with left's constant part K0) drop only
@@ -532,26 +532,37 @@ def step_rk_baseline(prev: StepResult, t: float, sched: MorphingSchedule, cfg: S
     """One classical RK4 step on the body-frame momentum equations from the previous link to grid time t.
 
     d/dt D1 = -omega x D1 + f on body axes, d/dt D2 = -omega x D2 - xdot x D1 + tau. Stage 1 is prev: its history
-    d = (D1, D2) and the velocities recovered from it. Stages 2-4 (at prev.t + h/2, twice, and t) recover theirs
-    with _velocities and advance q from prev.q by _advance; the new link carries the RK4 update of d and the
-    velocities recovered from it at t. Under a force each stage (_rk_rate) probes it once at its own state, and F
-    is rotated to body axes.
+    d = (D1, D2) and the velocities recovered from it. Stage i + 1 (at prev.t + h/2, twice, then t) steps x and d
+    from prev's by a h (a = 1/2, 1/2, 1) at stage i's rates (w_i, v_i, e_i), advances q from prev.q by _advance,
+    and recovers its velocities with _velocities; the new link carries the RK4 update of d and the velocities
+    recovered from it at t. The four stages are written out on floats, component by component. Under a force each
+    stage (_rk_rate) probes it once at its own state, and F is rotated to body axes.
     """
     h, q0, x0, d0, t_half = cfg.h, prev.q, prev.x_e, prev.history, prev.t + 0.5 * cfg.h
-    c_half, c_end = _coefficients(sched, t_half), _coefficients(sched, t)
+    c_half, c_end, a = _coefficients(sched, t_half), _coefficients(sched, t), 0.5 * h
     (y0, y1, y2), (m0, m1, m2, m3, m4, m5) = x0, d0
-    k = [_rk_rate(sched, prev.t, q0, x0, d0, prev.xdot_b, prev.omega_b)]
-    for a, t_s, c in ((0.5, t_half, c_half), (0.5, t_half, c_half), (1.0, t, c_end)):
-        (om, (v0, v1, v2), (e0, e1, e2, e3, e4, e5)), ah = k[-1], a * h
-        x_s = [y0 + ah * v0, y1 + ah * v1, y2 + ah * v2]
-        d_s = [m0 + ah * e0, m1 + ah * e1, m2 + ah * e2, m3 + ah * e3, m4 + ah * e4, m5 + ah * e5]
-        k.append(_rk_rate(sched, t_s, _advance(q0, om, ah), x_s, d_s, *_velocities(c, d_s)))
-
-    (w, v, e), sixth = zip(*k), h / 6.0  # the stages' rates of omega, x and d
-    d_new = tuple([u + sixth * (p + 2.0 * q + 2.0 * r + s) for u, p, q, r, s in zip(d0, *e)])
+    w1, (v10, v11, v12), (e10, e11, e12, e13, e14, e15) = _rk_rate(sched, prev.t, q0, x0, d0, *prev[3:5])
+    x, q = [y0 + a * v10, y1 + a * v11, y2 + a * v12], _advance(q0, w1, a)
+    d = [m0 + a * e10, m1 + a * e11, m2 + a * e12, m3 + a * e13, m4 + a * e14, m5 + a * e15]
+    w2, (v20, v21, v22), (e20, e21, e22, e23, e24, e25) = _rk_rate(sched, t_half, q, x, d, *_velocities(c_half, d))
+    x, q = [y0 + a * v20, y1 + a * v21, y2 + a * v22], _advance(q0, w2, a)
+    d = [m0 + a * e20, m1 + a * e21, m2 + a * e22, m3 + a * e23, m4 + a * e24, m5 + a * e25]
+    w3, (v30, v31, v32), (e30, e31, e32, e33, e34, e35) = _rk_rate(sched, t_half, q, x, d, *_velocities(c_half, d))
+    x, q = [y0 + h * v30, y1 + h * v31, y2 + h * v32], _advance(q0, w3, h)
+    d = [m0 + h * e30, m1 + h * e31, m2 + h * e32, m3 + h * e33, m4 + h * e34, m5 + h * e35]
+    w4, (v40, v41, v42), (e40, e41, e42, e43, e44, e45) = _rk_rate(sched, t, q, x, d, *_velocities(c_end, d))
+    s = h / 6.0
+    d_new = (
+        m0 + s * (e10 + 2.0 * e20 + 2.0 * e30 + e40), m1 + s * (e11 + 2.0 * e21 + 2.0 * e31 + e41),
+        m2 + s * (e12 + 2.0 * e22 + 2.0 * e32 + e42), m3 + s * (e13 + 2.0 * e23 + 2.0 * e33 + e43),
+        m4 + s * (e14 + 2.0 * e24 + 2.0 * e34 + e44), m5 + s * (e15 + 2.0 * e25 + 2.0 * e35 + e45),
+    )  # fmt: skip
     xd, om = _velocities(c_end, d_new)
-    x_new = tuple([u + sixth * (p + 2.0 * q + 2.0 * r + s) for u, p, q, r, s in zip(x0, *v)])
-    q_new = _advance(q0, [(p + 2.0 * q + 2.0 * r + s) / 6.0 for p, q, r, s in zip(*w)], h)
+    x_new = (y0 + s * (v10 + 2.0 * v20 + 2.0 * v30 + v40), y1 + s * (v11 + 2.0 * v21 + 2.0 * v31 + v41),
+             y2 + s * (v12 + 2.0 * v22 + 2.0 * v32 + v42))  # fmt: skip
+    w = [(w1[0] + 2.0 * w2[0] + 2.0 * w3[0] + w4[0]) / 6.0, (w1[1] + 2.0 * w2[1] + 2.0 * w3[1] + w4[1]) / 6.0,
+         (w1[2] + 2.0 * w2[2] + 2.0 * w3[2] + w4[2]) / 6.0]  # fmt: skip
+    q_new = _advance(q0, w, h)
     return _link(t, q_new, x_new, xd, om, d_new, None, q_new, c_end, 0, 0.0)
 
 
@@ -656,23 +667,23 @@ def integrate(
         v_com = _rotate_f(q, [u + v for u, v in zip(xdot, _cx(omega, c_b))])
         return (t, *p_x, *p_w, *[mass * v for v in v_com], *_rotate_f(q, _mv(i_com, omega)))
 
-    def rows(pending: list) -> Array:
+    def rows(pending: list) -> tuple[Array, Array]:
         """conserved over (_flat, point, q, x_e, xdot_b, omega_b) rows, run once on numpy columns (the coefficients
         as scalars when all rows share one _flat, a constant schedule's): elementwise float64 operations round as
-        on floats. The state follows as the last 13 columns, so each link's floats become numpy once."""
+        on floats. Returns that (k, 13 or 7) block and the links' (k, 13) states, each link's floats numpy once."""
         flats = [r[0] for r in pending]
         v = np.fromiter(chain.from_iterable(chain.from_iterable(r[1:] for r in pending)), float)
         v, f = v.reshape(-1, 17).T.copy(), flats[0]
         if any(g is not f for g in flats):
             c = np.fromiter(chain.from_iterable(chain(*g[:5], g[5:]) for g in flats), float).reshape(-1, 34).T.copy()
             f = (tuple(c[:9]), tuple(c[9:18]), tuple(c[18:27]), tuple(c[27:30]), tuple(c[30:33]), c[33])
-        return np.column_stack((*conserved(tuple(v[:4]), tuple(v[11:14]), tuple(v[14:]), f), *v[4:]))
+        return np.column_stack(conserved(tuple(v[:4]), tuple(v[11:14]), tuple(v[14:]), f)), v[4:].T
 
     stop_reason = ""
     # a diverging run surfaces as a non-finite state or row; row 0 and the seed are held to the same rule
     with np.errstate(over="ignore", invalid="ignore"):  # for a schedule's numpy force and the row blocks
         row0 = conserved(last.point, last.xdot_b, last.omega_b, c0._flat)
-        blocks, pending, iterations = [np.array([(*row0, *chain(*last[1:5]))])], [], [0]
+        blocks, pending, iterations = [(np.array([row0]), np.array([[*chain(*last[1:5])]]))], [], [0]
         n_steps = n_steps if all(map(math.isfinite, row0)) else 0  # the scan below names a bad row 0
         for k in range(1, n_steps + 1):
             try:
@@ -685,17 +696,16 @@ def integrate(
             if len(pending) == 128:  # spreads numpy's per-call cost; bounds the rows held and steps past a bad one
                 blocks.append(rows(pending))
                 pending = []
-                if not np.isfinite(blocks[-1]).all():
+                if not np.isfinite(blocks[-1][0]).all():
                     break
         if pending:
             blocks.append(rows(pending))
-    diag = np.concatenate(blocks)
+    diag, state = [np.concatenate(b) for b in zip(*blocks)]  # the conserved columns get a block of their own
     bad = np.flatnonzero(~np.isfinite(diag).all(axis=1))
     if bad.size:  # the record ends where the loop stopped (a bad row 0 stays), and this reason wins over a later one
         n, stop_reason = int(bad[0]), f"diverged: non-finite {'' if bad[0] else 'initial '}energy or momentum"
-        diag, iterations = diag[: n or 1], iterations[: n or 1]
-    # the rows' copies of the links' states, taken before mid's row 0 repeats row 1
-    q, x_e, xdot_b, omega_b = [diag[:, i:j].copy() for i, j in ((-13, -9), (-9, -6), (-6, -3), (-3, None))]
+        diag, state, iterations = diag[: n or 1], state[: n or 1], iterations[: n or 1]
+    q, x_e, xdot_b, omega_b = [state[:, i:j].copy() for i, j in ((0, 4), (4, 7), (7, 10), (10, None))]  # contiguous
     if method == "mid" and len(diag) > 1:
         xdot_b, omega_b = _midpoint_step_velocities(xdot_b), _midpoint_step_velocities(omega_b)
         diag[0] = diag[1]

@@ -1,9 +1,12 @@
 """Error-series conventions, report assembly, pitch extraction."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qvint import (
@@ -160,6 +163,97 @@ def test_summarize_momentum_source_and_ew_policy():
     assert np.array_equal(rep.e_w, [0.0, 0.0, 0.25, 0.25, 0.25]) and rep.final_e_w == 0.25  # but still reported
     rep = summarize(make_record(physical=False, force_free=True))
     assert not rep.e_w_diagnostic
+
+
+# the per-series form summarize had before it took its three series in one pass: the oracle for that pass
+
+
+def deviation_series(values):
+    """Per-sample deviation from the first sample.
+
+    Relative when the first sample has nonzero norm, absolute otherwise
+    (flagged True). values is (n,) or (n, d). A non-finite first sample
+    leaves every deviation undefined (NaN), without a warning.
+    """
+    v = np.asarray(values, dtype=float)
+    if v.ndim == 1:
+        v = v[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = row_norms(v - v[0])
+        base = float(row_norms(v[:1])[0])
+        return (dev, True) if base == 0.0 else (dev / base, False)
+
+
+def row_norms(v):
+    """Euclidean norms of the rows of v, finite for every finite row.
+
+    Each row is scaled by an exact power of two before squaring, so a huge
+    row cannot overflow and a tiny one cannot underflow.
+    """
+    exp2 = np.frexp(np.abs(v).max(axis=1))[1]
+    return np.ldexp(np.linalg.norm(np.ldexp(v, -exp2[:, None]), axis=1), exp2)
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308, -1e308, math.inf, -math.inf, math.nan]
+# record columns: energy, p_x, p_w, then P_x, P_w
+COLUMN_SLICES = {"energy": 0, "p_x": slice(1, 4), "p_w": slice(4, 7), "P_x": slice(7, 10), "P_w": slice(10, 13)}
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    physical=st.booleans(),
+    force_free=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.integers(-1074, 1023),
+    spread=st.sampled_from([0.0, 1e-15, 1e-6, 1.0]),
+    zero_baselines=st.lists(st.sampled_from(["energy", "p_x", "p_w", "P_x", "P_w"]), max_size=3),
+    pool=st.lists(st.sampled_from(SPECIAL_FLOATS) | st.floats(), max_size=6),
+    rate=st.sampled_from([0.0, 0.005, 0.1]),
+    in_row_0=st.booleans(),
+)
+@example(n=1, physical=False, force_free=True, seed=0, exponent=0, spread=0.0, zero_baselines=[], pool=[math.inf],
+         rate=0.0, in_row_0=True)  # fmt: skip
+@example(n=5, physical=True, force_free=False, seed=1, exponent=1020, spread=1.0, zero_baselines=["P_x"],
+         pool=[1e308, -1e308], rate=0.1, in_row_0=True)  # fmt: skip
+@example(n=300, physical=False, force_free=False, seed=2, exponent=-1074, spread=1e-6, zero_baselines=["energy"],
+         pool=[5e-324, -0.0, math.nan], rate=0.005, in_row_0=False)  # fmt: skip
+def test_summarize_gives_the_per_series_bits(
+    n, physical, force_free, seed, exponent, spread, zero_baselines, pool, rate, in_row_0
+):
+    # summarize's one pass against the per-series oracle above, bit for bit: the instantaneous and running-max
+    # series, the *_absolute flags and e_w_diagnostic, on physical and canonical-only records drawn at any decade
+    # (subnormal to past the overflow guard), with zero baselines, +-0, subnormals, +-1e308, +-inf and NaN in row 0
+    # and in later rows
+    rng = np.random.default_rng(seed)
+    with np.errstate(over="ignore"):
+        first = np.ldexp(rng.standard_normal(13), exponent)
+        values = first * (1.0 + spread * rng.standard_normal((n, 13)))
+    for name in zero_baselines:
+        values[0, COLUMN_SLICES[name]] = rng.choice([0.0, -0.0])
+    if pool:
+        hits = rng.random((n, 13)) < rate
+        if in_row_0:
+            hits[0, rng.integers(13)] = True
+        values[hits] = rng.choice(pool, size=int(hits.sum()))
+    cols = {name: values[:, where] for name, where in COLUMN_SLICES.items()}
+    rec = make_record(n=n, force_free=force_free, energy=cols["energy"], p_x=cols["p_x"], p_w=cols["p_w"])
+    if physical:
+        rec = dataclasses.replace(rec, P_x=cols["P_x"], P_w=cols["P_w"])
+    rep = summarize(rec)
+    sources = (cols["P_x"], cols["P_w"]) if physical else (cols["p_x"], cols["p_w"])
+    running = (rep.e_x, rep.e_w, rep.e_T)
+    flags = (rep.e_x_absolute, rep.e_w_absolute, rep.e_T_absolute)
+    for series, inst, run, flag in zip((*sources, cols["energy"]), rep.instantaneous, running, flags):
+        raw, absolute = deviation_series(series)
+        assert bits(inst) == bits(raw)
+        assert bits(run) == bits(running_max(raw))
+        assert flag is absolute
+    assert rep.e_w_diagnostic is (not (physical or force_free))
 
 
 def test_series_start_at_zero_and_are_monotone_on_real_run():

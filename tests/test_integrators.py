@@ -1471,8 +1471,8 @@ def test_rk_damped_spherical_body_decays_exponentially():
 
 
 def test_rk_same_cost_run_is_less_accurate_than_midpoint():
-    # matched wall-clock budgets: the explicit baseline needs h ~ 0.095 to cost
-    # what the implicit midpoint run costs at h = 0.01
+    # a coarse explicit baseline, not a matched cost: rk at h = 0.0074 costs what mid costs at h = 0.01 (the
+    # README's measured match), so rk at h = 0.095 takes about 1/13 of that budget, and there it loses on all three
     rec_rk = integrate(SPIN, SCHED, SolverConfig(h=0.095), "rk", 50.0, rigid_params=RP)
     rec_mid = integrate(SPIN, SCHED, SolverConfig(h=0.01), "mid", 50.0, rigid_params=RP)
     rep_rk, rep_mid = summarize(rec_rk), summarize(rec_mid)
@@ -1911,6 +1911,20 @@ def test_record_state_columns_are_float64_rows_and_newton_iters_integers(method,
         assert np.array_equal(col[0], getattr(start, name)), name
     assert np.issubdtype(rec.newton_iters.dtype, np.integer) and rec.newton_iters.shape == (n,)
     assert rec.newton_iters[0] == 0 and (rec.newton_iters[1:] > 0).all() == (method != "rk" or n == 1)
+
+
+@pytest.mark.parametrize("rigid", [True, False])
+@pytest.mark.parametrize("method", ["left", "mid", "rk"])
+def test_record_conserved_columns_share_a_block_of_their_own(method, rigid):
+    # energy, p_x, p_w (and P_x, P_w given rigid_params) are views of one (n, 13) or (n, 7) block, which holds no
+    # copy of the 13 state columns the record keeps apart (104 dead bytes per row when it did)
+    rec = integrate(SPIN, SCHED, CFG, method, 3.0, rigid_params=RP if rigid else None)
+    assert len(rec) == 301 and not rec.truncated
+    block = rec.energy.base
+    assert block is not None and block.shape == (301, 13 if rigid else 7)
+    for name in ("p_x", "p_w", "P_x", "P_w") if rigid else ("p_x", "p_w"):
+        assert getattr(rec, name).base is block, name
+    assert all(getattr(rec, name).base is not block for name in ("q", "x_e", "xdot_b", "omega_b"))
 
 
 @pytest.mark.parametrize("method", ["left", "mid", "rk"])
