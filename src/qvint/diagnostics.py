@@ -67,11 +67,6 @@ class TrajectoryRecord:
         return int(self.t.shape[0])
 
 
-def running_max(series: Array) -> Array:
-    """Non-decreasing envelope of a series."""
-    return np.maximum.accumulate(np.asarray(series, dtype=float))
-
-
 def _momenta(rec: TrajectoryRecord) -> tuple[Array, Array]:
     """(px, pw): the physical momenta when recorded, the canonical ones otherwise."""
     return (rec.P_x, rec.P_w) if rec.P_x is not None else (rec.p_x, rec.p_w)

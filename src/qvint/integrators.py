@@ -30,16 +30,16 @@ _rotate_f and follow the operand order of _mv, _mm, _cx, _skew and _solve3's quo
 records keep every bit, as the Jacobians (with left's constant part K0) drop only
 products with a skew matrix's zeros, which can change only the sign of a zero entry.
 
-A run is a chain of StepResult links on Python floats, one contract for all three
-methods: a link's history is the momentum the next step starts from (left's and mid's
-outgoing momentum, rk's body-axes momenta) and its coefficients only feed the record.
-seed_step makes the first link and each stepper, step(prev, t, sched, cfg), the next
-one at the grid time t = t0 + k h that integrate computes from k. integrate evaluates
-the record's conserved quantities from each link's point, velocities and coefficients
-in numpy blocks of 128 rows with the float kernels (bit for bit). A forced schedule's
-force reads a probe state's floats through _force, once per left or mid step and once
-per rk stage: left and mid add the impulse h (F, torque) to the momentum they carry,
-rk adds (F, torque) to each stage's momentum rates.
+A run is a chain of StepResult links on Python floats, one contract for all three methods: a link's
+history is the momentum the next step starts from (left's and mid's outgoing momentum, rk's
+body-axes momenta) and its coefficients only feed the record. seed_step makes the first link and
+each stepper, step(prev, t, sched, cfg), the next one at the grid time t = t0 + k h that integrate
+computes from k, or raises ValueError (SingularJacobianError, a subclass, for a failed rate solve).
+integrate evaluates the record's conserved quantities from each link's point, velocities and
+coefficients, the seed's first, in numpy blocks of 128 steps with the float kernels (bit for bit). A
+forced schedule's force reads a probe state's floats through _force, once per left or mid step and
+once per rk stage: left and mid add the impulse h (F, torque) to the momentum they carry, rk adds
+(F, torque) to each stage's momentum rates.
 """
 
 from __future__ import annotations
@@ -65,8 +65,8 @@ Quat = tuple[float, float, float, float]
 _METHODS = ("left", "mid", "rk")
 
 
-class SingularJacobianError(RuntimeError):
-    """The rate solve failed: a non-finite residual, an unusable Jacobian, or no convergence."""
+class SingularJacobianError(ValueError):
+    """A failed rate solve (non-finite residual, unusable Jacobian, no convergence): a step failure, so a ValueError."""
 
 
 @dataclass(frozen=True)
@@ -633,20 +633,19 @@ def integrate(
     raises ValueError after the t0 coefficients call and before any step. The run ends
     at t + n h, the record's last time; step k is step(prev, t + k h, sched, cfg), its
     time computed from k, with step read from this module's step_left, step_mid or
-    step_rk_baseline as the run starts. Every accepted state is recorded. A step that
-    fails (Newton does not converge, the Jacobian is singular, the state goes
-    non-finite, a schedule callback raises or returns an unusable result) truncates the
-    record, flags it and names the cause in stop_reason (coefficients failing at t0
-    raises). rigid_params fills the physical momenta.
+    step_rk_baseline as the run starts. Every accepted state is recorded. A step fails by raising ValueError
+    (SingularJacobianError when Newton does not converge or the Jacobian is singular; the state going non-finite,
+    a schedule callback raising or returning an unusable result): the record is truncated, flagged and names the
+    cause in stop_reason (coefficients failing at t0 raises). rigid_params fills the physical momenta.
 
-    The conserved-quantity columns are evaluated after the steps, 128 rows at a
-    time, by row 0's float kernels run on numpy columns (each entry rounds as on
-    floats); a non-finite row 0 takes no step. One scan finds every non-finite row:
-    the first ends the record (the loop stopped at the end of its block, at most 127
-    steps later) with stop_reason "diverged: non-finite energy or momentum" over any
-    later step's failure, or "... initial energy ..." keeping row 0 alone. For mid the columns
-    are evaluated at the midpoint quadrature states (row 0 repeats the first
-    midpoint); the velocity columns hold second-order step-point reconstructions.
+    Each link's row (state, point, coefficient floats, Newton count) joins one stream that the seed's row opens. The
+    conserved-quantity columns are evaluated after the steps by the float kernels run on numpy columns (each entry
+    rounds as on floats), in blocks of 128 steps, the first also holding the seed's row; row 0 on floats only
+    decides that a non-finite row 0 takes no step. One scan finds every non-finite row: the first ends the record
+    (the loop stopped at the end of its block, at most 127 steps later) with stop_reason "diverged: non-finite
+    energy or momentum" over any later step's failure, or "... initial energy ..." keeping row 0 alone. For mid the
+    columns are evaluated at the midpoint quadrature states (row 0 repeats the first midpoint); the velocity columns
+    hold second-order step-point reconstructions.
     """
     t0, h = initial.t, cfg.h
     n_steps = _step_count(t0, t_end, h)
@@ -667,40 +666,39 @@ def integrate(
         v_com = _rotate_f(q, [u + v for u, v in zip(xdot, _cx(omega, c_b))])
         return (t, *p_x, *p_w, *[mass * v for v in v_com], *_rotate_f(q, _mv(i_com, omega)))
 
-    def rows(pending: list) -> tuple[Array, Array]:
-        """conserved over (_flat, point, q, x_e, xdot_b, omega_b) rows, run once on numpy columns (the coefficients
-        as scalars when all rows share one _flat, a constant schedule's): elementwise float64 operations round as
-        on floats. Returns that (k, 13 or 7) block and the links' (k, 13) states, each link's floats numpy once."""
-        flats = [r[0] for r in pending]
-        v = np.fromiter(chain.from_iterable(chain.from_iterable(r[1:] for r in pending)), float)
+    def rows(pending: list) -> tuple[Array, Array, list]:
+        """conserved over (_flat, iterations, point, q, x_e, xdot_b, omega_b) rows, run once on numpy columns (the
+        coefficients as scalars when all rows share one _flat, a constant schedule's): float64 operations round as on
+        floats. Returns that (k, 13 or 7) block, the (k, 13) states, each link's floats numpy once, and the counts."""
+        flats, counts = [r[0] for r in pending], [r[1] for r in pending]
+        v = np.fromiter(chain.from_iterable(chain.from_iterable(r[2:] for r in pending)), float)
         v, f = v.reshape(-1, 17).T.copy(), flats[0]
         if any(g is not f for g in flats):
             c = np.fromiter(chain.from_iterable(chain(*g[:5], g[5:]) for g in flats), float).reshape(-1, 34).T.copy()
             f = (tuple(c[:9]), tuple(c[9:18]), tuple(c[18:27]), tuple(c[27:30]), tuple(c[30:33]), c[33])
-        return np.column_stack(conserved(tuple(v[:4]), tuple(v[11:14]), tuple(v[14:]), f)), v[4:].T
+        return np.column_stack(conserved(tuple(v[:4]), tuple(v[11:14]), tuple(v[14:]), f)), v[4:].T, counts
 
     stop_reason = ""
     # a diverging run surfaces as a non-finite state or row; row 0 and the seed are held to the same rule
     with np.errstate(over="ignore", invalid="ignore"):  # for a schedule's numpy force and the row blocks
         row0 = conserved(last.point, last.xdot_b, last.omega_b, c0._flat)
-        blocks, pending, iterations = [(np.array([row0]), np.array([[*chain(*last[1:5])]]))], [], [0]
         n_steps = n_steps if all(map(math.isfinite, row0)) else 0  # the scan below names a bad row 0
+        blocks, pending = [], [(c0._flat, 0, last.point, *last[1:5])]  # the seed's row opens the first block
         for k in range(1, n_steps + 1):
             try:
                 last = step(last, t0 + h * k, sched, cfg)
-            except (SingularJacobianError, ValueError) as exc:
+            except ValueError as exc:
                 stop_reason = str(exc)
                 break
-            iterations.append(last.iterations)
-            pending.append((last.coeffs._flat, last.point, *last[1:5]))  # not the set, which caches its blocks
-            if len(pending) == 128:  # spreads numpy's per-call cost; bounds the rows held and steps past a bad one
+            pending.append((last.coeffs._flat, last.iterations, last.point, *last[1:5]))  # not the set, which caches
+            if k % 128 == 0:  # spreads numpy's per-call cost; bounds the rows held and steps past a bad one
                 blocks.append(rows(pending))
                 pending = []
                 if not np.isfinite(blocks[-1][0]).all():
                     break
         if pending:
             blocks.append(rows(pending))
-    diag, state = [np.concatenate(b) for b in zip(*blocks)]  # the conserved columns get a block of their own
+    diag, state, iterations = [np.concatenate(b) for b in zip(*blocks)]  # conserved columns in a block of their own
     bad = np.flatnonzero(~np.isfinite(diag).all(axis=1))
     if bad.size:  # the record ends where the loop stopped (a bad row 0 stays), and this reason wins over a later one
         n, stop_reason = int(bad[0]), f"diverged: non-finite {'' if bad[0] else 'initial '}energy or momentum"

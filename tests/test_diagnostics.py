@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
 
 from qvint import (
     BodyState,
@@ -21,7 +20,7 @@ from qvint import (
     preset_free_body,
     summarize,
 )
-from qvint.diagnostics import pitch_213, running_max
+from qvint.diagnostics import pitch_213
 from qvint.quat import exp_map
 
 CSET, RP = preset_free_body()
@@ -55,10 +54,6 @@ def make_record(n=5, physical=False, force_free=True, energy=None, p_x=None, p_w
         scenario="synthetic",
         force_free=force_free,
     )
-
-
-def test_running_max_envelope():
-    assert_allclose(running_max([0.0, 3.0, 1.0, 5.0, 2.0]), [0.0, 3.0, 3.0, 5.0, 5.0], atol=0.0)
 
 
 def test_record_validation_and_state_access():
@@ -111,7 +106,8 @@ def test_perturbation_sets_relative_level_and_running_holds():
     assert np.all(np.diff(run_w) >= 0.0)
     assert np.all(run_x == 0.0)
     # the report carries the instantaneous series its running maxima come from, for the error CSV
-    assert np.array_equal(run_x, running_max(inst_x)) and np.array_equal(rep.e_T, running_max(inst_T))
+    assert np.array_equal(run_x, np.maximum.accumulate(inst_x))
+    assert np.array_equal(rep.e_T, np.maximum.accumulate(inst_T))
     assert np.all(inst_T == 0.0)
 
 
@@ -251,7 +247,7 @@ def test_summarize_gives_the_per_series_bits(
     for series, inst, run, flag in zip((*sources, cols["energy"]), rep.instantaneous, running, flags):
         raw, absolute = deviation_series(series)
         assert bits(inst) == bits(raw)
-        assert bits(run) == bits(running_max(raw))
+        assert bits(run) == bits(np.maximum.accumulate(raw))
         assert flag is absolute
     assert rep.e_w_diagnostic is (not (physical or force_free))
 
