@@ -37,9 +37,10 @@ each stepper, step(prev, t, sched, cfg), the next one at the grid time t = t0 + 
 computes from k, or raises ValueError (SingularJacobianError, a subclass, for a failed rate solve).
 integrate evaluates the record's conserved quantities from each link's point, velocities and
 coefficients, the seed's first, in numpy blocks of 128 steps with the float kernels (bit for bit). A
-forced schedule's force reads a probe state's floats through _force, once per left or mid step and
-once per rk stage: left and mid add the impulse h (F, torque) to the momentum they carry, rk adds
-(F, torque) to each stage's momentum rates.
+forced schedule's force reads a probe state's floats through _force, once per rk stage and once per
+left or mid step, at the node its balance is written at with the previous link's velocities (left's new
+step point, mid's starting link). left and mid add the impulse h (F, torque) to the momentum they carry
+(mid adds the torque unrotated and a full h F at node 0), rk adds (F, torque) to each stage's rates.
 """
 
 from __future__ import annotations
@@ -479,25 +480,20 @@ def step_mid(prev: StepResult, t: float, sched: MorphingSchedule, cfg: SolverCon
 
     Solves for the midpoint rate (_solve_rate; the midpoint velocity follows in
     closed form), then updates orientation and position with the midpoint rule. The
-    coefficients and the force are probed at the midpoint time prev.t + h/2. The
-    velocities of prev are the previous midpoint's (the initial state's for
-    the first step): they warm-start the solve and probe the force. The
-    returned link carries the fresh midpoint velocities. Reversal negates
-    the link's velocities and history. Known limitation: a forced step adds
-    the body-axes torque to the earth-axes carried momentum and centres the
-    impulse half a step late, so forced runs are first order and converge to
-    the wrong motion under a torque.
+    coefficients are probed at the midpoint time prev.t + h/2 and the force at prev,
+    the node the balance is written at. The velocities of prev are the previous
+    midpoint's (the initial state's for the first step): they warm-start the solve
+    and probe the force. The returned link carries the fresh midpoint velocities.
+    Reversal negates the link's velocities and history. Known limitation: a forced
+    step adds the body-axes torque to the earth-axes carried momentum, and the first
+    step the full h F at node 0, so forced runs are first order unless F vanishes
+    at the start, and converge to the wrong motion under a torque.
     """
     h, q_k, x = cfg.h, prev.q, prev.x_e
-    t_mid = prev.t + 0.5 * h
-    c_mid = _coefficients(sched, t_mid)
+    c_mid = _coefficients(sched, prev.t + 0.5 * h)
     carried = prev.history
     if not sched.force_free:
-        q_pred = _advance(q_k, prev.omega_b, 0.5 * h)
-        v, hh = _rotate_f(q_pred, prev.xdot_b), 0.5 * h
-        x_pred = (x[0] + hh * v[0], x[1] + hh * v[1], x[2] + hh * v[2])
-        f = _force(sched, t_mid, q_pred, x_pred, prev.xdot_b, prev.omega_b)
-        carried = [c + h * u for c, u in zip(carried, f)]
+        carried = [c + h * u for c, u in zip(carried, _force(sched, *prev[:5]))]
 
     sol = _solve_rate(_mid_setup(q_k, c_mid, h, carried), _mid_eval, _mid_jacobian, prev, cfg)
     (e, g1, xd, _), om, c = sol.terms, sol.x, carried

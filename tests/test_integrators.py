@@ -969,8 +969,9 @@ def test_left_probes_the_force_at_the_new_step_point_with_the_previous_velocitie
         prev = res
 
 
-def test_mid_probes_the_force_at_the_half_step_predictor():
-    # at t_k + h/2 the state is predicted from step point k with the previous midpoint velocities
+def test_mid_probes_the_force_at_the_link_it_starts_from():
+    # (t_k, q_k, x_k, xdot_{k-1/2}, omega_{k-1/2}): the node the balance is written at, with the previous
+    # midpoint velocities (the initial state's for the first step), as left probes its node
     sched, calls = recording(MORPHING)
     h = CFG.h
     start = BodyState(0.0, identity_quat(), np.zeros(3), (0.3, -0.1, 0.0), (0.3, -2.0, 0.5))
@@ -978,10 +979,8 @@ def test_mid_probes_the_force_at_the_half_step_predictor():
     for _ in range(20):
         calls.clear()
         res = step_mid(prev, prev.t + h, sched, CFG)
-        [(t, q, x, xd, om)] = calls
-        assert t == prev.t + 0.5 * h and (xd, om) == (prev.xdot_b, prev.omega_b)
-        assert_allclose(q, cg_step(np.array(prev.q), np.array(om), 0.5 * h), rtol=0.0, atol=1e-15)
-        assert_allclose(x, prev.x_e + 0.5 * h * np.array(_rotate_f(q, xd)), rtol=0.0, atol=1e-15)
+        [call] = calls
+        assert float_bits(call) == float_bits(prev[:5])
         prev = res
 
 
@@ -1059,7 +1058,8 @@ def test_no_stepper_reads_the_previous_links_coefficients(method):
 @pytest.mark.parametrize("method", ["left", "mid", "rk"])
 def test_a_force_turning_non_finite_stops_the_run_with_a_named_reason(method, bad):
     # a force that turns non-finite, returns a 2-vector or holds a non-number after t = 0.05 stops the
-    # run at the first step that probes it, with the force's own reason, and keeps the finite rows before
+    # run at the first step that probes it, with the force's own reason, and keeps the finite rows before:
+    # left's step to 0.06 and rk's second stage at 0.055, but mid's step from 0.06, which probes its start
     def force(t, q, x_e, xdot_b, omega_b):
         f = np.zeros(2) if bad == "2-vector" else np.array([bad, 0.0, 0.0])
         return (f if t > 0.05 else np.zeros(3)), -0.05 * np.array(omega_b)
@@ -1067,7 +1067,8 @@ def test_a_force_turning_non_finite_stops_the_run_with_a_named_reason(method, ba
     rec = integrate(SPIN, dataclasses.replace(MORPHING, force=force), CFG, method, 0.2)
     want = "force did not return two finite 3-vectors (F earth axes, torque body axes)"
     assert rec.truncated and rec.stop_reason == want
-    assert len(rec) == 6 and rec.t[-1] == pytest.approx(0.05)
+    n = 7 if method == "mid" else 6
+    assert len(rec) == n and rec.t[-1] == pytest.approx(0.01 * (n - 1))
     for col in (rec.q, rec.x_e, rec.xdot_b, rec.omega_b, rec.energy, rec.p_x, rec.p_w):
         assert np.all(np.isfinite(col))
 
@@ -1077,8 +1078,8 @@ def test_a_force_turning_non_finite_stops_the_run_with_a_named_reason(method, ba
 @pytest.mark.parametrize("method", ["left", "mid", "rk"])
 def test_a_raising_schedule_callback_ends_the_run_and_keeps_its_record(method, callback, exc):
     # past t = 0.503 the callback raises: the run stops at the first step that calls it there, keeps the
-    # 50 steps before and names the callback and the exception class; a ValueError, SingularJacobianError
-    # among them, keeps its own message
+    # 50 steps before (51 for mid's force, which it probes at the step's start, so first at 0.51) and names
+    # the callback and the exception class; a ValueError, SingularJacobianError among them, keeps its own message
     def failing(f):
         def call(t, *args):
             if t > 0.503:
@@ -1092,7 +1093,8 @@ def test_a_raising_schedule_callback_ends_the_run_and_keeps_its_record(method, c
     rec = integrate(start, sched, CFG, method, 1.0)
     want = "boom" if issubclass(exc, ValueError) else f"{callback} raised {exc.__name__}: boom"
     assert rec.truncated and rec.stop_reason == want
-    assert len(rec) == 51 and rec.t[-1] == pytest.approx(0.5)
+    n = 52 if (method, callback) == ("mid", "force") else 51
+    assert len(rec) == n and rec.t[-1] == pytest.approx(0.01 * (n - 1))
     for col in (rec.q, rec.x_e, rec.xdot_b, rec.omega_b, rec.energy, rec.p_x, rec.p_w):
         assert np.all(np.isfinite(col))
 
@@ -1403,7 +1405,29 @@ def test_left_converges_at_first_order_to_the_closed_form_forced_top(kind):
     assert abs(np.log2(errors[0] / errors[1]) - 1.0) <= 0.05, errors
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: forced mid adds tau in the wrong frame, half a step late")
+def spring(t, q, x_e, xdot_b, omega_b):
+    """An earth-axes spring F = -2 x_e, with no torque."""
+    return [-2.0 * v for v in x_e], (0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("case", ["free_body", "force_free_morphing"])
+def test_mid_converges_at_second_order_under_a_force_that_vanishes_at_the_start(case):
+    # from x0 = 0 the spring is zero at node 0, so mid's full impulse there costs nothing, and with the force
+    # probed at each step's start node the final (q, x_e, omega) error against rk at h = 0.00125 falls 4-fold
+    # per halving of h (3.99 and 4.00 on the free body); a probe half a step late makes it fall 2-fold
+    start, base, _ = run_case(case)
+    sched = dataclasses.replace(base, force=spring, force_free=False)
+    ref = integrate(start, sched, SolverConfig(h=0.00125), "rk", 4.0)
+    errors = []
+    for h in (0.02, 0.01, 0.005):
+        rec = integrate(start, sched, SolverConfig(h=h), "mid", 4.0)
+        assert len(rec) == round(4.0 / h) + 1 and not rec.truncated
+        diffs = [getattr(rec, f)[-1] - getattr(ref, f)[-1] for f in ("q", "x_e", "omega_b")]
+        errors.append(np.linalg.norm(np.concatenate(diffs)))
+    assert (np.log2(np.divide(errors[:-1], errors[1:])) >= 2.0 - 0.05).all(), errors
+
+
+@pytest.mark.xfail(strict=True, reason="forced mid adds tau unrotated, and a full h F at node 0")
 def test_mid_matches_the_closed_form_forced_top():
     assert max(forced_top_error(kind, "mid", 0.01) for kind in ("force", "torque")) <= 1e-6
 
@@ -1432,6 +1456,19 @@ def test_mid_energy_error_stays_bounded_over_20000_steps():
     assert len(rec) == 20001 and not rec.truncated
     assert e_T[-tenth:].max() <= 1.5 * e_T[:tenth].max()
     assert rep.final_e_x <= 1e-13
+
+
+@pytest.mark.xfail(strict=True, reason="mid's energy drifts secularly from a minor-axis spin; cause not found")
+def test_mid_energy_error_stays_bounded_over_20000_steps_from_a_minor_axis_spin():
+    # the test above from omega0 = (2, 0.1, 0.1), xdot0 = (0.3, 0, 0.1): the last tenth's largest e_T reads 7.76
+    # times the first tenth's, and the energy keeps falling over a 1e6-step chain. A fix shows as an XPASS
+    start = BodyState(0.0, identity_quat(), np.zeros(3), np.array([0.3, 0.0, 0.1]), np.array([2.0, 0.1, 0.1]))
+    rec = integrate(start, SCHED, SolverConfig(h=0.02), "mid", 400.0, rigid_params=RP)
+    rep = summarize(rec)
+    e_T, tenth = rep.instantaneous[2], len(rec) // 10
+    assert len(rec) == 20001 and not rec.truncated
+    assert rep.final_e_x <= 1e-13
+    assert e_T[-tenth:].max() <= 1.5 * e_T[:tenth].max()
 
 
 def test_intermediate_axis_spin_is_held_by_rk_and_departed_later_by_mid_as_h_shrinks():
@@ -1586,9 +1623,9 @@ def test_integrate_record_shape_and_guards():
 @pytest.mark.parametrize("method", ["left", "mid", "rk"])
 def test_record_times_lie_on_the_exact_grid(method):
     # step k's time is t0 + k h, computed from k rather than accumulated; integrate hands it to step k, which
-    # probes coefficients and force there (left; rk's last stage) or half a step past row k - 1 (mid; rk's
-    # middle stages). From t0 = 0.3 a stepper that recomputed prev.t + h probed one ulp off row k's time on
-    # 230 of these 1000 steps
+    # probes coefficients and force there (left; rk's last stage), mid's force at row k - 1 and its
+    # coefficients half a step past it (as rk's middle stages). From t0 = 0.3 a stepper that recomputed
+    # prev.t + h probed one ulp off row k's time on 230 of these 1000 steps
     sched, forces = recording(MORPHING)
     sched, coefficients = counting(sched)
     rec = integrate(dataclasses.replace(SPIN, t=0.3), sched, CFG, method, 0.3 + 1000 * CFG.h)
@@ -1599,9 +1636,10 @@ def test_record_times_lie_on_the_exact_grid(method):
     if method == "rk":
         assert coefficients == [0.3, *chain.from_iterable(zip(half, grid[1:]))]
         assert probes == list(chain.from_iterable(zip(grid[:-1], half, half, grid[1:])))
+    elif method == "left":
+        assert coefficients == [0.3, *grid[1:]] and probes == grid[1:]
     else:
-        want = grid[1:] if method == "left" else half
-        assert coefficients == [0.3, *want] and probes == want
+        assert coefficients == [0.3, *half] and probes == grid[:-1]
 
 
 @pytest.mark.parametrize("t_end", [1e300, 1.0, 0.0, -1.0, math.nan])
