@@ -35,12 +35,14 @@ history is the momentum the next step starts from (left's and mid's outgoing mom
 body-axes momenta) and its coefficients only feed the record. seed_step makes the first link and
 each stepper, step(prev, t, sched, cfg), the next one at the grid time t = t0 + k h that integrate
 computes from k, or raises ValueError (SingularJacobianError, a subclass, for a failed rate solve).
-integrate evaluates the record's conserved quantities from each link's point, velocities and
-coefficients, the seed's first, in numpy blocks of 128 steps with the float kernels (bit for bit). A
-forced schedule's force reads a probe state's floats through _force, once per rk stage and once per
-left or mid step, at the node its balance is written at with the previous link's velocities (left's new
-step point, mid's starting link). left and mid add the impulse h (F, torque) to the momentum they carry
-(mid adds the torque unrotated and a full h F at node 0), rk adds (F, torque) to each stage's rates.
+integrate evaluates the record's conserved quantities from each link's point, velocities and coefficients,
+the seed's first, in numpy blocks of 128 steps with the float kernels (bit for bit), a coefficient field the
+block's rows share by identity as the set's floats and each other as stacked columns. A forced schedule's force
+reads a probe state's floats through _force, once per rk stage and once per left or mid step, at the node its
+balance is written at with the previous link's velocities (left's new step point, mid's starting link), as six
+numbers (text or an int past the float range stops the run as a non-finite entry does). left and mid add the
+impulse h (F, torque) to the six momentum entries they carry (mid adds the torque unrotated and a full h F at
+node 0), rk adds (F, torque) to each stage's rates.
 """
 
 from __future__ import annotations
@@ -280,14 +282,23 @@ def _coefficients(sched: MorphingSchedule, t: float) -> CoefficientSet:
     return c
 
 
-def _force(sched: MorphingSchedule, t: float, *state) -> list[float]:
-    """sched.force at (t, q, x_e, xdot_b, omega_b) through _call, as six floats: F on earth axes, torque body axes."""
-    f = _call("force", sched.force, t, *state)
+def _force(sched: MorphingSchedule, t: float, q, x_e, xdot_b, omega_b) -> tuple[float, ...]:
+    """sched.force at (t, q, x_e, xdot_b, omega_b) through _call, as six floats: F on earth axes, torque body axes.
+
+    f[0] and f[1] of a len-2 return f, each of len 3, are unpacked and their six entries taken by float(). A return that
+    fails there (an int past the float range too), text (str, bytes, bytearray; checked for an entry float() does not
+    hand back as itself) or a non-finite entry (tested each only when their sum is not finite) raises ValueError.
+    """
+    f, out = _call("force", sched.force, t, q, x_e, xdot_b, omega_b), ()
     try:
-        out = [float(v) for v in (*f[0], *f[1])] if len(f) == 2 and len(f[0]) == len(f[1]) == 3 else []
-    except (TypeError, ValueError, LookupError):
-        out = []
-    if not (out and all(map(math.isfinite, out))):
+        if len(f) == 2 and len(u := f[0]) == len(w := f[1]) == 3:
+            (a, b, c), (d, e, g) = u, w
+            out = float(a), float(b), float(c), float(d), float(e), float(g)
+    except (TypeError, ValueError, LookupError, OverflowError):
+        pass
+    if out and not (out[0] is a and out[1] is b and out[2] is c and out[3] is d and out[4] is e and out[5] is g):
+        out = () if any(isinstance(v, (str, bytes, bytearray)) for v in (u, w, a, b, c, d, e, g)) else out
+    if not (out and (math.isfinite(sum(out)) or all(map(math.isfinite, out)))):
         raise ValueError("force did not return two finite 3-vectors (F earth axes, torque body axes)")
     return out
 
@@ -382,8 +393,8 @@ def step_left(prev: StepResult, t: float, sched: MorphingSchedule, cfg: SolverCo
     c_k = _coefficients(sched, t)
     carried = prev.history
     if not sched.force_free:
-        f = _force(sched, t, q_k, x_k, prev.xdot_b, prev.omega_b)
-        carried = [c + h * u for c, u in zip(carried, f)]
+        (c0, c1, c2, c3, c4, c5), (f0, f1, f2, f3, f4, f5) = carried, _force(sched, t, q_k, x_k, *prev[3:5])
+        carried = (c0 + h * f0, c1 + h * f1, c2 + h * f2, c3 + h * f3, c4 + h * f4, c5 + h * f5)
 
     sol = _solve_rate(_left_setup(q_k, c_k, h, carried), _left_eval, _left_jacobian, prev, cfg)
     (xd, g2), om, hh = sol.terms, sol.x, 0.5 * h
@@ -493,7 +504,8 @@ def step_mid(prev: StepResult, t: float, sched: MorphingSchedule, cfg: SolverCon
     c_mid = _coefficients(sched, prev.t + 0.5 * h)
     carried = prev.history
     if not sched.force_free:
-        carried = [c + h * u for c, u in zip(carried, _force(sched, *prev[:5]))]
+        (c0, c1, c2, c3, c4, c5), (f0, f1, f2, f3, f4, f5) = carried, _force(sched, *prev[:5])
+        carried = (c0 + h * f0, c1 + h * f1, c2 + h * f2, c3 + h * f3, c4 + h * f4, c5 + h * f5)
 
     sol = _solve_rate(_mid_setup(q_k, c_mid, h, carried), _mid_eval, _mid_jacobian, prev, cfg)
     (e, g1, xd, _), om, c = sol.terms, sol.x, carried
@@ -663,15 +675,18 @@ def integrate(
         return (t, *p_x, *p_w, *[mass * v for v in v_com], *_rotate_f(q, _mv(i_com, omega)))
 
     def rows(pending: list) -> tuple[Array, Array, list]:
-        """conserved over (_flat, iterations, point, q, x_e, xdot_b, omega_b) rows, run once on numpy columns (the
-        coefficients as scalars when all rows share one _flat, a constant schedule's): float64 operations round as on
-        floats. Returns that (k, 13 or 7) block, the (k, 13) states, each link's floats numpy once, and the counts."""
+        """conserved over (_flat, iterations, point, q, x_e, xdot_b, omega_b) rows, run once on numpy columns (a
+        coefficient field all rows share by identity as the set's floats, each other stacked by one np.fromiter):
+        float64 operations round as on floats. Returns that (k, 13 or 7) block, the (k, 13) states and the counts."""
         flats, counts = [r[0] for r in pending], [r[1] for r in pending]
         v = np.fromiter(chain.from_iterable(chain.from_iterable(r[2:] for r in pending)), float)
         v, f = v.reshape(-1, 17).T.copy(), flats[0]
-        if any(g is not f for g in flats):
-            c = np.fromiter(chain.from_iterable(chain(*g[:5], g[5:]) for g in flats), float).reshape(-1, 34).T.copy()
-            f = (tuple(c[:9]), tuple(c[9:18]), tuple(c[18:27]), tuple(c[27:30]), tuple(c[30:33]), c[33])
+        if any(g is not f for g in flats):  # one scan passes a constant schedule's block, which shares every field
+            f = list(f)
+            for i, (g, col) in enumerate(zip(f, zip(*flats))):
+                if any(x is not g for x in col):  # a_0 (i = 5) is a float, each other field a tuple
+                    c = np.fromiter(col if i == 5 else chain.from_iterable(col), float)
+                    f[i] = c if i == 5 else tuple(c.reshape(len(col), -1).T.copy())
         return np.column_stack(conserved(tuple(v[:4]), tuple(v[11:14]), tuple(v[14:]), f)), v[4:].T, counts
 
     stop_reason = ""

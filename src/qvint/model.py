@@ -187,8 +187,8 @@ class CoefficientSet:
         With M = [[Mxx, Mxw], [Mwx, Mww]]: row-major Mxx^-1, X = -Mxx^-1 Mxw, the Schur
         complement S = Mww + Mwx X, P = Mwx Mxx^-1, then a_x and a_w, so that
         xdot = Mxx^-1 (g1 - a_x) + X omega and g2 = P (g1 - a_x) + S omega + a_w.
-        Raises np.linalg.LinAlgError naming Mxx = 2 a_xx for a singular Mxx and ValueError for
-        non-finite blocks.
+        Raises np.linalg.LinAlgError naming Mxx = 2 a_xx for a singular Mxx and ValueError for non-finite
+        blocks: S, P, a_x and a_w are summed, and each entry tested only when that sum is not finite.
         """
         xx, xw, ww, a_x, a_w, _ = self._flat
         (a, b, c, d, e, f, g, h, i), (c0, c1, c2, c3, c4, c5, c6, c7, c8) = xx, xw
@@ -415,10 +415,10 @@ def point_mass_coefficients(m: float, r: Array, rdot: Array) -> CoefficientSet:
 
 def _wing_state(t: float) -> tuple[float, float, float, float]:
     """(a, b, adot, bdot): the + wing sits at (0, a, b) and moves at (0, adot, bdot), the - wing mirrors y."""
-    th, ph, thd, phd = math.sin(t), -0.5 * math.cos(t), math.cos(t), 0.5 * math.sin(t)
-    a, b = WING_LENGTH * math.cos(th) * math.cos(ph), WING_LENGTH * math.sin(th)
-    ad = WING_LENGTH * (-math.sin(th) * thd * math.cos(ph) - math.cos(th) * math.sin(ph) * phd)
-    bd = WING_LENGTH * math.cos(th) * thd
+    th, thd = math.sin(t), math.cos(t)  # sweep and its rate; incidence -thd / 2, rate th / 2; each sine and cosine once
+    s_th, c_th, s_ph, c_ph = math.sin(th), math.cos(th), math.sin(-0.5 * thd), math.cos(-0.5 * thd)
+    a, b, bd = WING_LENGTH * c_th * c_ph, WING_LENGTH * s_th, WING_LENGTH * c_th * thd
+    ad = WING_LENGTH * (-s_th * thd * c_ph - c_th * s_ph * (0.5 * th))
     return a, b, ad, bd
 
 

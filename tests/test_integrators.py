@@ -1073,6 +1073,106 @@ def test_a_force_turning_non_finite_stops_the_run_with_a_named_reason(method, ba
         assert np.all(np.isfinite(col))
 
 
+def listed_force(sched, t, *state):
+    """_force's earlier body, the oracle its lean probe keeps to the bit on every return but text and an int past
+    the float range."""
+    f = integrators._call("force", sched.force, t, *state)
+    try:
+        out = [float(v) for v in (*f[0], *f[1])] if len(f) == 2 and len(f[0]) == len(f[1]) == 3 else []
+    except (TypeError, ValueError, LookupError):
+        out = []
+    if not (out and all(map(math.isfinite, out))):
+        raise ValueError(FORCE_REASON)
+    return out
+
+
+def probe_outcome(probe, returned):
+    """The bits of the six floats probe takes from a force returning returned, or the error's class and text."""
+    sched = dataclasses.replace(MORPHING, force=lambda t, q, x_e, xdot_b, omega_b: returned)
+    try:
+        return float_bits(list(probe(sched, 0.5, (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.1, 0.2, 0.3), (1.0,) * 3)))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+#: a force entry: any float (NaN, +-inf, and finite values whose sum overflows among them), an int in the float
+#: range, or a numpy float32 or float64
+FORCE_ENTRY = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, 1.7e308, -1.7e308, -0.0, 5e-324]),
+    st.integers(-(2**1000), 2**1000),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+)
+
+
+@st.composite
+def force_returns(draw):
+    """Two 3-vectors most of the time, else 2x2, three vectors, one vector, 2x4 or 2x1; as tuples, lists, a list and
+    a numpy array, a numpy array of float64 or float32, a dict keyed 0, 1, ... or a set of vectors; or None."""
+    shape = draw(st.sampled_from([(2, 3)] * 6 + [(2, 2), (3, 3), (1, 3), (2, 4), (2, 1)]))
+    rows = [draw(st.lists(FORCE_ENTRY, min_size=shape[1], max_size=shape[1])) for _ in range(shape[0])]
+    kind = draw(st.sampled_from(["tuple", "list", "mixed", "float64", "float32", "dict", "set", "none"]))
+    if kind in ("float64", "float32"):
+        with np.errstate(over="ignore"):  # an int past float32's range becomes inf
+            return np.array([[float(v) for v in r] for r in rows], dtype=kind)
+    if kind == "list":
+        return [list(r) for r in rows]
+    if kind == "mixed":
+        return (list(rows[0]), np.array([float(v) for v in rows[-1]]))
+    if kind == "dict":
+        return {i: tuple(r) for i, r in enumerate(rows)}
+    if kind == "set":
+        return {tuple(r) for r in rows}
+    return None if kind == "none" else tuple(tuple(r) for r in rows)
+
+
+@settings(max_examples=600, deadline=None)
+@given(force_returns())
+@example(((1.7e308, 1.7e308, 0.0), (0.0, 0.0, 0.0)))  # finite entries whose sum overflows: accepted
+@example(((0.0, 0.0, math.nan), (0.0, 0.0, 0.0)))
+@example(((0.0, 0.0, 0.0), (0.0, 0.0, -math.inf)))
+@example({0: (1, 2, 3), 1: [np.float32(0.1), -0.0, 2**60]})  # a dict keyed 0/1: accepted
+@example({(1.0, 2.0, 3.0), (4.0, 5.0, 6.0)})  # a set of two vectors: rejected
+@example(((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)))
+@example((1.0, 2.0, 3.0))
+@example(None)
+def test_the_lean_force_probe_keeps_the_listed_probes_floats_and_reason(returned):
+    # the probe indexes f[0] and f[1], unpacks each, takes float() of the six entries and tests the finiteness of
+    # their sum before each entry's: on every return but text and out-of-range ints it matches the oracle
+    assert probe_outcome(integrators._force, returned) == probe_outcome(listed_force, returned)
+
+
+#: returns a probe by float() alone reads as numbers or fails on with OverflowError: text, which float() parses and
+#: whose bytes iterate as ints, and ints past the float range, which float() cannot hold
+UNREADABLE_FORCES = {
+    "str_vectors": ("123", "456"),
+    "str_entries": (["1", "2", "3"], (0.0, 0.0, 0.0)),
+    "numpy_str_entries": ((0.0, 0.0, 0.0), np.array(["1", "2", "3"])),
+    "bytes_vectors": (b"123", b"456"),
+    "bytes_entry": ((0.0, 0.0, 0.0), (0.0, b"2", 0.0)),
+    "bytearray_vector": (bytearray(b"123"), (0.0, 0.0, 0.0)),
+    "bytearray_entry": ((bytearray(b"1"), 0.0, 0.0), (0.0, 0.0, 0.0)),
+    "int_1e400": ((10**400, 0, 0), (0, 0, 0)),
+    "int_-1e400": ((0, 0, 0), (0, -(10**400), 0)),
+    "int_2**1024": ((0, 0, 2**1024), (0, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("returned", UNREADABLE_FORCES.values(), ids=UNREADABLE_FORCES.keys())
+@pytest.mark.parametrize("method", ["left", "mid", "rk"])
+def test_a_force_returning_text_or_an_out_of_range_int_stops_the_run_with_the_force_reason(method, returned):
+    # past t = 0.05 the run stops at the first step that probes the force, with the force reason (no text is read
+    # as numbers, and float()'s OverflowError is caught), and keeps the finite rows before
+    force = lambda t, *state: returned if t > 0.05 else ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))  # noqa: E731
+    rec = integrate(SPIN, dataclasses.replace(MORPHING, force=force), CFG, method, 0.2)
+    assert rec.truncated and rec.stop_reason == FORCE_REASON
+    n = 7 if method == "mid" else 6
+    assert len(rec) == n and rec.t[-1] == pytest.approx(0.01 * (n - 1))
+    for col in (rec.q, rec.x_e, rec.xdot_b, rec.omega_b, rec.energy, rec.p_x, rec.p_w):
+        assert np.all(np.isfinite(col))
+
+
 @pytest.mark.parametrize("exc", [ZeroDivisionError, RuntimeError, ValueError, SingularJacobianError])
 @pytest.mark.parametrize("callback", ["force", "coefficients"])
 @pytest.mark.parametrize("method", ["left", "mid", "rk"])
@@ -1862,15 +1962,32 @@ def a_w_flips_the_sign_of_a_zero(t):
     return xx, (-0.0,) * 9, ww, (0.0, 0.0, 0.0), (z, -0.0, 0.0), 0.0
 
 
+#: the free-body a_xx as a second tuple object of the same values, and its A_ww scaled by 1 + j / 10, j < 8
+OTHER_A_XX = tuple(list(CSET._flat[0]))
+STEPPED_A_WW = [tuple([v * (1.0 + 0.1 * j) for v in CSET._flat[2]]) for j in range(8)]
+
+
+def a_xx_alternates_between_equal_tuples(t):
+    # a_xx is shared by every other row and A_ww by runs of 50 rows, each then a new value: both are stacked
+    k, (xx, xw, _, a_x, a_w, a_0) = round(t / CFG.h), CSET._flat
+    return OTHER_A_XX if k % 2 else xx, xw, STEPPED_A_WW[k // 50], a_x, a_w, a_0
+
+
+def only_a_0_varies(t):
+    return *CSET._flat[:5], CSET._flat[5] + 0.2 * math.sin(3.0 * t)
+
+
 @pytest.mark.parametrize(
     "flat_at, omega0",
-    [(only_a_0_and_a_x_vary, 1.0), (a_xx_varies_off_the_diagonal, 1.0), (a_w_flips_the_sign_of_a_zero, -0.0)],
-    ids=["a_0_and_a_x", "a_xx_off_diagonal", "zero_sign_flip"],
-)
+    [(only_a_0_and_a_x_vary, 1.0), (a_xx_varies_off_the_diagonal, 1.0), (a_w_flips_the_sign_of_a_zero, -0.0),
+     (a_xx_alternates_between_equal_tuples, 1.0), (only_a_0_varies, 1.0)],
+    ids=["a_0_and_a_x", "a_xx_off_diagonal", "zero_sign_flip", "a_xx_shared_by_some_rows", "only_a_0"],
+)  # fmt: skip
 @pytest.mark.parametrize("method", ["left", "mid", "rk"])
 def test_record_columns_keep_every_bit_on_varying_schedules(method, flat_at, omega0):
-    # a schedule of fresh sets takes the block pass's stacked coefficient columns; every row keeps
-    # its float row's bits, and an entry that flips between 0.0 and -0.0 keeps each row's sign
+    # a schedule of fresh sets takes the block pass's stacked coefficient columns for each field its rows do not
+    # all share by identity, and the set's own floats for each other field; every row keeps its float row's bits,
+    # and an entry that flips between 0.0 and -0.0 keeps each row's sign
     xd0 = [0.3, 0.0, 0.1] if omega0 else [0.0, 0.0, 0.0]
     start = BodyState(0.0, identity_quat(), np.zeros(3), np.array(xd0), np.full(3, omega0))
     sched = fresh_sets(flat_at)

@@ -32,6 +32,7 @@ from qvint import (
     wing_motion,
 )
 from qvint.model import (
+    WING_LENGTH,
     WING_MASS,
     _adjugate,
     _as_matrix,
@@ -39,6 +40,7 @@ from qvint.model import (
     _energy_momenta,
     _mm,
     _solve3,
+    _wing_state,
     canonical_momenta,
     point_mass_coefficients,
     rigid_coefficients,
@@ -705,6 +707,26 @@ def test_wing_motion_geometry():
         rp1 = wing_motion(t - dt)[0]
         assert_allclose(rdot_p, (rp2 - rp1) / (2 * dt), atol=1e-7)
         assert_allclose(rdot_m, rdot_p * np.array([1.0, -1.0, 1.0]), atol=0.0)
+
+
+def twelve_call_wing_state(t):
+    """_wing_state with each sine and cosine taken where it is used, 12 calls: the oracle its 6 keep to the bit."""
+    th, ph, thd, phd = math.sin(t), -0.5 * math.cos(t), math.cos(t), 0.5 * math.sin(t)
+    a, b = WING_LENGTH * math.cos(th) * math.cos(ph), WING_LENGTH * math.sin(th)
+    ad = WING_LENGTH * (-math.sin(th) * thd * math.cos(ph) - math.cos(th) * math.sin(ph) * phd)
+    bd = WING_LENGTH * math.cos(th) * thd
+    return a, b, ad, bd
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e6, -1e6])
+    | st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308)  # the subnormals and +-0
+    | st.floats(-1e6, 1e6)
+    | st.integers(-(10**8), 10**8).map(lambda k: 0.01 * k + 0.005)  # the grid's half steps out to |t| = 1e6
+)
+def test_wing_state_keeps_the_twelve_call_bits(t):
+    assert [v.hex() for v in _wing_state(t)] == [v.hex() for v in twelve_call_wing_state(t)]
 
 
 def test_morphing_static_limit_is_rigid():
